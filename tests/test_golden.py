@@ -1,0 +1,165 @@
+"""Byte-level golden digests of every reproducible output.
+
+Each section renders one family of outputs (traces, choice enumerations,
+worst-case witnesses, sweep CSVs, game transcripts) for fixed seeds and
+compares the sha256 of the rendering with a pinned digest.  A refactor
+that keeps behaviour keeps every digest; any change in a trace byte, a
+choice order or an RNG draw shows up here.
+
+To inspect a failing section, print ``SECTIONS[name]()`` before and after
+the change and diff the two texts.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+
+import pytest
+
+from matchforge.adversary import TruthfulAdversary, play_game
+from matchforge.cli import main
+from matchforge.graphs import Graph, gen_random_bounded, gen_regular, save_graph
+from matchforge.matchers import (
+    ALGORITHMS,
+    FirstPolicy,
+    RandomPolicy,
+    iter_all_pick_sequences,
+    run_algorithm,
+    run_shuffle,
+    save_trace,
+    script_from_picks,
+    worst_case_size,
+)
+
+RULE_ALGOS = ("mingreedy", "one_two_mingreedy", "karpsipser", "greedy", "mrg")
+ENCODINGS = ("mingreedy", "karpsipser", "greedy", "mrg", "shuffle", "vertex_iterative")
+RANDOM_SEEDS = (1, 2, 3)
+
+
+def _run_graphs() -> list[Graph]:
+    """About twenty seeded graphs with n in 4..40 and max degree 3..5."""
+    graphs = []
+    for i in range(12):
+        rng = random.Random(100 + i)
+        graphs.append(gen_random_bounded(rng.randint(4, 40), rng.randint(3, 5),
+                                         rng.uniform(0.3, 0.9), 100 + i))
+    for n, d, seed in ((4, 3, 1), (6, 3, 2), (10, 3, 3), (16, 3, 4), (40, 3, 5),
+                       (6, 4, 6), (12, 4, 7), (30, 4, 8), (12, 5, 9), (24, 5, 10)):
+        graphs.append(gen_regular(n, d, seed))
+    return graphs
+
+
+def _small_graphs(n_max: int, count: int, seed0: int) -> list[Graph]:
+    graphs = []
+    for i in range(count):
+        rng = random.Random(seed0 + i)
+        graphs.append(gen_random_bounded(rng.randint(4, n_max), rng.randint(3, 4),
+                                         rng.uniform(0.4, 0.9), seed0 + i))
+    return graphs
+
+
+def _traces(algo: str) -> str:
+    out = []
+    for gi, g in enumerate(_run_graphs()):
+        if algo == "shuffle":
+            perms = [list(range(g.n))]
+            for seed in RANDOM_SEEDS:
+                perm = list(range(g.n))
+                random.Random(seed).shuffle(perm)
+                perms.append(perm)
+            traces = [run_shuffle(g, perm) for perm in perms]
+        else:
+            policies = [FirstPolicy()] + [RandomPolicy(s) for s in RANDOM_SEEDS]
+            traces = [run_algorithm(algo, g, pol) for pol in policies]
+        for ti, trace in enumerate(traces):
+            out.append(f"# graph {gi} run {ti}\n{save_trace(trace)}")
+    return "".join(out)
+
+
+def _choices(algo: str) -> str:
+    out = []
+    for gi, g in enumerate(_small_graphs(6, 6, 500)):
+        seqs = sorted(iter_all_pick_sequences(g, algo, limit=5000))
+        out.append(f"# graph {gi}: {len(seqs)} sequences\n")
+        for picks in seqs:
+            choices = script_from_picks(g, picks, algo).choices
+            out.append(f"{picks} -> {list(choices)}\n")
+    return "".join(out)
+
+
+def _worst(algo: str) -> str:
+    out = []
+    for gi, g in enumerate(_small_graphs(10, 10, 700)):
+        size, witness = worst_case_size(g, algo)
+        out.append(f"# graph {gi}: {size}\n{save_trace(witness)}")
+    return "".join(out)
+
+
+def _sweep(mode: str, tmp_path) -> str:
+    out = tmp_path / f"sweep_{mode}.csv"
+    code = main(["sweep", "--deltas", "3,4", "--source", "random", "--count", "4",
+                 "--seed", "11", "--algos", ",".join(RULE_ALGOS), "--n", "9",
+                 "--mode", mode, "--out", str(out)])
+    assert code == 0
+    return out.read_text()
+
+
+def _games() -> str:
+    out = []
+    graphs = _run_graphs()[:8] + _small_graphs(8, 4, 900)
+    for algo in ENCODINGS:
+        for gi, g in enumerate(graphs):
+            result = play_game(algo, TruthfulAdversary(g))
+            out.append(f"# {algo} graph {gi}\n" + "\n".join(result.transcript) + "\n")
+    return "".join(out)
+
+
+SECTIONS = {
+    **{f"trace:{a}": (lambda a=a: _traces(a)) for a in ALGORITHMS},
+    **{f"choices:{a}": (lambda a=a: _choices(a)) for a in RULE_ALGOS},
+    **{f"worst:{a}": (lambda a=a: _worst(a)) for a in RULE_ALGOS},
+    "games": _games,
+}
+
+GOLDEN = {
+    "choices:greedy": "d6b817bb87ac5688f30323802e8f9f99283acf848bb14c0206346b8ca01f9b14",
+    "choices:karpsipser": "64b2e500ef7a4586e9cb9c5abdb398a56bf0499eba56395be3a0ccea42deec9a",
+    "choices:mingreedy": "795ecddcbf132bd70278745a3f9b325caa562310a8a35db62df8904dbce52c83",
+    "choices:mrg": "2d292d68f94133ea3a5e27e537735e9f314bc053b9fb797088af14e77354173c",
+    "choices:one_two_mingreedy": "d8ef81dac3ae9484efaba49560bc3bb1b2b78ca585b1faba51efcc38af952c22",
+    "games": "a9bf943ffe32939d94bbc1032c0520256556a445baaf9c275d97689844f74b2b",
+    "inputs": "05e4880299b6fd5569e9c5c85538d3a3b4b9ac495ddd4d080cfa371b8976292f",
+    "sweep:run": "dc95fdbdee0231efc711cf71e24c8bbb2ba044809e3fc68db6277afdd9de77b3",
+    "sweep:worst": "7226cabe54d060773b19a06ba2a309106d9ebcef5739182c058a67aed50bd30a",
+    "trace:greedy": "54394de455fa63c2bd59261e8fbe396a5636ab1165d9a61942bd20a6bed804aa",
+    "trace:karpsipser": "f1ee2f42496dafba79382af1554fffe9875b970f38a415711a40ef2cf4506008",
+    "trace:mingreedy": "70ed90ea4d75806ad0baf25982211324fc0179a97004ff1105d77695e2767280",
+    "trace:mrg": "45f291e4eeea97eb5504b3029b884bc5994070f2ea37f87fdd41dc62e8782f17",
+    "trace:one_two_mingreedy": "fc7137d3019b3430b4f62beba8f31dc84c36eec213c9bc55ece061c26cc5c334",
+    "trace:shuffle": "2720a2f22ebffa8ad85140f16bcb8700316536f76d315e1ec0fdfe7d885a0203",
+    "worst:greedy": "557460e342b95ed01ab5fb8f23d60fc6a4fb671fbae30628f4d4e1907693a83a",
+    "worst:karpsipser": "2b854bc6800aabc643c2a51bf8180ccc34c4a48370f489a899f9c29f6d319740",
+    "worst:mingreedy": "68adae24cd6458a3babc27b989c4b2a40a9ec8da68471c5f9e39533fdd3998d7",
+    "worst:mrg": "193d739c228ddab0aaaf31e3f700c292fd0b8af31e2bb14a62cd6aeb5212b35a",
+    "worst:one_two_mingreedy": "dde5c5325b07f1889ab54703a5e8e9d2c932ce1246a6e7653d5f44558b51ca87",
+}
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_inputs_are_stable():
+    graphs = _run_graphs() + _small_graphs(6, 6, 500) + _small_graphs(10, 10, 700)
+    assert _digest("".join(save_graph(g) for g in graphs)) == GOLDEN["inputs"]
+
+
+@pytest.mark.parametrize("name", sorted(SECTIONS))
+def test_section_digest(name):
+    assert _digest(SECTIONS[name]()) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("mode", ["run", "worst"])
+def test_sweep_csv_digest(mode, tmp_path):
+    assert _digest(_sweep(mode, tmp_path)) == GOLDEN[f"sweep:{mode}"]
