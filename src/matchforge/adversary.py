@@ -17,8 +17,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from pathlib import Path
 
-from .graphs import Edge, Graph, Matching, norm_edge
+from .graphs import Edge, Graph, Matching, norm_edge, save_graph
 from .matchers import PolicyError
 
 
@@ -95,8 +96,6 @@ CATCH_ALL = Pattern(unmatched_min=1)
 class PriorityAlgorithm:
     """Base: tracks its own matches and picks the first unmatched neighbor."""
 
-    algo_id = "base"
-
     def start(self, announced_nodes: int | None) -> None:
         self.n = announced_nodes
         self.matched: set[int] = set()
@@ -120,8 +119,6 @@ class PriorityAlgorithm:
 class MinGreedyEncoding(PriorityAlgorithm):
     """Rank lists by current degree, lowest first."""
 
-    algo_id = "mingreedy"
-
     def start(self, announced_nodes):
         super().start(announced_nodes)
         self.cap = (announced_nodes - 1) if announced_nodes else 64
@@ -133,21 +130,13 @@ class MinGreedyEncoding(PriorityAlgorithm):
 class KarpSipserEncoding(PriorityAlgorithm):
     """Degree-1 lists first, then any list."""
 
-    algo_id = "karpsipser"
-
     def query(self):
         return [Pattern(unmatched=1), CATCH_ALL]
 
 
 class GreedyEncoding(PriorityAlgorithm):
-    algo_id = "greedy"
-
-    def query(self):
-        return [CATCH_ALL]
-
-
-class MrgEncoding(PriorityAlgorithm):
-    algo_id = "mrg"
+    """Any non-isolated list.  Encodes both edge-greedy and mrg: serving a
+    list and taking a neighbor is picking any alive edge."""
 
     def query(self):
         return [CATCH_ALL]
@@ -155,8 +144,6 @@ class MrgEncoding(PriorityAlgorithm):
 
 class ShuffleEncoding(PriorityAlgorithm):
     """A fixed node permutation ranks both the served node and the partner."""
-
-    algo_id = "shuffle"
 
     def __init__(self, permutation=None, seed: int = 0):
         self.permutation = list(permutation) if permutation is not None else None
@@ -187,8 +174,6 @@ class ShuffleEncoding(PriorityAlgorithm):
 class VertexIterativeEncoding(PriorityAlgorithm):
     """Consider nodes in id order, probing neighbors in id order."""
 
-    algo_id = "vertex_iterative"
-
     def start(self, announced_nodes):
         super().start(announced_nodes)
         if announced_nodes is None:
@@ -208,7 +193,7 @@ _ENCODINGS = {
     "mingreedy": MinGreedyEncoding,
     "karpsipser": KarpSipserEncoding,
     "greedy": GreedyEncoding,
-    "mrg": MrgEncoding,
+    "mrg": GreedyEncoding,
     "shuffle": ShuffleEncoding,
     "vertex_iterative": VertexIterativeEncoding,
 }
@@ -709,6 +694,17 @@ def save_moves(result: GameResult) -> str:
     return "".join(f"p {u} {v}\n" for u, v in result.picks)
 
 
+def game_files(result: GameResult) -> dict[str, str]:
+    """The persisted form of a game, by file suffix: .graph (edge-list
+    format), .moves (the forced picks, replayable standalone) and
+    .transcript."""
+    return {
+        ".graph": save_graph(result.graph),
+        ".moves": save_moves(result),
+        ".transcript": "\n".join(result.transcript) + "\n",
+    }
+
+
 def emit_hard_instance(
     delta: int,
     t: int | None = None,
@@ -717,20 +713,14 @@ def emit_hard_instance(
 ) -> GameResult:
     """Play a constructing-adversary game and persist it as goldens.
 
-    Writes <prefix>.graph (edge-list format), <prefix>.moves (the forced
-    picks, replayable standalone), and <prefix>.transcript when a prefix is
-    given; always returns the game result.
+    Writes <prefix>.graph, <prefix>.moves and <prefix>.transcript (see
+    game_files) when a prefix is given; always returns the game result.
     """
-    from pathlib import Path
-
-    from .graphs import save_graph
-
     adversary = AdversaryBPrime(delta, t) if t is not None else AdversaryB(delta)
     result = play_game(algo, adversary)
     if prefix is not None:
-        Path(prefix + ".graph").write_text(save_graph(result.graph))
-        Path(prefix + ".moves").write_text(save_moves(result))
-        Path(prefix + ".transcript").write_text("\n".join(result.transcript) + "\n")
+        for suffix, text in game_files(result).items():
+            Path(prefix + suffix).write_text(text)
     return result
 
 

@@ -1,6 +1,7 @@
 """Coin accounting over a traced run and its decomposition.
 
-Replays a min-greedy / free-variant trace, derives every transfer (with
+Reads the trace's one cached replay (``RunTrace.replay``), checks that
+every step is a min-greedy or free-variant step, derives every transfer (with
 cancellations) and donation, tallies per-component credit/debit coins, and
 checks the balance bounds plus the auxiliary structural predicates on the
 concrete execution.  Any violation is reported as a counterexample, not
@@ -12,12 +13,12 @@ theta = 1/(2(2*delta-3)) is a Fraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .decomposition import Decomposition, PATH, SINGLETON
-from .graphs import Edge, norm_edge, ResidualView
-from .matchers import MODE_DEGREE, MODE_FREE, RunTrace
+from .graphs import Edge, norm_edge
+from .matchers import MODE_DEGREE, MODE_FREE, ReplayedStep, RunTrace
 
 
 class TraceMismatchError(ValueError):
@@ -76,19 +77,6 @@ class EndpointClasses:
     deg2: tuple[int, ...]              # W_2
     deg3_plus: tuple[int, ...]         # W_>=3
     edges_to_adjacent: tuple[Edge, ...]  # E(W)
-
-
-@dataclass
-class _StepRecord:
-    index: int
-    selected: int
-    partner: int
-    sel_degree: int
-    mode: str
-    removed: tuple[Edge, ...]
-    min_before: int
-    deg_before: dict[int, int] = field(default_factory=dict)
-    deg_after: dict[int, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -168,7 +156,7 @@ class ChargingLedger:
         self.dec = dec
         self.delta = delta
         self.theta = theta(delta)
-        self.steps: list[_StepRecord] = []
+        self.steps: tuple[ReplayedStep, ...] = ()
         self.step_of_node: dict[int, int] = {}
         self.transfers: list[Transfer] = []
         self.donations: list[Donation] = []
@@ -177,50 +165,38 @@ class ChargingLedger:
 
     # -- construction -------------------------------------------------------
 
-    def _replay(self) -> None:
-        view = ResidualView(self.dec.graph)
-        for st in self.trace.steps:
-            min_before = view.min_degree()
-            if st.mode == MODE_DEGREE:
-                if st.sel_degree != min_before:
+    def _check_steps(self) -> None:
+        """Replay the trace (once per trace) and check the step rules."""
+        try:
+            self.steps = self.trace.replay
+        except ValueError as exc:
+            raise TraceMismatchError(str(exc)) from None
+        for rec in self.steps:
+            if rec.mode == MODE_DEGREE:
+                if rec.sel_degree != rec.min_before:
                     raise TraceMismatchError(
-                        f"step {st.index}: degree-rule step selected degree "
-                        f"{st.sel_degree}, minimum is {min_before}"
+                        f"step {rec.index}: degree-rule step selected degree "
+                        f"{rec.sel_degree}, minimum is {rec.min_before}"
                     )
-            elif st.mode == MODE_FREE:
-                if min_before < 3:
+            elif rec.mode == MODE_FREE:
+                if rec.min_before < 3:
                     raise TraceMismatchError(
-                        f"step {st.index}: free step taken at minimum degree {min_before}"
+                        f"step {rec.index}: free step taken at minimum degree {rec.min_before}"
                     )
             else:
-                raise TraceMismatchError(f"step {st.index}: unknown mode {st.mode}")
-            if view.degree_of(st.selected) != st.sel_degree:
-                raise TraceMismatchError(f"step {st.index}: stale selection degree")
-            rec = _StepRecord(
-                st.index, st.selected, st.partner, st.sel_degree, st.mode,
-                st.removed, min_before,
-            )
-            touched = sorted({x for e in st.removed for x in e})
-            for x in touched:
-                rec.deg_before[x] = view.degree_of(x)
-            removed = view.remove_pair(st.selected, st.partner)
-            if tuple(removed) != st.removed:
-                raise TraceMismatchError(f"step {st.index}: removed-edge mismatch")
-            for x in touched:
-                rec.deg_after[x] = view.degree_of(x)
-            self.steps.append(rec)
-            self.step_of_node[st.selected] = st.index
-            self.step_of_node[st.partner] = st.index
-        if view.has_alive():
-            raise TraceMismatchError("trace ends with alive edges remaining")
+                raise TraceMismatchError(f"step {rec.index}: unknown mode {rec.mode}")
+            self.step_of_node[rec.selected] = rec.index
+            self.step_of_node[rec.partner] = rec.index
 
     def _build(self) -> None:
         dec = self.dec
         if dec.matching.pairs != self.trace.result.pairs:
             raise TraceMismatchError("decomposition matching differs from trace result")
+        if self.trace.graph != dec.graph:
+            raise TraceMismatchError("decomposition graph differs from trace graph")
         if self.delta < max(3, dec.graph.delta):
             raise ValueError("delta must be at least max(3, graph max degree)")
-        self._replay()
+        self._check_steps()
         self.comp_of = dec.component_of
         self.endpoints = dec.endpoints
         f_edges = dec.f_edges
@@ -346,7 +322,7 @@ class ChargingLedger:
             self.debits_out[self.comp_of[d.source]] += d.coins
             self.credits_in[self.comp_of[d.recipient]] += d.coins
 
-    def _endpoint_classes(self, rec: _StepRecord) -> EndpointClasses:
+    def _endpoint_classes(self, rec: ReplayedStep) -> EndpointClasses:
         pair = (rec.selected, rec.partner)
         f_edges = self.dec.f_edges
         adjacent = []
@@ -403,7 +379,7 @@ class ChargingLedger:
         comp = self.dec.components[ci]
         return (comp.m_count + self.theta * self.balance(ci)) / comp.opt_count
 
-    def step_record(self, index: int) -> _StepRecord:
+    def step_record(self, index: int) -> ReplayedStep:
         return self.steps[index - 1]
 
 

@@ -2,7 +2,8 @@
 
 Subcommands: gen, run, opt, decompose, verify, worstcase, game, sweep.
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 input
-error, 3 search budget exceeded.
+error (unreadable or malformed input, an output that cannot be written, or
+generator parameters no graph can meet), 3 search budget exceeded.
 
 All randomness flows from --seed through a documented per-run derivation
 (the run index is mixed into the seed), so repeating any invocation
@@ -20,6 +21,7 @@ from pathlib import Path
 from . import adversary as adv_mod
 from . import charging, decomposition, matchers, optimum
 from .graphs import (
+    GenerationError,
     GraphFormatError,
     gen_random_bounded,
     gen_regular,
@@ -47,9 +49,23 @@ def _read(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc}") from None
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from None
+
+
 def _load_graph(path: str):
     try:
         return load_graph(_read(path))
+    except GraphFormatError as exc:
+        raise CliError(f"{path}: {exc}") from None
+
+
+def _load_trace(path: str, g):
+    try:
+        return matchers.load_trace(_read(path), g)
     except GraphFormatError as exc:
         raise CliError(f"{path}: {exc}") from None
 
@@ -77,7 +93,7 @@ def cmd_gen(args) -> int:
         g = gen_random_bounded(args.n, args.delta, args.p, args.seed)
     else:
         g = gen_regular(args.n, args.degree, args.seed)
-    Path(args.out).write_text(save_graph(g))
+    _write(args.out, save_graph(g))
     print(f"gen {args.kind} n={g.n} m={g.m} delta={g.delta} -> {args.out}")
     return EXIT_OK
 
@@ -92,7 +108,7 @@ def cmd_run(args) -> int:
     else:
         trace = matchers.run_algorithm(args.algo, g, parse_policy(args.policy))
     if args.trace:
-        Path(args.trace).write_text(matchers.save_trace(trace))
+        _write(args.trace, matchers.save_trace(trace))
     print(f"run {args.algo}: |M|={len(trace.result)} steps={len(trace.steps)}")
     return EXIT_OK
 
@@ -101,17 +117,14 @@ def cmd_opt(args) -> int:
     g = _load_graph(args.input)
     m = optimum.maximum_matching(g)
     if args.out:
-        Path(args.out).write_text(save_matching(m))
+        _write(args.out, save_matching(m))
     print(f"opt: |M*|={len(m)}")
     return EXIT_OK
 
 
 def cmd_decompose(args) -> int:
     g = _load_graph(args.input)
-    try:
-        trace = matchers.load_trace(_read(args.trace), g)
-    except GraphFormatError as exc:
-        raise CliError(f"{args.trace}: {exc}") from None
+    trace = _load_trace(args.trace, g)
     m_star = decomposition.canonicalize(g, trace.result, optimum.maximum_matching(g))
     dec = decomposition.decompose(g, trace.result, m_star)
     sys.stdout.write(decomposition.format_components(dec))
@@ -122,10 +135,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_verify(args) -> int:
     g = _load_graph(args.input)
-    try:
-        trace = matchers.load_trace(_read(args.trace), g)
-    except GraphFormatError as exc:
-        raise CliError(f"{args.trace}: {exc}") from None
+    trace = _load_trace(args.trace, g)
     delta = args.delta if args.delta else max(3, g.delta)
     try:
         m_star = decomposition.canonicalize(g, trace.result, optimum.maximum_matching(g))
@@ -133,8 +143,7 @@ def cmd_verify(args) -> int:
         ledger = charging.build_ledger(trace, dec, delta)
     except (charging.TraceMismatchError, decomposition.NonCanonicalError) as exc:
         raise CliError(str(exc)) from None
-    report = charging.verify_bounds(ledger)
-    report.extend(charging.verify_lemma_predicates(ledger))
+    report = charging.verify_all(ledger)
     sys.stdout.write(report.csv() if args.csv else report.text())
     if dec.m_star:
         ratio = Fraction(len(dec.matching), len(dec.m_star))
@@ -152,7 +161,7 @@ def cmd_worstcase(args) -> int:
         return EXIT_BUDGET
     opt = len(optimum.maximum_matching(g))
     if args.trace:
-        Path(args.trace).write_text(matchers.save_trace(witness))
+        _write(args.trace, matchers.save_trace(witness))
     ratio = Fraction(size, opt) if opt else Fraction(1)
     print(f"worstcase {args.algo}: {size} opt: {opt} ratio {ratio} = {float(ratio):.6f}")
     return EXIT_OK
@@ -168,9 +177,8 @@ def cmd_game(args) -> int:
           f"|M|={m} |M*|={opt} ratio {ratio} = {float(ratio):.6f} "
           f"n={result.graph.n}")
     if args.emit:
-        Path(args.emit + ".graph").write_text(save_graph(result.graph))
-        Path(args.emit + ".moves").write_text(adv_mod.save_moves(result))
-        Path(args.emit + ".transcript").write_text("\n".join(result.transcript) + "\n")
+        for suffix, text in adv_mod.game_files(result).items():
+            _write(args.emit + suffix, text)
         print(f"emitted {args.emit}.graph / .moves / .transcript")
     return EXIT_OK
 
@@ -234,7 +242,7 @@ def cmd_sweep(args) -> int:
                      f"{float(r):.6f},{r.numerator}/{r.denominator}")
     csv = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(csv)
+        _write(args.out, csv)
     else:
         sys.stdout.write(csv)
     return EXIT_OK
@@ -291,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("worstcase", help="exhaustive adversarial-choice minimum")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--algo", default="one_two_mingreedy",
-                   choices=[a for a in matchers.ALGORITHMS if a != "shuffle"])
+                   choices=list(matchers.RULES))
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--trace", help="write the witness trace here")
     p.set_defaults(func=cmd_worstcase)
@@ -344,7 +352,7 @@ def main(argv=None) -> int:
     except matchers.SearchBudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (matchers.PolicyError, adv_mod.GameError, ValueError) as exc:
+    except (matchers.PolicyError, adv_mod.GameError, GenerationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

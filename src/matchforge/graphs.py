@@ -3,7 +3,7 @@
 Graphs are simple undirected graphs on dense integer node ids 0..n-1.  A
 ``Graph`` is immutable after construction and safe to share; a
 ``ResidualView`` is the mutable deletion view a single heuristic run owns
-exclusively (concurrent runs clone their own view).
+exclusively (each run or replay builds its own from the graph).
 """
 
 from __future__ import annotations
@@ -72,9 +72,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return norm_edge(u, v) in self.edge_set
-
 
 @dataclass(frozen=True)
 class Matching:
@@ -107,17 +104,6 @@ class Matching:
     def nodes(self) -> frozenset[int]:
         return frozenset(x for e in self.pairs for x in e)
 
-    def covers(self, v: int) -> bool:
-        return v in self.nodes
-
-    def mate(self, v: int) -> int | None:
-        for u, w in self.pairs:
-            if u == v:
-                return w
-            if w == v:
-                return u
-        return None
-
     def validate(self, g: Graph) -> None:
         """Check every pair is an edge of g (disjointness holds by construction)."""
         for e in self.pairs:
@@ -142,14 +128,6 @@ class ResidualView:
         for v in range(graph.n):
             if self.deg[v] > 0:
                 self._buckets.setdefault(self.deg[v], set()).add(v)
-
-    def clone(self) -> "ResidualView":
-        other = ResidualView.__new__(ResidualView)
-        other.graph = self.graph
-        other._alive = set(self._alive)
-        other.deg = list(self.deg)
-        other._buckets = {d: set(s) for d, s in self._buckets.items()}
-        return other
 
     def has_alive(self) -> bool:
         return bool(self._alive)

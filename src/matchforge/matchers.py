@@ -1,10 +1,19 @@
 """Greedy matching heuristics under pluggable nondeterminism.
 
+Each rule heuristic is one entry of ``RULES``, which maps the current minimum
+nonzero degree to the selection kind the policy resolves at that step.  Two
+pieces of code interpret the kinds: ``_select`` on a ``ResidualView`` (used by
+every runner, ``iter_all_pick_sequences`` and ``script_from_picks``) and the
+bitmask search of ``worst_case_size``.  A new heuristic is one table entry,
+e.g. ``"mingreedy4": lambda mind: ANY_EDGE if mind >= 4 else MIN_NODE``; runs,
+choice enumeration, pick scripts, exhaustive search and the CLI follow.
+
 Every run produces a ``RunTrace``: the full step-by-step record (selected
-node, its degree at selection, partner, removed edges, step mode) needed to
-replay the execution and drive the charging verifier.  ``worst_case_size``
-exhausts all nondeterministic choice sequences of a heuristic and returns
-the minimum matching size with a witness trace.
+node, its degree at selection, partner, removed edges, step mode).
+``RunTrace.replay`` checks it by re-running it once and keeps the per-step
+degree snapshots, which ``load_trace`` and the charging ledger share.
+``worst_case_size`` exhausts all nondeterministic choice sequences of a
+heuristic and returns the minimum matching size with a witness trace.
 
 Canonical orders: candidate nodes ascending by id, candidate neighbors
 ascending by id, candidate edges ascending as (u, v) pairs.  The first
@@ -15,11 +24,27 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 from .graphs import Edge, Graph, GraphFormatError, Matching, ResidualView, norm_edge
 
-ALGORITHMS = ("mingreedy", "one_two_mingreedy", "karpsipser", "greedy", "mrg", "shuffle")
+# Selection kinds: what the policy chooses at one step.
+ANY_EDGE = "any_edge"        # any alive edge (a free step)
+MIN_NODE = "min_node"        # a minimum-degree node, then one of its neighbors
+MIN_FORCED = "min_forced"    # a minimum-degree node with its single neighbor
+ANY_NODE = "any_node"        # any non-isolated node, then one of its neighbors
+
+# Each rule heuristic's selection kind at the current minimum nonzero degree.
+RULES: dict[str, Callable[[int], str]] = {
+    "mingreedy": lambda mind: MIN_NODE,
+    "one_two_mingreedy": lambda mind: ANY_EDGE if mind >= 3 else MIN_NODE,
+    "karpsipser": lambda mind: MIN_FORCED if mind == 1 else ANY_EDGE,
+    "greedy": lambda mind: ANY_EDGE,
+    "mrg": lambda mind: ANY_NODE,
+}
+
+ALGORITHMS = (*RULES, "shuffle")
 
 MODE_DEGREE = "degree_rule"
 MODE_FREE = "free_edge"
@@ -159,26 +184,54 @@ class TraceStep:
 
 
 @dataclass(frozen=True)
+class ReplayedStep(TraceStep):
+    """A trace step with the degrees its replay observed."""
+
+    min_before: int                # minimum nonzero degree before the step
+    deg_before: dict[int, int]     # touched node -> degree before the step
+    deg_after: dict[int, int]      # touched node -> degree after the step
+
+
+@dataclass(frozen=True)
 class RunTrace:
     graph: Graph
     steps: tuple[TraceStep, ...]
     result: Matching
 
-    def verify_replay(self) -> None:
-        """Re-run the steps on a fresh view; every removed list must match."""
+    @cached_property
+    def replay(self) -> tuple[ReplayedStep, ...]:
+        """Re-run the steps once on a fresh view of the trace's graph.
+
+        Raises ValueError when a picked edge is not alive, a recorded degree
+        is stale, a removed list differs, edges outlive the last step, or the
+        result is not the set of picked edges.  The degree snapshots are kept
+        on the trace, so later readers do not replay it again.
+        """
         view = ResidualView(self.graph)
+        out = []
         for st in self.steps:
             if not view.alive_edge(st.selected, st.partner):
                 raise ValueError(f"step {st.index}: picked edge not alive")
             if view.degree_of(st.selected) != st.sel_degree:
                 raise ValueError(f"step {st.index}: recorded selection degree is stale")
+            min_before = view.min_degree()
+            touched = sorted({x for e in st.removed for x in e})
+            before = {x: view.degree_of(x) for x in touched}
             removed = view.remove_pair(st.selected, st.partner)
             if tuple(removed) != st.removed:
                 raise ValueError(f"step {st.index}: removed-edge list mismatch")
+            after = {x: view.degree_of(x) for x in touched}
+            out.append(ReplayedStep(st.index, st.selected, st.sel_degree, st.partner,
+                                    st.removed, st.mode, min_before, before, after))
         if view.has_alive():
             raise ValueError("alive edges remain after the last step")
         if self.result.pairs != frozenset(st.edge for st in self.steps):
             raise ValueError("result does not equal the set of picked edges")
+        return tuple(out)
+
+    def verify_replay(self) -> None:
+        """Check the trace by its replay; raises ValueError on any mismatch."""
+        self.replay  # computed for its checks, then kept on the trace
 
 
 def save_trace(trace: RunTrace) -> str:
@@ -248,14 +301,37 @@ def _freemode_orientation(view: ResidualView, u: int, v: int) -> tuple[int, int]
     return v, u
 
 
-def _drive(g: Graph, policy: Policy, pick: Callable) -> RunTrace:
+def _select(view: ResidualView, chooser: Chooser, idx: int, rule: Callable[[int], str]):
+    """Resolve step idx of a rule heuristic as (selected, partner, mode).
+
+    The chooser fills the slots of the rule's selection kind in canonical
+    order.  A forced neighbor is taken without asking it, so a random
+    policy draws nothing for it.
+    """
+    kind = rule(view.min_degree())
+    if kind == ANY_EDGE:
+        u, v = chooser.choose(idx, "edge", view.alive_edges())
+        u, v = _freemode_orientation(view, u, v)
+        return u, v, MODE_FREE
+    if kind == ANY_NODE:
+        nodes = sorted(x for x in range(view.graph.n) if view.degree_of(x) > 0)
+    else:
+        nodes = view.min_degree_nodes()
+    u = chooser.choose(idx, "node", nodes)
+    if kind == MIN_FORCED:
+        (v,) = view.alive_neighbors(u)
+    else:
+        v = chooser.choose(idx, "neighbor", view.alive_neighbors(u))
+    return u, v, MODE_DEGREE
+
+
+def _drive(g: Graph, chooser: Chooser, rule: Callable[[int], str]) -> RunTrace:
     view = ResidualView(g)
-    chooser = policy.fresh()
     steps: list[TraceStep] = []
     idx = 0
     while view.has_alive():
         idx += 1
-        u, v, mode = pick(view, chooser, idx)
+        u, v, mode = _select(view, chooser, idx, rule)
         du = view.degree_of(u)
         removed = view.remove_pair(u, v)
         steps.append(TraceStep(idx, u, du, v, tuple(removed), mode))
@@ -263,56 +339,33 @@ def _drive(g: Graph, policy: Policy, pick: Callable) -> RunTrace:
     return RunTrace(g, tuple(steps), Matching.from_pairs(st.edge for st in steps))
 
 
-def _pick_mingreedy(view: ResidualView, chooser: Chooser, idx: int):
-    u = chooser.choose(idx, "node", view.min_degree_nodes())
-    v = chooser.choose(idx, "neighbor", view.alive_neighbors(u))
-    return u, v, MODE_DEGREE
+def run_algorithm(algo: str, g: Graph, policy: Policy) -> RunTrace:
+    """Run the rule heuristic algo (a key of RULES) under policy."""
+    if algo not in RULES:
+        raise PolicyError(f"unknown or unsupported algorithm '{algo}'")
+    return _drive(g, policy.fresh(), RULES[algo])
 
 
 def run_min_greedy(g: Graph, policy: Policy) -> RunTrace:
     """Repeatedly select a node of minimum nonzero degree, then a neighbor;
     pick that edge and delete both endpoints."""
-    return _drive(g, policy, _pick_mingreedy)
+    return run_algorithm("mingreedy", g, policy)
 
 
 def run_one_two_min_greedy(g: Graph, policy: Policy) -> RunTrace:
     """Like min-greedy, but while every degree is at least 3 any alive edge
     may be picked (a free step, recorded as such)."""
-
-    def pick(view, chooser, idx):
-        if view.min_degree() >= 3:
-            u, v = chooser.choose(idx, "edge", view.alive_edges())
-            u, v = _freemode_orientation(view, u, v)
-            return u, v, MODE_FREE
-        return _pick_mingreedy(view, chooser, idx)
-
-    return _drive(g, policy, pick)
+    return run_algorithm("one_two_mingreedy", g, policy)
 
 
 def run_karp_sipser(g: Graph, policy: Policy) -> RunTrace:
     """Edge-greedy that prefers edges incident to a degree-1 node."""
-
-    def pick(view, chooser, idx):
-        if view.min_degree() == 1:
-            u = chooser.choose(idx, "node", view.min_degree_nodes())
-            (v,) = view.alive_neighbors(u)
-            return u, v, MODE_DEGREE
-        u, v = chooser.choose(idx, "edge", view.alive_edges())
-        u, v = _freemode_orientation(view, u, v)
-        return u, v, MODE_FREE
-
-    return _drive(g, policy, pick)
+    return run_algorithm("karpsipser", g, policy)
 
 
 def run_greedy(g: Graph, policy: Policy) -> RunTrace:
     """Plain edge-greedy: pick any alive edge."""
-
-    def pick(view, chooser, idx):
-        u, v = chooser.choose(idx, "edge", view.alive_edges())
-        u, v = _freemode_orientation(view, u, v)
-        return u, v, MODE_FREE
-
-    return _drive(g, policy, pick)
+    return run_algorithm("greedy", g, policy)
 
 
 def run_mrg(g: Graph, policy: Policy) -> RunTrace:
@@ -321,45 +374,24 @@ def run_mrg(g: Graph, policy: Policy) -> RunTrace:
     Selection is over non-isolated nodes (nodes with an alive edge); see the
     module notes on this reading of the node-selection rule.
     """
+    return run_algorithm("mrg", g, policy)
 
-    def pick(view, chooser, idx):
-        nonisolated = sorted(v for v in range(g.n) if view.degree_of(v) > 0)
-        u = chooser.choose(idx, "node", nonisolated)
-        v = chooser.choose(idx, "neighbor", view.alive_neighbors(u))
-        return u, v, MODE_DEGREE
 
-    return _drive(g, policy, pick)
+class _RankChooser(Chooser):
+    def __init__(self, rank: dict[int, int]):
+        self.rank = rank
+
+    def choose(self, step, slot, candidates):
+        return min(candidates, key=self.rank.__getitem__)
 
 
 def run_shuffle(g: Graph, permutation: Sequence[int]) -> RunTrace:
     """Match the permutation-first non-isolated node to its permutation-first
-    unmatched neighbor, repeatedly."""
+    unmatched neighbor, repeatedly: mrg whose choices follow the permutation."""
     perm = list(permutation)
     if sorted(perm) != list(range(g.n)):
         raise PolicyError("permutation must be a permutation of 0..n-1")
-    rank = {v: i for i, v in enumerate(perm)}
-
-    def pick(view, chooser, idx):
-        u = min((v for v in range(g.n) if view.degree_of(v) > 0), key=rank.__getitem__)
-        v = min(view.alive_neighbors(u), key=rank.__getitem__)
-        return u, v, MODE_DEGREE
-
-    return _drive(g, FirstPolicy(), pick)
-
-
-_RUNNERS = {
-    "mingreedy": run_min_greedy,
-    "one_two_mingreedy": run_one_two_min_greedy,
-    "karpsipser": run_karp_sipser,
-    "greedy": run_greedy,
-    "mrg": run_mrg,
-}
-
-
-def run_algorithm(algo: str, g: Graph, policy: Policy) -> RunTrace:
-    if algo not in _RUNNERS:
-        raise PolicyError(f"unknown or unsupported algorithm '{algo}'")
-    return _RUNNERS[algo](g, policy)
+    return _drive(g, _RankChooser({v: i for i, v in enumerate(perm)}), RULES["mrg"])
 
 
 # ---------------------------------------------------------------------------
@@ -367,25 +399,30 @@ def run_algorithm(algo: str, g: Graph, policy: Policy) -> RunTrace:
 # ---------------------------------------------------------------------------
 
 
-def _choice_slots(view: ResidualView, algo: str) -> list[tuple[str, list]]:
-    """The ordered choice slots a policy fills at the current step."""
-    if algo == "mingreedy":
-        return [("node", view.min_degree_nodes()), ("neighbor", None)]
-    if algo == "one_two_mingreedy":
-        if view.min_degree() >= 3:
-            return [("edge", view.alive_edges())]
-        return [("node", view.min_degree_nodes()), ("neighbor", None)]
-    if algo == "karpsipser":
-        if view.min_degree() == 1:
-            return [("node", view.min_degree_nodes())]
-        return [("edge", view.alive_edges())]
-    if algo == "greedy":
-        return [("edge", view.alive_edges())]
-    if algo == "mrg":
-        g = view.graph
-        return [("node", sorted(v for v in range(g.n) if view.degree_of(v) > 0)),
-                ("neighbor", None)]
-    raise PolicyError(f"choice enumeration unsupported for '{algo}'")
+class _Odometer(Chooser):
+    """Takes every combination of slot choices at one step in turn, in
+    canonical order with the last slot varying fastest."""
+
+    def __init__(self):
+        self.path: list[int] = []    # candidate index per slot
+        self.sizes: list[int] = []   # candidate count per slot in this pass
+
+    def choose(self, step, slot, candidates):
+        k = len(self.sizes)
+        if k == len(self.path):
+            self.path.append(0)
+        self.sizes.append(len(candidates))
+        return candidates[self.path[k]]
+
+    def advance(self) -> bool:
+        """Move to the next combination; False once every one was taken."""
+        path = self.path
+        while path and path[-1] + 1 == self.sizes[len(path) - 1]:
+            path.pop()
+        self.sizes = []
+        if path:
+            path[-1] += 1
+        return bool(path)
 
 
 def iter_all_pick_sequences(g: Graph, algo: str, limit: int | None = None) -> Iterator[list[Edge]]:
@@ -394,6 +431,9 @@ def iter_all_pick_sequences(g: Graph, algo: str, limit: int | None = None) -> It
     Exhaustive over the heuristic's nondeterminism; intended for small
     graphs in tests.  Stops with an error if limit leaves are exceeded.
     """
+    if algo not in RULES:
+        raise PolicyError(f"choice enumeration unsupported for '{algo}'")
+    rule = RULES[algo]
     view = ResidualView(g)
     count = 0
 
@@ -405,13 +445,10 @@ def iter_all_pick_sequences(g: Graph, algo: str, limit: int | None = None) -> It
                 raise SearchBudgetExceededError(None, limit)
             yield list(prefix)
             return
-        slots = _choice_slots(view, algo)
-        if slots[0][0] == "edge":
-            moves = [(u, v) for u, v in slots[0][1]]
-        elif len(slots) == 1:
-            moves = [(u, view.alive_neighbors(u)[0]) for u in slots[0][1]]
-        else:
-            moves = [(u, v) for u in slots[0][1] for v in view.alive_neighbors(u)]
+        odometer = _Odometer()
+        moves = [_select(view, odometer, 0, rule)[:2]]
+        while odometer.advance():
+            moves.append(_select(view, odometer, 0, rule)[:2])
         for u, v in moves:
             removed = view.remove_pair(u, v)
             prefix.append(norm_edge(u, v))
@@ -422,42 +459,60 @@ def iter_all_pick_sequences(g: Graph, algo: str, limit: int | None = None) -> It
     yield from rec([])
 
 
+class _PickChooser(Chooser):
+    """Resolves each slot to an explicit pick sequence and records the
+    (step, index) script that makes a ScriptedPolicy take the same picks."""
+
+    def __init__(self, picks: Sequence[tuple[int, int]]):
+        self.picks = list(picks)
+        self.script: list[tuple[int, int]] = []
+        self.selected: int | None = None
+
+    def choose(self, step, slot, candidates):
+        if step > len(self.picks):
+            raise PolicyError("pick sequence ends before all edges are removed")
+        a, b = self.picks[step - 1]
+        if slot == "edge":
+            want = norm_edge(a, b)
+            if want not in candidates:
+                raise PolicyError(f"step {step}: edge {want} not pickable")
+        elif slot == "node":
+            want = a if a in candidates else b
+            if want not in candidates:
+                raise PolicyError(f"step {step}: neither endpoint of {(a, b)} selectable")
+            self.selected = want
+        else:
+            want = b if self.selected == a else a
+            if want not in candidates:
+                raise PolicyError(f"step {step}: {want} not an alive neighbor of {self.selected}")
+        self.script.append((step, candidates.index(want)))
+        return want
+
+
+def _run_picks(g: Graph, picks: Sequence[tuple[int, int]], algo: str) -> tuple[RunTrace, _PickChooser]:
+    if algo not in RULES:
+        raise PolicyError(f"choice enumeration unsupported for '{algo}'")
+    chooser = _PickChooser(picks)
+    trace = _drive(g, chooser, RULES[algo])
+    # Catches picks left over at the end, and a forced neighbor that is not
+    # the picked partner (the picked edge was not alive).
+    if [st.edge for st in trace.steps] != [norm_edge(a, b) for a, b in chooser.picks]:
+        raise PolicyError(f"pick sequence is not a run of '{algo}'")
+    return trace, chooser
+
+
 def script_from_picks(g: Graph, picks: Sequence[tuple[int, int]], algo: str) -> ScriptedPolicy:
     """Turn an explicit pick sequence into a scripted policy for algo.
 
     Raises PolicyError if some pick is not reachable by the heuristic at its
     step, e.g. when checking that a min-greedy run is a valid free-variant run.
     """
-    view = ResidualView(g)
-    choices: list[tuple[int, int]] = []
-    for step, (a, b) in enumerate(picks, start=1):
-        slots = _choice_slots(view, algo)
-        if slots[0][0] == "edge":
-            edge = norm_edge(a, b)
-            cands = slots[0][1]
-            if edge not in cands:
-                raise PolicyError(f"step {step}: edge {edge} not pickable")
-            choices.append((step, cands.index(edge)))
-        else:
-            cands = slots[0][1]
-            u, v = (a, b) if a in cands else (b, a)
-            if u not in cands:
-                raise PolicyError(f"step {step}: neither endpoint of {(a, b)} selectable")
-            choices.append((step, cands.index(u)))
-            if len(slots) == 2:
-                nbrs = view.alive_neighbors(u)
-                if v not in nbrs:
-                    raise PolicyError(f"step {step}: {v} not an alive neighbor of {u}")
-                choices.append((step, nbrs.index(v)))
-        view.remove_pair(a, b)
-    if view.has_alive():
-        raise PolicyError("pick sequence ends before all edges are removed")
-    return ScriptedPolicy(choices)
+    return ScriptedPolicy(_run_picks(g, picks, algo)[1].script)
 
 
 def trace_from_picks(g: Graph, picks: Sequence[tuple[int, int]], algo: str) -> RunTrace:
     """Replay an explicit pick sequence as a run of algo."""
-    return run_algorithm(algo, g, script_from_picks(g, picks, algo))
+    return _run_picks(g, picks, algo)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +531,9 @@ def worst_case_size(
     deduplicates permuted choice orders reaching the same residual graph.
     Returns the exact minimum and one witness trace achieving it.
     """
-    if algo not in ("mingreedy", "one_two_mingreedy", "karpsipser", "greedy", "mrg"):
+    if algo not in RULES:
         raise PolicyError(f"worst-case search unsupported for '{algo}'")
+    rule = RULES[algo]
     m = g.m
     if m == 0:
         return 0, RunTrace(g, (), Matching.from_pairs(()))
@@ -493,31 +549,18 @@ def worst_case_size(
     spent = 0
 
     def moves_of(state: int) -> list[tuple[int, int]]:
+        """Every (selected, partner) pick the rule allows in this state."""
         degs = [(state & inc[v]).bit_count() for v in nodes]
-        alive = [edges[i] for i in _bits(state)]
-        if algo in ("greedy",):
-            return alive
         mind = min(d for d in degs if d > 0)
-        if algo == "mrg":
-            # Any non-isolated node with any neighbor: the reachable
-            # transitions are exactly the alive edges.
-            return alive
-        if algo == "karpsipser":
-            if mind == 1:
-                out = []
-                for u in nodes:
-                    if degs[u] == 1:
-                        i = (state & inc[u]).bit_length() - 1
-                        a, b = edges[i]
-                        out.append((u, b if a == u else a))
-                return out
-            return alive
-        if algo == "one_two_mingreedy" and mind >= 3:
-            return alive
-        # minimum-degree rule
+        kind = rule(mind)
+        if kind == ANY_EDGE:
+            return [edges[i] for i in _bits(state)]
+        # A forced neighbor is a degree-1 node's only edge.  Under ANY_NODE a
+        # pick (v, u) with v > u reaches the successor (u, v) reached first,
+        # so the search visits the alive edges in ascending order.
         out = []
         for u in nodes:
-            if degs[u] == mind:
+            if degs[u] == mind or (kind == ANY_NODE and degs[u] > 0):
                 for i in _bits(state & inc[u]):
                     a, b = edges[i]
                     out.append((u, b if a == u else a))

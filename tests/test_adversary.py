@@ -93,8 +93,6 @@ class TestAdversaryB:
         # An explorer that prefers lists with one known neighbor triggers
         # the frontier-extension response and its extra edge.
         class Explorer(encode_priority("mingreedy").__class__):
-            algo_id = "explorer"
-
             def query(self):
                 return [
                     Pattern(total=3, unmatched=2, known=1),

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -17,9 +18,11 @@ from matchforge.matchers import (
     FirstPolicy,
     RandomPolicy,
     ScriptedPolicy,
+    load_trace,
     run_greedy,
     run_min_greedy,
     run_one_two_min_greedy,
+    save_trace,
     script_from_picks,
 )
 from matchforge.optimum import maximum_matching
@@ -235,6 +238,30 @@ class TestInputValidation:
         dec = decompose(g, t2.result, m_star)
         with pytest.raises(TraceMismatchError, match="differs"):
             build_ledger(t1, dec, 3)
+
+    def test_trace_on_another_graph_rejected(self):
+        g = Graph.from_edges(3, [(0, 1), (1, 2)])
+        tri = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+        t = run_min_greedy(g, FirstPolicy())
+        m_star = canonicalize(tri, t.result, maximum_matching(tri))
+        dec = decompose(tri, t.result, m_star)
+        with pytest.raises(TraceMismatchError, match="graph differs"):
+            build_ledger(t, dec, 3)
+
+    def test_stale_degree_rejected(self):
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        t = run_min_greedy(g, FirstPolicy())
+        bad = replace(t, steps=(replace(t.steps[0], sel_degree=2),) + t.steps[1:])
+        m_star = canonicalize(g, bad.result, maximum_matching(g))
+        dec = decompose(g, bad.result, m_star)
+        with pytest.raises(TraceMismatchError, match="step 1: .*stale"):
+            build_ledger(bad, dec, 3)
+
+    def test_ledger_reuses_the_loaded_replay(self):
+        g = gen_random_bounded(12, 4, 0.6, 5)
+        trace = load_trace(save_trace(run_one_two_min_greedy(g, RandomPolicy(5))), g)
+        led = ledger_for(g, trace)
+        assert led.steps is trace.replay
 
     def test_delta_below_graph_degree_rejected(self):
         g = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])

@@ -38,6 +38,19 @@ def test_missing_file_is_input_error(tmp_path: Path):
     assert run_cli("opt", "--in", str(tmp_path / "nope.graph")) == 2
 
 
+def test_unmeetable_regular_degree_is_input_error(tmp_path: Path, capsys):
+    # K8 is the only 7-regular graph on 8 nodes; the pairing model never hits it.
+    assert run_cli("gen", "--kind", "regular", "--n", "8", "--degree", "7",
+                   "--out", str(tmp_path / "g.graph")) == 2
+    assert capsys.readouterr().err.startswith("error: pairing model rejected")
+
+
+def test_unwritable_output_is_input_error(tmp_path: Path, capsys):
+    out = tmp_path / "missing" / "g.graph"
+    assert run_cli("gen", "--n", "5", "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
+
+
 def test_worstcase_and_budget(tmp_path: Path, capsys):
     g = tmp_path / "g.graph"
     run_cli("gen", "--n", "6", "--delta", "3", "--p", "1.0", "--seed", "2",

@@ -19,6 +19,7 @@ from matchforge.matchers import (
     run_shuffle,
     save_trace,
     script_from_picks,
+    trace_from_picks,
     worst_case_size,
 )
 
@@ -154,11 +155,49 @@ class TestPolicies:
             run_min_greedy(C4(), ScriptedPolicy([0, 0]))
 
 
+class TestPicks:
+    def test_trace_from_picks_matches_scripted_run(self):
+        for seed in range(50):
+            g = random_graph(seed)
+            if g.m == 0:
+                continue
+            for algo in ("mingreedy", "karpsipser", "mrg"):
+                picks = [st.edge for st in run_algorithm(algo, g, RandomPolicy(seed)).steps]
+                scripted = run_algorithm(algo, g, script_from_picks(g, picks, algo))
+                assert trace_from_picks(g, picks, algo) == scripted
+
+    def test_too_few_picks(self):
+        with pytest.raises(PolicyError, match="ends before"):
+            script_from_picks(C4(), [(0, 1)], "mingreedy")
+
+    def test_too_many_picks(self):
+        with pytest.raises(PolicyError, match="not a run of 'mingreedy'"):
+            script_from_picks(P3(), [(0, 1), (1, 2)], "mingreedy")
+
+    def test_forced_pick_must_be_alive(self):
+        # Node 0 has degree 1, so its neighbor 1 is forced; (0, 2) is no edge.
+        with pytest.raises(PolicyError, match="not a run of 'karpsipser'"):
+            trace_from_picks(P3(), [(0, 2)], "karpsipser")
+
+    def test_non_min_degree_node_rejected(self):
+        with pytest.raises(PolicyError, match="neither endpoint"):
+            script_from_picks(P4(), [(1, 2), (0, 3)], "mingreedy")
+
+
 class TestTraceIO:
     def test_roundtrip(self):
         g = random_graph(3)
         t = run_karp_sipser(g, RandomPolicy(2))
         assert load_trace(save_trace(t), g) == t
+
+    def test_replay_is_cached_by_readers_not_runners(self):
+        g = random_graph(3)
+        t = run_min_greedy(g, FirstPolicy())
+        assert "replay" not in vars(t)
+        loaded = load_trace(save_trace(t), g)
+        assert loaded.replay is loaded.replay
+        assert [st.min_before for st in loaded.replay][0] == min(
+            g.degree(v) for v in range(g.n) if g.degree(v))
 
     def test_corrupted_removed_edges_rejected(self):
         g = P3()
