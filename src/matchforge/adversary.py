@@ -20,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .graphs import Edge, Graph, Matching, norm_edge, save_graph
-from .matchers import PolicyError
+from .matchers import MIN_FORCED, MIN_NODE, RULES, PolicyError
 
 
 class GameError(RuntimeError):
@@ -97,7 +97,6 @@ class PriorityAlgorithm:
     """Base: tracks its own matches and picks the first unmatched neighbor."""
 
     def start(self, announced_nodes: int | None) -> None:
-        self.n = announced_nodes
         self.matched: set[int] = set()
 
     def query(self) -> list[Pattern]:
@@ -116,47 +115,45 @@ class PriorityAlgorithm:
         raise GameError(f"served node {item.node} has no unmatched neighbor")
 
 
-class MinGreedyEncoding(PriorityAlgorithm):
-    """Rank lists by current degree, lowest first."""
+class RuleEncoding(PriorityAlgorithm):
+    """A ``matchers.RULES`` heuristic: lists of degree d = 1, 2, ... (up to
+    n - 1, or 64) while the rule takes a minimum-degree node at d, then any
+    non-isolated list, which also encodes free and any-node steps."""
+
+    def __init__(self, algo: str):
+        self.rule = RULES[algo]
 
     def start(self, announced_nodes):
         super().start(announced_nodes)
-        self.cap = (announced_nodes - 1) if announced_nodes else 64
+        cap = (announced_nodes - 1) if announced_nodes else 64
+        self.patterns = []
+        for d in range(1, cap + 1):
+            if self.rule(d) not in (MIN_NODE, MIN_FORCED):
+                break
+            self.patterns.append(Pattern(unmatched=d))
+        self.patterns.append(CATCH_ALL)
 
     def query(self):
-        return [Pattern(unmatched=d) for d in range(1, self.cap + 1)] + [CATCH_ALL]
-
-
-class KarpSipserEncoding(PriorityAlgorithm):
-    """Degree-1 lists first, then any list."""
-
-    def query(self):
-        return [Pattern(unmatched=1), CATCH_ALL]
-
-
-class GreedyEncoding(PriorityAlgorithm):
-    """Any non-isolated list.  Encodes both edge-greedy and mrg: serving a
-    list and taking a neighbor is picking any alive edge."""
-
-    def query(self):
-        return [CATCH_ALL]
+        return list(self.patterns)
 
 
 class ShuffleEncoding(PriorityAlgorithm):
-    """A fixed node permutation ranks both the served node and the partner."""
+    """A fixed node permutation ranks both the served node and the partner.
+    Without one, seed draws it; seed None keeps the identity order
+    (vertex-iterative)."""
 
-    def __init__(self, permutation=None, seed: int = 0):
+    def __init__(self, permutation=None, seed: int | None = 0):
         self.permutation = list(permutation) if permutation is not None else None
         self.seed = seed
 
     def start(self, announced_nodes):
         super().start(announced_nodes)
         if announced_nodes is None:
-            raise PolicyError("shuffle needs the announced node count")
+            raise PolicyError("a node-order encoding needs the announced node count")
         if self.permutation is None:
-            rng = random.Random(self.seed)
             self.permutation = list(range(announced_nodes))
-            rng.shuffle(self.permutation)
+            if self.seed is not None:
+                random.Random(self.seed).shuffle(self.permutation)
         if sorted(self.permutation) != list(range(announced_nodes)):
             raise PolicyError("permutation must cover 0..n-1")
         self.rank = {v: i for i, v in enumerate(self.permutation)}
@@ -171,38 +168,19 @@ class ShuffleEncoding(PriorityAlgorithm):
         return min(cands, key=self.rank.__getitem__)
 
 
-class VertexIterativeEncoding(PriorityAlgorithm):
-    """Consider nodes in id order, probing neighbors in id order."""
-
-    def start(self, announced_nodes):
-        super().start(announced_nodes)
-        if announced_nodes is None:
-            raise PolicyError("vertex-iterative needs the announced node count")
-
-    def query(self):
-        return [Pattern(node=v) for v in range(self.n)]
-
-    def pick_partner(self, item):
-        cands = [w for w in item.neighbors if w not in self.matched]
-        if not cands:
-            raise GameError(f"served node {item.node} has no unmatched neighbor")
-        return min(cands)
-
-
-_ENCODINGS = {
-    "mingreedy": MinGreedyEncoding,
-    "karpsipser": KarpSipserEncoding,
-    "greedy": GreedyEncoding,
-    "mrg": GreedyEncoding,
-    "shuffle": ShuffleEncoding,
-    "vertex_iterative": VertexIterativeEncoding,
-}
+ENCODINGS = (*RULES, "shuffle", "vertex_iterative")
 
 
 def encode_priority(algo_id: str, **kwargs) -> PriorityAlgorithm:
-    if algo_id not in _ENCODINGS:
-        raise PolicyError(f"no priority encoding for '{algo_id}'")
-    return _ENCODINGS[algo_id](**kwargs)
+    """The priority encoding of algo_id, a name in ENCODINGS; kwargs
+    (permutation, seed) go to the ShuffleEncoding of "shuffle"."""
+    if algo_id in RULES:
+        return RuleEncoding(algo_id, **kwargs)
+    if algo_id == "shuffle":
+        return ShuffleEncoding(**kwargs)
+    if algo_id == "vertex_iterative":
+        return ShuffleEncoding(seed=None, **kwargs)
+    raise PolicyError(f"no priority encoding for '{algo_id}'")
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +189,15 @@ def encode_priority(algo_id: str, **kwargs) -> PriorityAlgorithm:
 
 
 class _AdversaryBase:
-    """Shared construction state: committed edges, knowledge, transcript."""
+    """Shared construction state: committed edges, knowledge, transcript.
+
+    Answers a query with the first pattern it can serve.  Until sealed, a
+    subclass may build a fresh list for a pattern (``_construct``); any
+    pattern can be served by a committed live node.  Once sealed and no
+    node is live, the game is over.
+    """
+
+    sealed = False
 
     def __init__(self, delta: int):
         if delta < 3:
@@ -249,7 +235,8 @@ class _AdversaryBase:
         self.transcript.append(f"build {toks} {self.delta}")
 
     def _serve(self, node: int, neighbors: list[int]) -> DataItem:
-        assert set(neighbors) == self.adj[node], "served list must be the full final list"
+        if set(neighbors) != self.adj[node]:
+            raise GameError(f"served list of node {node} is not its full final list")
         item = DataItem(node, tuple(neighbors))
         self.known.add(node)
         self.known.update(neighbors)
@@ -259,40 +246,22 @@ class _AdversaryBase:
 
     # -- state queries ---------------------------------------------------------
 
-    def _unmatched_count(self, v: int) -> int:
-        return sum(1 for w in self.adj[v] if w not in self.matched)
-
-    def _nonisolated(self, v: int) -> bool:
-        return v not in self.matched and self._unmatched_count(v) > 0
-
     def _counts(self, v: int) -> tuple[int, int, int]:
         total = len(self.adj[v])
-        unmatched = self._unmatched_count(v)
+        unmatched = sum(1 for w in self.adj[v] if w not in self.matched)
         known = sum(1 for w in self.adj[v] if w in self.known)
         return total, unmatched, known
 
-    def _committed_candidates(self, pat: Pattern) -> list[int]:
-        out = []
-        for v in sorted(self.adj):
-            if not self._nonisolated(v):
+    def _first_live(self, pat: Pattern) -> int | None:
+        """The lowest-id live (unmatched, non-isolated) node matching pat."""
+        # self.adj holds ids in allocation order, which is ascending.
+        for v in self.adj:
+            if v in self.matched:
                 continue
             total, unmatched, known = self._counts(v)
-            if pat.matches(total, unmatched, known, node=v):
-                out.append(v)
-        return out
-
-    def _serve_committed(self, v: int) -> DataItem:
-        return self._serve(v, sorted(self.adj[v]))
-
-    def _respond_truthful(self, patterns) -> DataItem | None:
-        any_live = any(self._nonisolated(v) for v in self.adj)
-        if not any_live:
-            return None
-        for pat in patterns:
-            cands = self._committed_candidates(pat)
-            if cands:
-                return self._serve_committed(cands[0])
-        raise GameError("pattern list is not total: live nodes but no satisfiable pattern")
+            if unmatched and pat.matches(total, unmatched, known, node=v):
+                return v
+        return None
 
     # -- game protocol -----------------------------------------------------------
 
@@ -312,11 +281,26 @@ class _AdversaryBase:
     def _after_match(self, u: int, v: int) -> None:
         pass
 
+    def _construct(self, pat: Pattern) -> DataItem | None:
+        """Build and serve a fresh list for pat, or None to leave pat to the
+        committed nodes."""
+        return None
+
     def respond(self, patterns) -> DataItem | None:
-        raise NotImplementedError
+        """Serve the highest-ranked satisfiable pattern; None once finished."""
+        for pat in patterns:
+            item = None if self.sealed else self._construct(pat)
+            if item is not None:
+                return item
+            v = self._first_live(pat)
+            if v is not None:
+                return self._serve(v, sorted(self.adj[v]))
+        if not self.finished():
+            raise GameError("pattern list is not total: no pattern can be served")
+        return None
 
     def finished(self) -> bool:
-        raise NotImplementedError
+        return self.sealed and self._first_live(CATCH_ALL) is None
 
     def final_graph(self) -> Graph:
         edges = sorted(
@@ -328,6 +312,8 @@ class _AdversaryBase:
 class TruthfulAdversary(_AdversaryBase):
     """Serves a fixed, fully constructed graph honestly."""
 
+    sealed = True
+
     def __init__(self, g: Graph):
         super().__init__(max(3, g.delta))
         self.g = g
@@ -336,12 +322,6 @@ class TruthfulAdversary(_AdversaryBase):
 
     def announced_nodes(self) -> int:
         return self.g.n
-
-    def respond(self, patterns):
-        return self._respond_truthful(patterns)
-
-    def finished(self) -> bool:
-        return not any(self._nonisolated(v) for v in self.adj)
 
     def final_graph(self) -> Graph:
         return self.g
@@ -396,7 +376,8 @@ class _CenterMixin(_AdversaryBase):
             return self._serve(a, [b] + rest)
         if kind == "4b":
             return self._serve(b, [a, d])
-        assert kind == "4c" and frontier is not None
+        if kind != "4c" or frontier is None:
+            raise GameError(f"endgame move {kind!r} needs a capacity frontier")
         self._add_edges([(b, frontier)])
         return self._serve(b, [a, d, frontier])
 
@@ -406,12 +387,14 @@ class _CenterMixin(_AdversaryBase):
             return
         if pending[0] == "case1":
             _, served, others = pending
-            assert u == served and v in others
+            if u != served or v not in others:
+                raise GameError(f"match {u}-{v} is not a fan-out edge of node {served}")
             # The partner takes the second high-degree role.
             self._add_edges([(v, o) for o in others if o != v])
         elif pending[0] == "triangle":
             _, center, m, r, l = pending
-            assert u == m and v in (r, l)
+            if u != m or v not in (r, l):
+                raise GameError(f"match {u}-{v} is not a triangle edge of node {m}")
             # The matched corner becomes the frontier; the connector joins it
             # to the still unknown center.
             (conn,) = self._alloc(1)
@@ -439,72 +422,48 @@ class AdversaryB(_CenterMixin):
     def __init__(self, delta: int):
         super().__init__(delta)
         self.s = delta - 3
-        self.round = 0
         self.center: dict | None = None
-        self.phase = "regular"
 
-    def _ensure_center(self) -> dict:
+    @property
+    def sealed(self) -> bool:
+        # Serves 0..s-1 construct, serve s is the endgame, the rest are truthful.
+        return len(self.served) > self.s
+
+    def _construct(self, pat):
         if self.center is None:
             self.center = self._new_center()
-        return self.center
-
-    def respond(self, patterns):
-        self.round += 1
-        if self.phase == "regular" and self.round > self.s:
-            self.phase = "endgame"
-        if self.phase == "regular":
-            return self._respond_regular(patterns)
-        if self.phase == "endgame":
-            item = self._respond_endgame(patterns)
-            self.phase = "sealed"
-            return item
-        return self._respond_truthful(patterns)
-
-    def _respond_regular(self, patterns):
-        center = self._ensure_center()
-        for pat in patterns:
+        center = self.center
+        frontier = self._capacity_frontier(center)
+        if len(self.served) < self.s:
             for d in range(3, self.delta + 1):
                 if pat.matches(d, d, 0):
                     return self._serve_case1(d)
             if pat.matches(2, 2, 0):
                 return self._serve_triangle(center, None)
-            frontier = self._capacity_frontier(center)
             if frontier is not None and pat.matches(3, 2, 1):
                 return self._serve_triangle(center, frontier)
-            cands = self._committed_candidates(pat)
-            if cands:
-                return self._serve_committed(cands[0])
-        raise GameError("pattern list is not total during the construction game")
-
-    def _respond_endgame(self, patterns):
-        center = self._ensure_center()
+            return None
         da = self._center_degree(center)
-        for pat in patterns:
-            if pat.matches(da, da, 0):
-                return self._serve_endgame(center, "4a")
-            if pat.matches(2, 2, 0):
-                return self._serve_endgame(center, "4b")
-            frontier = self._capacity_frontier(center)
-            if frontier is not None and pat.matches(3, 2, 1):
-                return self._serve_endgame(center, "4c", frontier)
-            cands = self._committed_candidates(pat)
-            if cands:
-                return self._serve_committed(cands[0])
-        raise GameError("pattern list is not total at the endgame")
-
-    def finished(self) -> bool:
-        return self.phase == "sealed" and not any(self._nonisolated(v) for v in self.adj)
+        if pat.matches(da, da, 0):
+            return self._serve_endgame(center, "4a")
+        if pat.matches(2, 2, 0):
+            return self._serve_endgame(center, "4b")
+        if frontier is not None and pat.matches(3, 2, 1):
+            return self._serve_endgame(center, "4c", frontier)
+        return None
 
     def check_type_invariant(self) -> None:
         """During construction every non-isolated node's list is one of:
         all-unknown of degree 3..delta, all-unknown of degree 2, or length 3
         with exactly one known (matched) neighbor."""
-        if self.phase != "regular":
+        if self.sealed:
             return
-        for v in sorted(self.adj):
-            if not self._nonisolated(v):
+        for v in self.adj:
+            if v in self.matched:
                 continue
             total, unmatched, known = self._counts(v)
+            if not unmatched:
+                continue
             own_known = v in self.known
             type1 = not own_known and known == 0 and 3 <= total == unmatched <= self.delta
             type2 = not own_known and known == 0 and total == unmatched == 2
@@ -530,7 +489,6 @@ class AdversaryBPrime(_CenterMixin):
         self.t = t
         self.budget = t * delta
         self.threshold = t * delta - 6 * delta
-        self.sealed = False
         self.centers: list[dict] = []
 
     def announced_nodes(self) -> int:
@@ -543,31 +501,21 @@ class AdversaryBPrime(_CenterMixin):
 
     def _seal(self) -> None:
         remaining = self.budget - self.n_created
-        assert 2 * self.delta <= remaining <= 6 * self.delta, (
-            f"filler budget {remaining} outside [{2 * self.delta}, {6 * self.delta}]"
-        )
+        if not 2 * self.delta <= remaining <= 6 * self.delta:
+            raise GameError(
+                f"filler budget {remaining} outside [{2 * self.delta}, {6 * self.delta}]")
         for part in _filler_parts(remaining, self.delta):
             left = self._alloc(part - 2)
             right = self._alloc(2)
             self._add_edges([(x, y) for x in left for y in right])
         self.sealed = True
-        assert self.n_created == self.budget, "node budget not spent exactly"
+        if self.n_created != self.budget:
+            raise GameError("node budget not spent exactly")
 
-    def respond(self, patterns):
-        if not self.sealed and self.n_created >= self.threshold:
+    def _construct(self, pat):
+        if self.n_created >= self.threshold:
             self._seal()
-        if self.sealed:
-            return self._respond_truthful(patterns)
-        for pat in patterns:
-            item = self._constructive(pat)
-            if item is not None:
-                return item
-            cands = self._committed_candidates(pat)
-            if cands:
-                return self._serve_committed(cands[0])
-        raise GameError("pattern list is not total during the construction game")
-
-    def _constructive(self, pat: Pattern) -> DataItem | None:
+            return None
         active = self._active()
         saturated = active is not None and self._center_degree(active) >= self.delta
         for d in range(3, self.delta + 1):
@@ -594,9 +542,6 @@ class AdversaryBPrime(_CenterMixin):
                     return self._serve_endgame(active, "4c", frontier)
                 return self._serve_triangle(active, frontier)
         return None
-
-    def finished(self) -> bool:
-        return self.sealed and not any(self._nonisolated(v) for v in self.adj)
 
 
 def _filler_parts(total: int, delta: int) -> list[int]:
@@ -636,11 +581,11 @@ class GameResult:
         return Fraction(len(self.matching), opt_size)
 
 
-def play_game(
-    algo: PriorityAlgorithm | str,
-    adversary: _AdversaryBase,
-    max_rounds: int = 1_000_000,
-) -> GameResult:
+# Rounds after which play_game gives up on a game that does not terminate.
+_MAX_ROUNDS = 1_000_000
+
+
+def play_game(algo: PriorityAlgorithm | str, adversary: _AdversaryBase) -> GameResult:
     """Run the query/serve/match loop until every node is isolated.
 
     The emitted graph is simple with max degree <= the adversary's bound,
@@ -654,7 +599,7 @@ def play_game(
     rounds = 0
     while not adversary.finished():
         rounds += 1
-        if rounds > max_rounds:
+        if rounds > _MAX_ROUNDS:
             raise GameError("game did not terminate")
         patterns = algo.query()
         adversary.log_query(patterns)
@@ -667,13 +612,14 @@ def play_game(
         adversary.observe_match(item.node, partner)
         pairs.append(norm_edge(item.node, partner))
     g = adversary.final_graph()
-    assert g.delta <= adversary.delta, "degree bound violated in the emitted graph"
+    if g.delta > adversary.delta:
+        raise GameError("degree bound violated in the emitted graph")
     matching = Matching.from_pairs(pairs)
     matching.validate(g)
     for item in adversary.served:
-        assert set(item.neighbors) == set(g.adjacency[item.node]), (
-            "served list inconsistent with the final graph"
-        )
+        if set(item.neighbors) != set(g.adjacency[item.node]):
+            raise GameError(f"served list of node {item.node} is inconsistent "
+                            f"with the final graph")
     return GameResult(
         g, matching, tuple(adversary.transcript), tuple(pairs), tuple(adversary.served)
     )
@@ -716,8 +662,7 @@ def emit_hard_instance(
     Writes <prefix>.graph, <prefix>.moves and <prefix>.transcript (see
     game_files) when a prefix is given; always returns the game result.
     """
-    adversary = AdversaryBPrime(delta, t) if t is not None else AdversaryB(delta)
-    result = play_game(algo, adversary)
+    result = play_game(algo, make_adversary("B" if t is None else "Bprime", delta, t))
     if prefix is not None:
         for suffix, text in game_files(result).items():
             Path(prefix + suffix).write_text(text)

@@ -188,11 +188,9 @@ def cmd_game(args) -> int:
 
 def _sweep_row(job) -> tuple:
     idx, delta, source, seed, algo, n, p, t, mode, budget = job
-    if source == "hard":
-        result = adv_mod.play_game(algo, adv_mod.AdversaryB(delta))
-        g, m_size = result.graph, len(result.matching)
-    elif source == "bprime":
-        result = adv_mod.play_game(algo, adv_mod.AdversaryBPrime(delta, t))
+    if source in ("hard", "bprime"):
+        adversary = adv_mod.make_adversary("B" if source == "hard" else "Bprime", delta, t)
+        result = adv_mod.play_game(algo, adversary)
         g, m_size = result.graph, len(result.matching)
     else:
         if source == "regular":
@@ -305,8 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_worstcase)
 
     p = sub.add_parser("game", help="play an adaptive-priority game")
-    p.add_argument("--algo", default="mingreedy",
-                   choices=sorted(["mingreedy", "karpsipser", "greedy", "mrg"]))
+    p.add_argument("--algo", default="mingreedy", choices=list(adv_mod.ENCODINGS))
     p.add_argument("--adversary", choices=["B", "Bprime"], default="B")
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--t", type=int)

@@ -1,8 +1,14 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import matchforge
 from matchforge.adversary import (
     AdversaryB,
     AdversaryBPrime,
@@ -19,6 +25,7 @@ from matchforge.adversary import (
 )
 from matchforge.graphs import Graph, gen_random_bounded
 from matchforge.matchers import (
+    RULES,
     FirstPolicy,
     PolicyError,
     run_algorithm,
@@ -41,11 +48,12 @@ def P3():
 
 class TestAdversaryB:
     def test_tight_ratio_ladder(self):
-        for delta in range(3, 9):
-            result, opt, ratio = game_ratio("mingreedy", AdversaryB(delta))
-            assert len(result.matching) == delta - 1
-            assert opt == 2 * delta - 3
-            assert ratio == Fraction(delta - 1, 2 * delta - 3)
+        for algo in ("mingreedy", "one_two_mingreedy"):
+            for delta in range(3, 9):
+                result, opt, ratio = game_ratio(algo, AdversaryB(delta))
+                assert len(result.matching) == delta - 1, (algo, delta)
+                assert opt == 2 * delta - 3, (algo, delta)
+                assert ratio == Fraction(delta - 1, 2 * delta - 3), (algo, delta)
 
     def test_delta3_core(self):
         result, opt, _ = game_ratio("mingreedy", AdversaryB(3))
@@ -101,7 +109,7 @@ class TestAdversaryB:
                 ]
 
         adv = AdversaryB(5)
-        result = play_game(Explorer(), adv)
+        result = play_game(Explorer("mingreedy"), adv)
         opt = len(maximum_matching(result.graph))
         assert Fraction(len(result.matching), opt) == Fraction(4, 7)
         # Two triangles whose middles are 6 and 10; the second triangle's
@@ -124,7 +132,7 @@ class TestAdversaryB:
         # but must be rejected cleanly if it hits an endgame list.
         adv = AdversaryB(3)
         with pytest.raises(GameError, match="partner"):
-            play_game(SecondPicker(), adv)
+            play_game(SecondPicker("mingreedy"), adv)
 
     def test_non_total_patterns_rejected(self):
         class DegOneOnly(encode_priority("mingreedy").__class__):
@@ -132,7 +140,7 @@ class TestAdversaryB:
                 return [Pattern(unmatched=1)]
 
         with pytest.raises(GameError, match="not total"):
-            play_game(DegOneOnly(), AdversaryB(4))
+            play_game(DegOneOnly("mingreedy"), AdversaryB(4))
 
     def test_delta_validation(self):
         with pytest.raises(ValueError):
@@ -170,6 +178,13 @@ class TestAdversaryBPrime:
         with pytest.raises(ValueError):
             AdversaryBPrime(3, 6)
 
+    @pytest.mark.parametrize("algo", ["shuffle", "vertex_iterative"])
+    def test_node_order_encodings_are_not_total(self, algo):
+        # Node-id patterns name nodes the constructor has not built yet, so
+        # nothing can be served while nothing is committed.
+        with pytest.raises(GameError, match="not total"):
+            play_game(algo, AdversaryBPrime(3, 7))
+
     def test_filler_parts(self):
         # Reachable leftover budgets: a construction round adds at most
         # max(center + triangle, one fan-out component) nodes, so sealing
@@ -197,7 +212,7 @@ class TestEncodings:
             rng = random.Random(seed)
             g = gen_random_bounded(rng.randint(2, 12), rng.randint(1, 5),
                                    rng.uniform(0.2, 0.9), seed)
-            for algo in ("mingreedy", "karpsipser", "greedy", "mrg"):
+            for algo in RULES:
                 res = play_game(algo, TruthfulAdversary(g))
                 direct = run_algorithm(algo, g, FirstPolicy())
                 assert res.matching.pairs == direct.result.pairs, (seed, algo)
@@ -223,6 +238,44 @@ class TestEncodings:
     def test_unknown_encoding(self):
         with pytest.raises(PolicyError):
             encode_priority("nope")
+
+
+def K3():
+    return Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
+
+
+class TestServedListChecks:
+    def test_truncated_list_is_a_game_error(self):
+        class TruncatingAdversary(TruthfulAdversary):
+            def _serve(self, node, neighbors):
+                return super()._serve(node, neighbors[:-1])
+
+        with pytest.raises(GameError, match="full final list"):
+            play_game("mingreedy", TruncatingAdversary(K3()))
+
+    def test_truncated_list_is_caught_under_optimize(self):
+        # python -O strips asserts; the served-list check must survive it.
+        script = textwrap.dedent("""
+            from matchforge.adversary import GameError, TruthfulAdversary, play_game
+            from matchforge.graphs import Graph
+
+            class TruncatingAdversary(TruthfulAdversary):
+                def _serve(self, node, neighbors):
+                    return super()._serve(node, neighbors[:-1])
+
+            g = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
+            try:
+                play_game("mingreedy", TruncatingAdversary(g))
+            except GameError as exc:
+                print(f"error: {exc}")
+        """)
+        env = dict(os.environ)
+        package_root = str(Path(matchforge.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "error: served list of node 0 is not its full final list" in proc.stdout
 
 
 class TestEmittedArtifacts:

@@ -85,6 +85,18 @@ def test_verify_on_emitted_core_worst_trace(tmp_path: Path, capsys):
     assert "ratio 2/3" in capsys.readouterr().out
 
 
+def test_game_rule_encoding_from_table(capsys):
+    assert run_cli("game", "--algo", "one_two_mingreedy", "--adversary", "B",
+                   "--delta", "4") == 0
+    assert "ratio 3/5" in capsys.readouterr().out
+
+
+def test_game_node_order_encoding_needs_node_count(capsys):
+    # AdversaryB announces no node count, which a node order needs.
+    assert run_cli("game", "--algo", "shuffle", "--adversary", "B", "--delta", "3") == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_game_bprime(capsys):
     assert run_cli("game", "--algo", "mingreedy", "--adversary", "Bprime",
                    "--delta", "3", "--t", "20") == 0
