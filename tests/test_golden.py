@@ -2,7 +2,9 @@
 
 Each section renders one family of outputs (traces, choice enumerations,
 worst-case witnesses, sweep CSVs, game transcripts) for fixed seeds and
-compares the sha256 of the rendering with a pinned digest.  A refactor
+compares the sha256 of the rendering with a pinned digest.  The ledger
+sections render the decomposition, the verification report and every
+transfer, donation, tally and path record of the coin ledger.  A refactor
 that keeps behaviour keeps every digest; any change in a trace byte, a
 choice order or an RNG draw shows up here.
 
@@ -18,7 +20,9 @@ import random
 import pytest
 
 from matchforge.adversary import TruthfulAdversary, play_game
+from matchforge.charging import build_ledger, verify_all
 from matchforge.cli import main
+from matchforge.decomposition import canonicalize, decompose, format_components
 from matchforge.graphs import Graph, gen_random_bounded, gen_regular, save_graph
 from matchforge.matchers import (
     ALGORITHMS,
@@ -31,10 +35,12 @@ from matchforge.matchers import (
     script_from_picks,
     worst_case_size,
 )
+from matchforge.optimum import maximum_matching
 
 RULE_ALGOS = ("mingreedy", "one_two_mingreedy", "karpsipser", "greedy", "mrg")
 ENCODINGS = ("mingreedy", "karpsipser", "greedy", "mrg", "shuffle", "vertex_iterative")
 RANDOM_SEEDS = (1, 2, 3)
+LEDGER_ALGOS = ("mingreedy", "one_two_mingreedy")
 
 
 def _run_graphs() -> list[Graph]:
@@ -115,10 +121,55 @@ def _games() -> str:
     return "".join(out)
 
 
+def _ledger_text(g: Graph, trace) -> str:
+    """Components, reports, transfers, donations, tallies and path records of
+    one run's ledgers at delta = max(3, max degree) and one above."""
+    out = []
+    for delta in (max(3, g.delta), max(3, g.delta) + 1):
+        m_star = canonicalize(g, trace.result, maximum_matching(g))
+        dec = decompose(g, trace.result, m_star)
+        led = build_ledger(trace, dec, delta)
+        rep = verify_all(led)
+        paths = [(ci, p.creation_step, p.selected, p.partner, p.sel_degree,
+                  p.k_coins, p.raw_debits, p.deg1_after) for ci, p in sorted(led.paths.items())]
+        classes = [(ci, c.creation_step, c.deg1_two_f, c.deg1_one_f, c.deg2, c.edges_to_adjacent)
+                   for ci, c in ((ci, p.classes) for ci, p in sorted(led.paths.items()))
+                   if c is not None]
+        out += [f"## delta {delta}\n", format_components(dec), rep.text(), rep.csv(),
+                f"{led.transfers!r}\n{led.donations!r}\n{led.credits_in!r}\n"
+                f"{led.debits_out!r}\n{paths!r}\n{classes!r}\n"]
+    return "".join(out)
+
+
+def _ledgers(algo: str) -> str:
+    out = []
+    for gi, g in enumerate(_run_graphs()):
+        policies = [FirstPolicy()] + [RandomPolicy(s) for s in RANDOM_SEEDS]
+        for ti, pol in enumerate(policies):
+            trace = run_algorithm(algo, g, pol)
+            out.append(f"# graph {gi} run {ti}\n" + _ledger_text(g, trace))
+    return "".join(out)
+
+
+def _witness_ledgers() -> str:
+    """Worst-case witnesses at degree bound 4..5: the runs that pay donations
+    and fill endpoint classes."""
+    out = []
+    for i in range(300):
+        rng = random.Random(1000 + i)
+        g = gen_random_bounded(rng.randint(6, 12), rng.randint(4, 5),
+                               rng.uniform(0.4, 0.9), 1000 + i)
+        size, witness = worst_case_size(g, "one_two_mingreedy")
+        out.append(f"# graph {i}: {size}\n" + _ledger_text(g, witness))
+    return "".join(out)
+
+
 SECTIONS = {
     **{f"trace:{a}": (lambda a=a: _traces(a)) for a in ALGORITHMS},
     **{f"choices:{a}": (lambda a=a: _choices(a)) for a in RULE_ALGOS},
     **{f"worst:{a}": (lambda a=a: _worst(a)) for a in RULE_ALGOS},
+    **{f"ledger:{a}": (lambda a=a: _ledgers(a)) for a in LEDGER_ALGOS},
+    "ledger:witnesses": _witness_ledgers,
     "games": _games,
 }
 
@@ -130,6 +181,9 @@ GOLDEN = {
     "choices:one_two_mingreedy": "d8ef81dac3ae9484efaba49560bc3bb1b2b78ca585b1faba51efcc38af952c22",
     "games": "a9bf943ffe32939d94bbc1032c0520256556a445baaf9c275d97689844f74b2b",
     "inputs": "05e4880299b6fd5569e9c5c85538d3a3b4b9ac495ddd4d080cfa371b8976292f",
+    "ledger:mingreedy": "83d447a96b65fe9cd5f2f3a854966815050dfb81aee95347f3db6651c7ce7235",
+    "ledger:one_two_mingreedy": "8e96aaad8885139ab1ba199da6039b3be44d923042bb68ee666d6eb2886cd209",
+    "ledger:witnesses": "eb6160650e4b63a181f34ca69f7c1641e054018af49057da1d1cc11374c00d61",
     "sweep:run": "dc95fdbdee0231efc711cf71e24c8bbb2ba044809e3fc68db6277afdd9de77b3",
     "sweep:worst": "7226cabe54d060773b19a06ba2a309106d9ebcef5739182c058a67aed50bd30a",
     "trace:greedy": "54394de455fa63c2bd59261e8fbe396a5636ab1165d9a61942bd20a6bed804aa",
