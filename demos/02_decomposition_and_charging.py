@@ -52,7 +52,7 @@ def main():
 
     for ci, comp in enumerate(dec.components):
         print(f"  component {ci} ({comp.kind}{comp.nodes}): "
-              f"credits {ledger.c_X(ci)}, debits {ledger.d_X(ci)}, "
+              f"credits {ledger.credits_in[ci]}, debits {ledger.debits_out[ci]}, "
               f"certified local ratio {ledger.local_ratio(ci)}")
 
     report = verify_all(ledger)

@@ -150,16 +150,19 @@ class ShuffleEncoding(PriorityAlgorithm):
         super().start(announced_nodes)
         if announced_nodes is None:
             raise PolicyError("a node-order encoding needs the announced node count")
-        if self.permutation is None:
-            self.permutation = list(range(announced_nodes))
+        # Each game draws its own order, so one encoding can play games of
+        # different sizes.
+        order = self.permutation
+        if order is None:
+            order = list(range(announced_nodes))
             if self.seed is not None:
-                random.Random(self.seed).shuffle(self.permutation)
-        if sorted(self.permutation) != list(range(announced_nodes)):
+                random.Random(self.seed).shuffle(order)
+        if sorted(order) != list(range(announced_nodes)):
             raise PolicyError("permutation must cover 0..n-1")
-        self.rank = {v: i for i, v in enumerate(self.permutation)}
+        self.rank = {v: i for i, v in enumerate(order)}
 
     def query(self):
-        return [Pattern(node=v) for v in self.permutation]
+        return [Pattern(node=v) for v in self.rank]
 
     def pick_partner(self, item):
         cands = [w for w in item.neighbors if w not in self.matched]

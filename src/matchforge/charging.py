@@ -13,10 +13,12 @@ theta = 1/(2(2*delta-3)) is a Fraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .decomposition import Decomposition, PATH, SINGLETON
+from .decomposition import Component, Decomposition, PATH, SINGLETON
 from .graphs import Edge, norm_edge
 from .matchers import MODE_DEGREE, MODE_FREE, ReplayedStep, RunTrace
 
@@ -71,17 +73,14 @@ class EndpointClasses:
     """
 
     creation_step: int
-    adjacent: tuple[int, ...]          # W
     deg1_two_f: tuple[int, ...]        # W_1^2
     deg1_one_f: tuple[int, ...]        # W_1^1
     deg2: tuple[int, ...]              # W_2
-    deg3_plus: tuple[int, ...]         # W_>=3
     edges_to_adjacent: tuple[Edge, ...]  # E(W)
 
 
 @dataclass
 class _PathInfo:
-    comp: int
     creation_step: int
     selected: int
     partner: int
@@ -89,8 +88,6 @@ class _PathInfo:
     k_coins: int          # non-cancelled debits paid by the matched pair
     raw_debits: int       # including cancelled
     deg1_after: bool
-    next_selected: int | None = None   # node selected in the following step
-    next_partner: int | None = None
     donation: Donation | None = None
     classes: EndpointClasses | None = None
 
@@ -105,23 +102,18 @@ class Check:
     ok: bool
 
 
+_RELATIONS = {"<=": operator.le, ">=": operator.ge, "==": operator.eq}
+
+
+@dataclass
 class Report:
     """Ordered list of checks with pass/fail rendering."""
 
-    def __init__(self, checks: list[Check] | None = None):
-        self.checks: list[Check] = checks or []
-
-    def add(self, name: str, subject: str, lhs, rel: str, rhs, ok: bool) -> None:
-        self.checks.append(Check(name, subject, lhs, rel, rhs, bool(ok)))
+    checks: list[Check] = field(default_factory=list)
 
     def require(self, name: str, subject: str, lhs, rel: str, rhs) -> None:
-        ok = {
-            "<=": lambda a, b: a <= b,
-            ">=": lambda a, b: a >= b,
-            "==": lambda a, b: a == b,
-            "in": lambda a, b: a in b,
-        }[rel](lhs, rhs)
-        self.add(name, subject, lhs, rel, rhs, ok)
+        ok = bool(_RELATIONS[rel](lhs, rhs))
+        self.checks.append(Check(name, subject, lhs, rel, rhs, ok))
 
     @property
     def all_pass(self) -> bool:
@@ -129,9 +121,6 @@ class Report:
 
     def failures(self) -> list[Check]:
         return [c for c in self.checks if not c.ok]
-
-    def extend(self, other: "Report") -> None:
-        self.checks.extend(other.checks)
 
     def text(self) -> str:
         out = []
@@ -149,211 +138,182 @@ class Report:
 
 
 class ChargingLedger:
-    """Full coin accounting of one traced run against one decomposition."""
+    """Full coin accounting of one traced run against one decomposition.
+
+    One pass over the replayed steps checks each step's rule and derives its
+    transfers; alongside it tallies, per node, the coins paid (``paid``,
+    donations included) and the raw debits (``raw_debits``, cancelled
+    transfers included), per endpoint the net and raw credits
+    (``credits``/``raw_credits``), and per step the net and raw debits of its
+    matched pair (``step_debits``/``step_raw_debits``).
+    """
 
     def __init__(self, trace: RunTrace, dec: Decomposition, delta: int):
+        if dec.matching.pairs != trace.result.pairs:
+            raise TraceMismatchError("decomposition matching differs from trace result")
+        if trace.graph != dec.graph:
+            raise TraceMismatchError("decomposition graph differs from trace graph")
+        if delta < max(3, dec.graph.delta):
+            raise ValueError("delta must be at least max(3, graph max degree)")
         self.trace = trace
         self.dec = dec
         self.delta = delta
         self.theta = theta(delta)
-        self.steps: tuple[ReplayedStep, ...] = ()
-        self.step_of_node: dict[int, int] = {}
-        self.transfers: list[Transfer] = []
-        self.donations: list[Donation] = []
-        self.paths: dict[int, _PathInfo] = {}   # component index -> info
-        self._build()
-
-    # -- construction -------------------------------------------------------
-
-    def _check_steps(self) -> None:
-        """Replay the trace (once per trace) and check the step rules."""
         try:
-            self.steps = self.trace.replay
+            self.steps: tuple[ReplayedStep, ...] = trace.replay
         except ValueError as exc:
             raise TraceMismatchError(str(exc)) from None
-        for rec in self.steps:
-            if rec.mode == MODE_DEGREE:
-                if rec.sel_degree != rec.min_before:
-                    raise TraceMismatchError(
-                        f"step {rec.index}: degree-rule step selected degree "
-                        f"{rec.sel_degree}, minimum is {rec.min_before}"
-                    )
-            elif rec.mode == MODE_FREE:
-                if rec.min_before < 3:
-                    raise TraceMismatchError(
-                        f"step {rec.index}: free step taken at minimum degree {rec.min_before}"
-                    )
-            else:
-                raise TraceMismatchError(f"step {rec.index}: unknown mode {rec.mode}")
-            self.step_of_node[rec.selected] = rec.index
-            self.step_of_node[rec.partner] = rec.index
-
-    def _build(self) -> None:
-        dec = self.dec
-        if dec.matching.pairs != self.trace.result.pairs:
-            raise TraceMismatchError("decomposition matching differs from trace result")
-        if self.trace.graph != dec.graph:
-            raise TraceMismatchError("decomposition graph differs from trace graph")
-        if self.delta < max(3, dec.graph.delta):
-            raise ValueError("delta must be at least max(3, graph max degree)")
-        self._check_steps()
         self.comp_of = dec.component_of
         self.endpoints = dec.endpoints
-        f_edges = dec.f_edges
-
-        # Transfers per the degree-drop rule, then cancellations in step order.
-        raw: list[tuple[int, int, int]] = []   # (step, source, endpoint)
+        self.step_of_node: dict[int, int] = {}
+        self.transfers: list[Transfer] = []
+        self.paid: Counter[int] = Counter()
+        self.raw_debits: Counter[int] = Counter()
+        self.credits: Counter[int] = Counter()
+        self.raw_credits: Counter[int] = Counter()
+        self.step_debits: Counter[int] = Counter()
+        self.step_raw_debits: Counter[int] = Counter()
         for rec in self.steps:
-            pair = {rec.selected, rec.partner}
-            for e in rec.removed:
-                if e not in f_edges:
-                    continue
-                a, b = e
-                ins = [x for x in e if x in pair]
-                if len(ins) != 1:
-                    continue  # F-edge cannot join the matched pair itself
-                source = ins[0]
-                w = b if a == source else a
-                if w in self.endpoints and rec.deg_after[w] <= 1:
-                    raw.append((rec.index, source, w))
-        raw.sort()
+            self._check_rule(rec)
+            self.step_of_node[rec.selected] = rec.index
+            self.step_of_node[rec.partner] = rec.index
+            for source, w in self._step_transfers(rec):
+                # A third credit arriving on an endpoint's 1 -> 0 drop is
+                # cancelled.  Such an endpoint loses one edge in this step,
+                # so its credits so far all come from earlier steps.
+                cancel = rec.deg_before[w] == 1 and self.credits[w] >= 2
+                if cancel and self.raw_credits[w] != self.credits[w]:
+                    raise TraceMismatchError(f"second cancellation at endpoint {w}")
+                self.transfers.append(Transfer(source, w, rec.index, cancel))
+                self.raw_debits[source] += 1
+                self.raw_credits[w] += 1
+                self.step_raw_debits[rec.index] += 1
+                if not cancel:
+                    self.paid[source] += 1
+                    self.credits[w] += 1
+                    self.step_debits[rec.index] += 1
 
-        received: dict[int, int] = {}   # endpoint -> non-cancelled credits so far
-        pending: dict[int, list[Transfer]] = {}
-        cancelled_once: set[int] = set()
-        by_step = {rec.index: rec for rec in self.steps}
-        for step, source, w in raw:
-            rec = by_step[step]
-            earlier = sum(
-                1 for t in pending.get(w, ())
-                if t.step < step and not t.cancelled
-            )
-            cancel = rec.deg_before[w] == 1 and earlier >= 2
-            if cancel:
-                assert w not in cancelled_once, "second cancellation at one endpoint"
-                cancelled_once.add(w)
-            pending.setdefault(w, []).append(Transfer(source, w, step, cancel))
-        for w in sorted(pending):
-            self.transfers.extend(pending[w])
-        self.transfers.sort(key=lambda t: (t.step, t.source, t.endpoint))
-
-        # Per-path creation bookkeeping.
-        step_of_edge = {st.edge: st.index for st in self.trace.steps}
+        self.donations: list[Donation] = []
+        self.paths: dict[int, _PathInfo] = {}   # component index -> info
         for ci, comp in enumerate(dec.components):
-            if comp.kind != PATH:
-                continue
-            creation = min(step_of_edge[e] for e in comp.m_edges)
-            rec = by_step[creation]
-            u, v = rec.selected, rec.partner
-            k = sum(
-                1 for t in self.transfers
-                if not t.cancelled and t.step == creation and t.source in (u, v)
-            )
-            raw_k = sum(
-                1 for t in self.transfers
-                if t.step == creation and t.source in (u, v)
-            )
-            # Some path endpoint sits at degree exactly 1 once the creation
-            # step finishes.  Every node has degree >= 2 when the step
-            # starts (the selected node realizes the minimum), so any such
-            # endpoint lost an edge to the matched pair and was touched.
-            deg1_after = any(
-                w in self.endpoints and d_after == 1
-                for w, d_after in rec.deg_after.items()
-            )
-            info = _PathInfo(ci, creation, u, v, rec.sel_degree, k, raw_k, deg1_after)
-            nxt = by_step.get(creation + 1)
-            if nxt is not None:
-                info.next_selected = nxt.selected
-                info.next_partner = nxt.partner
-            self.paths[ci] = info
+            if comp.kind == PATH:
+                self.paths[ci] = self._path_info(ci, comp)
 
-        # Donations (only meaningful when delta >= 4; coins move via
-        # transfers alone at delta == 3).
-        if self.delta >= 4:
-            for ci, info in self.paths.items():
-                if info.k_coins <= 0 or not info.deg1_after:
-                    continue
-                assert info.next_selected is not None, (
-                    "a degree-1 endpoint exists, so the run cannot have stopped"
-                )
-                u2 = info.next_selected
-                if self.comp_of[u2] == ci:
-                    continue
-                rec = by_step[info.creation_step]
-                links = [
-                    x for x in (info.selected, info.partner)
-                    if norm_edge(u2, x) in f_edges and norm_edge(u2, x) in rec.removed
-                ]
-                assert links, "next selected node lost no F-edge to the matched pair"
-                if info.sel_degree == 2:
-                    # The selected node has no alive F-edge at degree 2, so
-                    # the donor can only hang off the partner.
-                    assert links == [info.partner]
-                    donation = Donation(
-                        u2, info.partner, info.creation_step + 1,
-                        info.creation_step, "static", self.delta - 3,
-                    )
-                else:
-                    donation = Donation(
-                        u2, links[0], info.creation_step + 1,
-                        info.creation_step, "dynamic", info.k_coins,
-                    )
-                info.donation = donation
-                self.donations.append(donation)
-
-        # Endpoint classes at high-degree path creations (delta >= 4 regime).
-        if self.delta >= 4:
-            for ci, info in self.paths.items():
-                if info.sel_degree < 3 or not info.deg1_after:
-                    continue
-                info.classes = self._endpoint_classes(by_step[info.creation_step])
-
-        # Coin tallies.
         ncomp = len(dec.components)
         self.credits_in = [0] * ncomp
         self.debits_out = [0] * ncomp
-        for t in self.transfers:
-            if t.cancelled:
-                continue
-            self.debits_out[self.comp_of[t.source]] += 1
-            self.credits_in[self.comp_of[t.endpoint]] += 1
+        for x, coins in self.paid.items():
+            self.debits_out[self.comp_of[x]] += coins
+        for w, coins in self.credits.items():
+            self.credits_in[self.comp_of[w]] += coins
         for d in self.donations:
-            self.debits_out[self.comp_of[d.source]] += d.coins
             self.credits_in[self.comp_of[d.recipient]] += d.coins
 
+    # -- construction -------------------------------------------------------
+
+    @staticmethod
+    def _check_rule(rec: ReplayedStep) -> None:
+        if rec.mode == MODE_DEGREE:
+            if rec.sel_degree != rec.min_before:
+                raise TraceMismatchError(
+                    f"step {rec.index}: degree-rule step selected degree "
+                    f"{rec.sel_degree}, minimum is {rec.min_before}"
+                )
+        elif rec.mode == MODE_FREE:
+            if rec.min_before < 3:
+                raise TraceMismatchError(
+                    f"step {rec.index}: free step taken at minimum degree {rec.min_before}"
+                )
+        else:
+            raise TraceMismatchError(f"step {rec.index}: unknown mode {rec.mode}")
+
+    def _step_transfers(self, rec: ReplayedStep) -> list[tuple[int, int]]:
+        """(source, endpoint) of every coin moved in one step, sorted: an
+        F-edge from the matched pair to an endpoint left at degree <= 1."""
+        out = []
+        for e in rec.removed:
+            # Every removed edge touches the matched pair, and an F-edge
+            # never joins the pair itself (that edge is in M).
+            if e not in self.dec.f_edges:
+                continue
+            source, w = e if e[0] in (rec.selected, rec.partner) else e[::-1]
+            if w in self.endpoints and rec.deg_after[w] <= 1:
+                out.append((source, w))
+        return sorted(out)
+
+    def _path_info(self, ci: int, comp: Component) -> _PathInfo:
+        rec = self.step_record(min(self.step_of_node[e[0]] for e in comp.m_edges))
+        # Some path endpoint sits at degree exactly 1 once the creation step
+        # finishes.  Every node has degree >= 2 when the step starts (the
+        # selected node realizes the minimum), so any such endpoint lost an
+        # edge to the matched pair and was touched.
+        deg1_after = any(
+            w in self.endpoints and d_after == 1 for w, d_after in rec.deg_after.items()
+        )
+        info = _PathInfo(rec.index, rec.selected, rec.partner, rec.sel_degree,
+                         self.step_debits[rec.index], self.step_raw_debits[rec.index],
+                         deg1_after)
+        # Donations and endpoint classes belong to the delta >= 4 regime;
+        # coins move via transfers alone at delta == 3.
+        if self.delta < 4 or not deg1_after:
+            return info
+        if info.k_coins > 0:
+            info.donation = self._donation(ci, info, rec)
+            if info.donation is not None:
+                self.donations.append(info.donation)
+                self.paid[info.donation.source] += info.donation.coins
+        if info.sel_degree >= 3:
+            info.classes = self._endpoint_classes(rec)
+        return info
+
+    def _donation(self, ci: int, info: _PathInfo, rec: ReplayedStep) -> Donation | None:
+        """The coins the node selected right after the creation step gives
+        back to the path, if that node lies in another component."""
+        if rec.index == len(self.steps):
+            raise TraceMismatchError(
+                f"step {rec.index}: a degree-1 endpoint is left, yet the run stopped"
+            )
+        u2 = self.step_record(rec.index + 1).selected
+        if self.comp_of[u2] == ci:
+            return None
+        links = [
+            x for x in (info.selected, info.partner)
+            if norm_edge(u2, x) in self.dec.f_edges and norm_edge(u2, x) in rec.removed
+        ]
+        if not links:
+            raise TraceMismatchError(
+                f"step {rec.index + 1}: selected node lost no F-edge to the matched pair"
+            )
+        if info.sel_degree != 2:
+            return Donation(u2, links[0], rec.index + 1, rec.index, "dynamic", info.k_coins)
+        # The selected node has no alive F-edge at degree 2, so the donor can
+        # only hang off the partner.
+        if links != [info.partner]:
+            raise TraceMismatchError(
+                f"step {rec.index + 1}: donor of a degree-2 creation is not the partner's neighbor"
+            )
+        return Donation(u2, info.partner, rec.index + 1, rec.index, "static", self.delta - 3)
+
     def _endpoint_classes(self, rec: ReplayedStep) -> EndpointClasses:
-        pair = (rec.selected, rec.partner)
-        f_edges = self.dec.f_edges
-        adjacent = []
-        deg1_two_f, deg1_one_f, deg2, deg3_plus = [], [], [], []
-        edges_to_adjacent = []
+        deg1_two_f, deg1_one_f, deg2, edges_to_adjacent = [], [], [], []
         for w in sorted(self.endpoints):
-            links = [norm_edge(x, w) for x in pair if norm_edge(x, w) in rec.removed]
+            links = [norm_edge(x, w) for x in (rec.selected, rec.partner)
+                     if norm_edge(x, w) in rec.removed]
             if not links or rec.deg_before.get(w, 0) < 3:
                 continue
-            adjacent.append(w)
             edges_to_adjacent.extend(links)
             after = rec.deg_after[w]
             if after == 1:
-                f_count = sum(1 for e in links if e in f_edges)
+                f_count = sum(1 for e in links if e in self.dec.f_edges)
                 (deg1_two_f if f_count == 2 else deg1_one_f).append(w)
             elif after == 2:
                 deg2.append(w)
-            else:
-                deg3_plus.append(w)
         return EndpointClasses(
-            rec.index, tuple(adjacent), tuple(deg1_two_f), tuple(deg1_one_f),
-            tuple(deg2), tuple(deg3_plus), tuple(sorted(edges_to_adjacent)),
+            rec.index, tuple(deg1_two_f), tuple(deg1_one_f), tuple(deg2),
+            tuple(sorted(edges_to_adjacent)),
         )
 
     # -- derived quantities --------------------------------------------------
-
-    def c_X(self, ci: int) -> int:
-        return self.credits_in[ci]
-
-    def d_X(self, ci: int) -> int:
-        return self.debits_out[ci]
 
     def D_X(self, ci: int) -> int:
         return 2 * self.dec.components[ci].m_count * (self.delta - 2)
@@ -361,19 +321,8 @@ class ChargingLedger:
     def balance(self, ci: int) -> int:
         return self.credits_in[ci] - self.debits_out[ci]
 
-    def coins_from_node(self, x: int) -> int:
-        coins = sum(1 for t in self.transfers if not t.cancelled and t.source == x)
-        coins += sum(d.coins for d in self.donations if d.source == x)
-        return coins
-
-    def raw_debits_from_node(self, x: int) -> int:
-        return sum(1 for t in self.transfers if t.source == x)
-
     def credits_to_endpoint(self, w: int, include_cancelled: bool = False) -> int:
-        return sum(
-            1 for t in self.transfers
-            if t.endpoint == w and (include_cancelled or not t.cancelled)
-        )
+        return (self.raw_credits if include_cancelled else self.credits)[w]
 
     def local_ratio(self, ci: int) -> Fraction:
         comp = self.dec.components[ci]
@@ -408,12 +357,12 @@ def verify_bounds(ledger: ChargingLedger) -> Report:
     for ci, comp in enumerate(dec.components):
         tag = f"comp{ci}"
         if comp.kind == SINGLETON:
-            rep.require("singleton_balance", tag, -ledger.d_X(ci), ">=", -2 * (delta - 1) + 2)
+            rep.require("singleton_balance", tag, -ledger.debits_out[ci], ">=", -2 * (delta - 1) + 2)
         else:
             for e in comp.m_edges:
-                coins = ledger.coins_from_node(e[0]) + ledger.coins_from_node(e[1])
+                coins = ledger.paid[e[0]] + ledger.paid[e[1]]
                 rep.require("edge_coin_cap", f"{tag}:e{e[0]}-{e[1]}", coins, "<=", edge_cap)
-            rep.require("path_credit_floor", tag, ledger.c_X(ci), ">=", 2)
+            rep.require("path_credit_floor", tag, ledger.credits_in[ci], ">=", 2)
             rep.require(
                 "path_balance", tag,
                 ledger.balance(ci), ">=", 2 - ledger.D_X(ci) + edge_cap,
@@ -460,14 +409,14 @@ def verify_lemma_predicates(ledger: ChargingLedger) -> Report:
     for w in sorted(ledger.endpoints):
         tag = f"w{w}"
         rep.require("endpoint_graph_degree", tag, g.degree(w), ">=", 2)
-        raw_credits = ledger.credits_to_endpoint(w, include_cancelled=True)
-        net_credits = ledger.credits_to_endpoint(w)
+        raw_credits = ledger.raw_credits[w]
+        net_credits = ledger.credits[w]
         rep.require("endpoint_min_credit", tag, net_credits, ">=", 1)
         rep.require("endpoint_precancel_cap", tag, raw_credits, "<=", 3)
         rep.require("endpoint_postcancel_cap", tag, net_credits, "<=", 2)
         if raw_credits == 3:
-            shape = _triple_credit_shape(ledger, w)
-            rep.add("endpoint_triple_credit_shape", tag, shape, "==", True, shape is True)
+            rep.require("endpoint_triple_credit_shape", tag,
+                        _triple_credit_shape(ledger, w), "==", True)
         if raw_credits != net_credits:
             rep.require("cancelled_endpoint_two_credits", tag, net_credits, "==", 2)
 
@@ -476,13 +425,13 @@ def verify_lemma_predicates(ledger: ChargingLedger) -> Report:
         tag = f"comp{ci}"
         if comp.kind == SINGLETON:
             e = comp.m_edges[0]
-            debits = ledger.raw_debits_from_node(e[0]) + ledger.raw_debits_from_node(e[1])
+            debits = ledger.raw_debits[e[0]] + ledger.raw_debits[e[1]]
             rep.require("singleton_debit_cap", tag, debits, "<=", 2 * (delta - 1))
         else:
             for e in comp.m_edges:
-                debits = ledger.raw_debits_from_node(e[0]) + ledger.raw_debits_from_node(e[1])
+                debits = ledger.raw_debits[e[0]] + ledger.raw_debits[e[1]]
                 rep.require("path_edge_debit_cap", f"{tag}:e{e[0]}-{e[1]}", debits, "<=", edge_cap)
-            credits = sum(ledger.credits_to_endpoint(w) for w in comp.endpoints)
+            credits = sum(ledger.credits[w] for w in comp.endpoints)
             rep.require("path_min_credits", tag, credits, ">=", 2)
 
     if delta == 3:
@@ -496,10 +445,7 @@ def verify_lemma_predicates(ledger: ChargingLedger) -> Report:
 def _triple_credit_shape(ledger: ChargingLedger, w: int) -> bool:
     """Three raw credits arrive only as two F-edges on a 3 -> 1 drop followed
     by one F-edge on the final 1 -> 0 drop."""
-    ts = sorted(
-        (t for t in ledger.transfers if t.endpoint == w),
-        key=lambda t: (t.step, t.source),
-    )
+    ts = [t for t in ledger.transfers if t.endpoint == w]
     if len(ts) != 3:
         return False
     first, second, third = ts
@@ -522,15 +468,15 @@ def _delta3_checks(ledger: ChargingLedger, rep: Report) -> None:
         tag = f"comp{ci}"
         if comp.kind == SINGLETON:
             cap = 2 * (ledger.delta - 1)
-            rep.require("missing_debits_singleton", tag, ledger.d_X(ci), "<=", cap - 2)
+            rep.require("missing_debits_singleton", tag, ledger.debits_out[ci], "<=", cap - 2)
             continue
         info = ledger.paths[ci]
         if info.sel_degree == 1 or info.sel_degree == 3:
             rep.require(
-                "missing_debits_path", tag, ledger.d_X(ci), "<=", ledger.D_X(ci) - 2
+                "missing_debits_path", tag, ledger.debits_out[ci], "<=", ledger.D_X(ci) - 2
             )
-        if ledger.d_X(ci) == 2 * comp.m_count - 1:
-            credits = sum(ledger.credits_to_endpoint(w) for w in comp.endpoints)
+        if ledger.debits_out[ci] == 2 * comp.m_count - 1:
+            credits = sum(ledger.credits[w] for w in comp.endpoints)
             rep.require("extra_credit_path", tag, credits, ">=", 3)
 
 
@@ -544,49 +490,40 @@ def _creation_step_checks(ledger: ChargingLedger, rep: Report) -> None:
         if info.sel_degree >= 3 and info.raw_debits > 0:
             rep.require("deg3_debit_makes_deg1", tag, info.deg1_after, "==", True)
         if info.sel_degree == 2 and info.raw_debits > 0 and not info.deg1_after:
-            shape = _deg2_exception_shape(ledger, info)
-            rep.add("deg2_exception_shape", tag, shape, "==", True, shape)
+            rep.require("deg2_exception_shape", tag, _deg2_exception_shape(ledger, info), "==", True)
         if not info.deg1_after:
             if ledger.delta >= 4 and info.k_coins >= 1:
-                ok = _fallback_disjunction(ledger, ci, info)
-                rep.add("no_deg1_path_fallback", tag, ok, "==", True, ok)
+                rep.require("no_deg1_path_fallback", tag,
+                            _fallback_disjunction(ledger, ci, info), "==", True)
             continue
         # The node selected next has degree 1 and sits in this path via an
         # optimum edge, or in another component via an F-edge.
-        u2 = info.next_selected
         nxt = ledger.step_record(info.creation_step + 1)
         rep.require("deg1_next_selection_degree", tag, nxt.sel_degree, "==", 1)
-        rec = ledger.step_record(info.creation_step)
-        pair = (info.selected, info.partner)
-        if ledger.comp_of.get(u2) == ci:
-            ok = any(
-                norm_edge(u2, x) in rec.removed
-                and norm_edge(u2, x) in dec.m_star.pairs
-                for x in pair
-            )
-            rep.add("next_selected_in_path_via_opt", tag, ok, "==", True, ok)
+        removed = ledger.step_record(info.creation_step).removed
+        links = [norm_edge(nxt.selected, x) for x in (info.selected, info.partner)]
+        links = [e for e in links if e in removed]
+        if ledger.comp_of[nxt.selected] == ci:
+            ok = any(e in dec.m_star.pairs for e in links)
+            rep.require("next_selected_in_path_via_opt", tag, ok, "==", True)
         else:
-            ok = any(
-                norm_edge(u2, x) in rec.removed and norm_edge(u2, x) in dec.f_edges
-                for x in pair
-            )
-            rep.add("next_selected_outside_via_f", tag, ok, "==", True, ok)
-        _paired_step_checks(ledger, ci, info, rep)
+            ok = any(e in dec.f_edges for e in links)
+            rep.require("next_selected_outside_via_f", tag, ok, "==", True)
+        _paired_step_checks(ledger, ci, info, nxt, rep)
 
 
-def _paired_step_checks(ledger: ChargingLedger, ci: int, info: _PathInfo, rep: Report) -> None:
-    """Combined coin caps across a creation step and the following step."""
+def _paired_step_checks(ledger: ChargingLedger, ci: int, info: _PathInfo,
+                        nxt: ReplayedStep, rep: Report) -> None:
+    """Combined coin caps across a creation step and the following step nxt."""
     if ledger.delta < 4:
         return
     tag = f"comp{ci}"
     cap = 2 * (ledger.delta - 2)
     d_uv = info.k_coins
-    v2 = info.next_partner
     # Coins actually paid by the follow-up partner; cancelled transfers move
     # nothing, and only a selected node can be a donation source.
-    l = ledger.coins_from_node(v2) if v2 is not None else 0
-    u2 = info.next_selected
-    rep.require("next_selected_pays_nothing", tag, ledger.raw_debits_from_node(u2), "==", 0)
+    l = ledger.paid[nxt.partner]
+    rep.require("next_selected_pays_nothing", tag, ledger.raw_debits[nxt.selected], "==", 0)
     if info.donation is not None:
         k = info.donation.coins
     else:
@@ -621,43 +558,33 @@ def _deg2_exception_shape(ledger: ChargingLedger, info: _PathInfo) -> bool:
     the partner's single debit, with the selected node clean."""
     rec = ledger.step_record(info.creation_step)
     u, v = info.selected, info.partner
-    recipients = sorted({
-        t.endpoint for t in ledger.transfers
-        if t.step == info.creation_step and t.source in (u, v)
-    })
-    if len(recipients) != 1:
+    # A node pays only in the step that matches it, so v's one transfer is
+    # the creation step's only one.
+    if ledger.raw_debits[u] != 0 or ledger.raw_debits[v] != 1:
         return False
-    w = recipients[0]
+    (w,) = [t.endpoint for t in ledger.transfers if t.source == v]
     if rec.deg_after[w] != 0 or rec.deg_before[w] != 2:
-        return False
-    if ledger.raw_debits_from_node(u) != 0:
-        return False
-    from_v = [t for t in ledger.transfers if t.source == v]
-    if len(from_v) != 1 or from_v[0].endpoint != w:
         return False
     if norm_edge(u, w) not in ledger.dec.m_star.pairs:
         return False
-    for w2 in ledger.endpoints:
-        if w2 == w:
-            continue
-        if norm_edge(v, w2) in rec.removed and rec.deg_before.get(w2, 0) < 3:
-            return False
-    return True
+    return not any(
+        norm_edge(v, w2) in rec.removed and rec.deg_before.get(w2, 0) < 3
+        for w2 in ledger.endpoints if w2 != w
+    )
 
 
 def _fallback_disjunction(ledger: ChargingLedger, ci: int, info: _PathInfo) -> bool:
     """Paths without a degree-1 endpoint after creation either collect a
     third credit or own a non-creation edge paying one coin under the cap."""
     comp = ledger.dec.components[ci]
-    credits = sum(ledger.credits_to_endpoint(w) for w in comp.endpoints)
-    if credits >= 3:
+    if sum(ledger.credits[w] for w in comp.endpoints) >= 3:
         return True
     cap = 2 * (ledger.delta - 2)
     creation_edge = norm_edge(info.selected, info.partner)
     for e in comp.m_edges:
         if e == creation_edge:
             continue
-        if ledger.coins_from_node(e[0]) + ledger.coins_from_node(e[1]) <= cap - 1:
+        if ledger.paid[e[0]] + ledger.paid[e[1]] <= cap - 1:
             return True
     return False
 
@@ -688,30 +615,25 @@ def _donation_checks(ledger: ChargingLedger, rep: Report) -> None:
         if d.kind == "static":
             rep.require("static_donation_coins", tag, d.coins, "==", ledger.delta - 3)
         else:
-            info = next(i for i in ledger.paths.values() if i.creation_step == d.creation_step)
-            rep.require("dynamic_donation_coins", tag, d.coins, "==", info.k_coins)
+            rep.require("dynamic_donation_coins", tag,
+                        d.coins, "==", ledger.step_debits[d.creation_step])
 
 
 def _transfer_recheck(ledger: ChargingLedger, rep: Report) -> None:
     """Each transfer is independently recheckable from the trace alone."""
-    ok = True
-    for t in ledger.transfers:
+    def valid(t: Transfer) -> bool:
         rec = ledger.step_record(t.step)
         e = norm_edge(t.source, t.endpoint)
-        if e not in ledger.dec.f_edges:
-            ok = False
-        if t.source not in (rec.selected, rec.partner):
-            ok = False
-        if e not in rec.removed:
-            ok = False
-        if rec.deg_after.get(t.endpoint, 99) > 1:
-            ok = False
-        if t.endpoint not in ledger.endpoints:
-            ok = False
-    rep.add("transfer_recheck", "global", ok, "==", True, ok)
+        return (
+            e in ledger.dec.f_edges
+            and t.source in (rec.selected, rec.partner)
+            and e in rec.removed
+            and rec.deg_after.get(t.endpoint, 99) <= 1
+            and t.endpoint in ledger.endpoints
+        )
+
+    rep.require("transfer_recheck", "global", all(valid(t) for t in ledger.transfers), "==", True)
 
 
 def verify_all(ledger: ChargingLedger) -> Report:
-    rep = verify_bounds(ledger)
-    rep.extend(verify_lemma_predicates(ledger))
-    return rep
+    return Report(verify_bounds(ledger).checks + verify_lemma_predicates(ledger).checks)

@@ -81,77 +81,56 @@ class Decomposition:
         return Fraction(len(self.matching), len(self.m_star))
 
 
-def _union_walk(m: Matching, m2: Matching):
-    """Yield the components of (V, m union m2) as (nodes, edges) walks.
+def _union_components(m: Matching, m2: Matching):
+    """List each component of (V, m union m2) once, in least-node order, as
+    (shape, nodes, labels, edges).
 
-    Each component is a simple path or cycle because every node touches at
-    most one edge of each matching.  nodes/edges are in walk order; for a
-    cycle the closing edge is included and nodes[0] == start.
+    Every node touches at most one edge of each matching, so a component is
+    a shared edge (shape "both"), a cycle ("cycle") or a path, whose shape
+    names its two end labels, e.g. "opt-opt".  labels[i] ("m" or "opt")
+    belongs to edges[i]; both follow the walk.  A path is walked from its
+    smaller-id end; a cycle from its least node, m-edge first, closing edge
+    included.
     """
-    mate1 = {}
-    mate2 = {}
-    for u, v in m:
-        mate1[u] = v
-        mate1[v] = u
-    for u, v in m2:
-        mate2[u] = v
-        mate2[v] = u
+    mate1: dict[int, int] = {}
+    mate2: dict[int, int] = {}
+    for mate, pairs in ((mate1, m), (mate2, m2)):
+        for u, v in pairs:
+            mate[u] = v
+            mate[v] = u
     covered = sorted(set(mate1) | set(mate2))
+    ends = [v for v in covered if (v in mate1) != (v in mate2)]
     seen: set[int] = set()
-
-    for start in covered:
+    comps = []
+    # Path ends first, so every path is entered at its smaller end; nodes
+    # left over after that lie on shared edges or cycles.
+    for start in ends + covered:
         if start in seen:
             continue
-        # Walk to one extremity first unless we are on a cycle.
-        def step(v, via):
-            # via: which matching the previous edge came from (1 or 2)
-            if via != 1 and v in mate1:
-                return mate1[v], 1
-            if via != 2 and v in mate2:
-                return mate2[v], 2
-            return None, 0
-
-        # Detect the shared-edge singleton immediately.
-        if start in mate1 and start in mate2 and mate1[start] == mate2[start]:
+        if mate1.get(start) == mate2.get(start):
             other = mate1[start]
             seen.update((start, other))
-            yield [start, other], [(norm_edge(start, other), "both")]
+            comps.append(("both", [start, other], ["both"], [norm_edge(start, other)]))
             continue
-
-        # Find an endpoint by walking one direction to exhaustion.
-        prev_kind = 0
-        cur = start
-        visited = {start}
-        is_cycle = False
+        nodes, labels, edges = [start], [], []
+        cur, via = start, None
         while True:
-            nxt, kind = step(cur, prev_kind)
-            if nxt is None:
+            if via != "m" and cur in mate1:
+                nxt, via = mate1[cur], "m"
+            elif via != "opt" and cur in mate2:
+                nxt, via = mate2[cur], "opt"
+            else:
                 break
-            if nxt in visited:
-                is_cycle = True
-                break
-            visited.add(nxt)
-            cur, prev_kind = nxt, kind
-        head = cur if not is_cycle else start
-
-        nodes = [head]
-        edges = []
-        seen.add(head)
-        prev_kind = 0
-        cur = head
-        while True:
-            nxt, kind = step(cur, prev_kind)
-            if nxt is None:
-                break
-            label = "m" if kind == 1 else "opt"
-            if nxt == head:
-                edges.append((norm_edge(cur, nxt), label))
+            labels.append(via)
+            edges.append(norm_edge(cur, nxt))
+            if nxt == start:
                 break
             nodes.append(nxt)
-            edges.append((norm_edge(cur, nxt), label))
-            seen.add(nxt)
-            cur, prev_kind = nxt, kind
-        yield nodes, edges
+            cur = nxt
+        seen.update(nodes)
+        shape = "cycle" if len(edges) == len(nodes) else f"{labels[0]}-{labels[-1]}"
+        comps.append((shape, nodes, labels, edges))
+    return sorted(comps, key=lambda c: min(c[1]))
 
 
 def canonicalize(g: Graph, m: Matching, m_prime: Matching, check_maximum: bool = True) -> Matching:
@@ -173,27 +152,19 @@ def canonicalize(g: Graph, m: Matching, m_prime: Matching, check_maximum: bool =
             )
 
     new_star: set[Edge] = set(m_prime.pairs)
-    comps = sorted(_union_walk(m, m_prime), key=lambda ne: min(ne[0]))
-    for nodes, edges in comps:
-        labels = [lab for _, lab in edges]
-        if labels == ["both"]:
-            continue
-        is_cycle = len(edges) == len(nodes)
-        if is_cycle or (labels[0] == "m" and labels[-1] == "opt") or (
-            labels[0] == "opt" and labels[-1] == "m"
-        ):
-            # Swap: drop this component's optimum edges, adopt its m-edges.
-            for e, lab in edges:
-                if lab == "opt":
-                    new_star.discard(e)
-                else:
-                    new_star.add(e)
-        elif labels[0] == "m" and labels[-1] == "m":
+    for shape, _, labels, edges in _union_components(m, m_prime):
+        if shape == "m-m":
             raise CanonicalizationError(
                 "component bounded by two heuristic edges: the first matching "
                 "is larger there, so the second was not maximum"
             )
-        # Path bounded by opt edges on both ends: already canonical.
+        if shape in ("cycle", "m-opt", "opt-m"):
+            # Swap: drop this component's optimum edges, adopt its m-edges.
+            for e, lab in zip(edges, labels):
+                if lab == "opt":
+                    new_star.discard(e)
+                else:
+                    new_star.add(e)
     result = Matching(frozenset(new_star))
     if len(result) != len(m_prime):
         raise CanonicalizationError("canonicalization changed the matching size")
@@ -208,31 +179,26 @@ def decompose(g: Graph, m: Matching, m_star: Matching) -> Decomposition:
     m.validate(g)
     m_star.validate(g)
     components: list[Component] = []
-    for nodes, edges in sorted(_union_walk(m, m_star), key=lambda ne: min(ne[0])):
-        labels = [lab for _, lab in edges]
-        if labels == ["both"]:
-            e = edges[0][0]
-            components.append(Component(SINGLETON, tuple(sorted(nodes)), (e,), (e,), ()))
-            continue
-        if len(edges) == len(nodes):
+    for shape, nodes, labels, edges in _union_components(m, m_star):
+        if shape == "both":
+            components.append(Component(SINGLETON, tuple(nodes), tuple(edges), tuple(edges), ()))
+        elif shape == "cycle":
             raise NonCanonicalError(f"cycle through node {min(nodes)} in the matching graph")
-        if labels[0] != "opt" or labels[-1] != "opt":
+        elif shape != "opt-opt":
             raise NonCanonicalError(
                 f"mixed alternating path through node {min(nodes)}; canonicalize first"
             )
-        if nodes[0] > nodes[-1]:
-            nodes = list(reversed(nodes))
-            edges = [(e, lab) for e, lab in reversed(edges)]
-        m_edges = tuple(e for e, lab in edges if lab == "m")
-        opt_edges = tuple(e for e, lab in edges if lab == "opt")
-        if len(opt_edges) != len(m_edges) + 1:
-            raise NonCanonicalError("alternating path is not an augmenting path")
-        components.append(
-            Component(PATH, tuple(nodes), m_edges, opt_edges, (nodes[0], nodes[-1]))
-        )
+        else:
+            m_edges = tuple(e for e, lab in zip(edges, labels) if lab == "m")
+            opt_edges = tuple(e for e, lab in zip(edges, labels) if lab == "opt")
+            components.append(
+                Component(PATH, tuple(nodes), m_edges, opt_edges, (nodes[0], nodes[-1]))
+            )
 
-    assert sum(c.m_count for c in components) == len(m)
-    assert sum(c.opt_count for c in components) == len(m_star)
+    if sum(c.m_count for c in components) != len(m):
+        raise NonCanonicalError("components do not partition the heuristic matching")
+    if sum(c.opt_count for c in components) != len(m_star):
+        raise NonCanonicalError("components do not partition the optimum matching")
     f_edges = frozenset(g.edge_set - m.pairs - m_star.pairs)
     return Decomposition(g, m, m_star, tuple(components), f_edges)
 

@@ -200,13 +200,14 @@ class ResidualView:
         for u, v in self._alive:
             deg[u] += 1
             deg[v] += 1
-        assert deg == self.deg, "maintained degrees drifted from alive edges"
+        if deg != self.deg:
+            raise ValueError("maintained degrees drifted from alive edges")
         positive = {v for v in range(self.graph.n) if deg[v] > 0}
         bucketed = {v for s in self._buckets.values() for v in s}
-        assert positive == bucketed, "buckets do not partition nodes of positive degree"
-        for d, s in self._buckets.items():
-            for v in s:
-                assert deg[v] == d
+        if positive != bucketed:
+            raise ValueError("buckets do not partition nodes of positive degree")
+        if any(deg[v] != d for d, s in self._buckets.items() for v in s):
+            raise ValueError("a node sits in the bucket of another degree")
 
 
 # ---------------------------------------------------------------------------

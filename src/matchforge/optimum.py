@@ -17,6 +17,10 @@ class BudgetExceededError(RuntimeError):
     """Raised when an exact search exceeds its configured budget."""
 
 
+class CertificateError(RuntimeError):
+    """The optimality certificate found an augmenting path in a result."""
+
+
 def _find_augmenting_path(g: Graph, match: list[int], root: int) -> bool:
     """One BFS phase with blossom contraction; augments match in place.
 
@@ -89,21 +93,18 @@ def _find_augmenting_path(g: Graph, match: list[int], root: int) -> bool:
 def maximum_matching(g: Graph, certify: bool = True) -> Matching:
     """A maximum-cardinality matching (the size is unique, the edge set is not).
 
-    With certify=True (default) a final failed augmenting search is run from
-    every unmatched node, which certifies maximality by Berge's criterion.
+    With certify=True (default) ``has_augmenting_path`` searches again from
+    every unmatched node and must fail, which certifies maximality by Berge's
+    criterion; a found path raises CertificateError.
     """
     match = [-1] * g.n
     for v in range(g.n):
         if match[v] == -1:
             _find_augmenting_path(g, match, v)
-    if certify:
-        for v in range(g.n):
-            if match[v] == -1:
-                trial = list(match)
-                assert not _find_augmenting_path(g, trial, v), (
-                    "augmenting path found after termination; matching not maximum"
-                )
-    return Matching.from_pairs((v, match[v]) for v in range(g.n) if v < match[v])
+    result = Matching.from_pairs((v, match[v]) for v in range(g.n) if v < match[v])
+    if certify and has_augmenting_path(g, result):
+        raise CertificateError("augmenting path found after termination; matching not maximum")
+    return result
 
 
 def has_augmenting_path(g: Graph, m: Matching) -> bool:

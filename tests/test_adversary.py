@@ -227,6 +227,17 @@ class TestEncodings:
                             TruthfulAdversary(g))
             assert res.matching.pairs == run_shuffle(g, perm).result.pairs
 
+    def test_shuffle_encoding_replays_across_sizes(self):
+        # One seeded encoding draws a fresh order for each game, so a second
+        # game on a larger graph plays exactly as a fresh encoding would.
+        p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        enc = encode_priority("shuffle", seed=3)
+        play_game(enc, TruthfulAdversary(P3()))
+        again = play_game(enc, TruthfulAdversary(p4))
+        fresh = play_game(encode_priority("shuffle", seed=3), TruthfulAdversary(p4))
+        assert again.transcript == fresh.transcript
+        assert again.matching.pairs == fresh.matching.pairs
+
     def test_vertex_iterative_runs(self):
         res = play_game("vertex_iterative", TruthfulAdversary(P3()))
         assert res.matching.pairs == {(0, 1)}

@@ -93,6 +93,17 @@ class TestDecompose:
         with pytest.raises(NonCanonicalError, match="mixed"):
             decompose(P3(), m, other)
 
+    def test_lost_component_is_reported(self, monkeypatch):
+        # The partition checks are exceptions, so python -O keeps them.
+        from matchforge import decomposition
+
+        walk = decomposition._union_components
+        monkeypatch.setattr(decomposition, "_union_components",
+                            lambda m, m2: list(walk(m, m2))[1:])
+        m = Matching.from_pairs([(0, 1), (2, 3)])
+        with pytest.raises(NonCanonicalError, match="partition the heuristic"):
+            decompose(C4(), m, m)
+
     def test_counts_partition_the_matchings(self):
         for seed in range(120):
             rng = random.Random(seed)

@@ -104,6 +104,20 @@ class TestRemovePair:
         assert view.alive_edges() == list(K4().edges)
 
 
+    def test_consistency_check_reports_drift(self):
+        view = ResidualView(K4())
+        view.deg[0] += 1
+        with pytest.raises(ValueError, match="degrees drifted"):
+            view.check_consistency()
+
+    def test_consistency_check_reports_misplaced_bucket(self):
+        view = ResidualView(K4())
+        view._buckets[3].discard(0)
+        view._buckets.setdefault(2, set()).add(0)
+        with pytest.raises(ValueError, match="bucket of another degree"):
+            view.check_consistency()
+
+
 class TestMinDegreeNodes:
     def test_p3(self):
         assert ResidualView(P3()).min_degree_nodes() == [0, 2]

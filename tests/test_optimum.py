@@ -1,7 +1,14 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import matchforge
+from matchforge import optimum
 from matchforge.graphs import Graph, Matching, gen_random_bounded
 from matchforge.optimum import (
     BudgetExceededError,
@@ -63,6 +70,46 @@ def test_no_augmenting_path_certificate():
         g = gen_random_bounded(10, 3, 0.7, seed)
         m = maximum_matching(g)
         assert not has_augmenting_path(g, m)
+
+
+# The search skips its first two roots, so on two disjoint edges it stops
+# at (2, 3) and the certificate must find the augmenting path 0-1.
+CRIPPLED_SEARCH = textwrap.dedent("""
+    from matchforge import optimum
+    from matchforge.graphs import Graph
+
+    real = optimum._find_augmenting_path
+    calls = []
+
+    def crippled(g, match, root):
+        calls.append(root)
+        return len(calls) > 2 and real(g, match, root)
+
+    optimum._find_augmenting_path = crippled
+    try:
+        optimum.maximum_matching(Graph.from_edges(4, [(0, 1), (2, 3)]))
+    except optimum.CertificateError as exc:
+        print(f"error: {exc}")
+""")
+
+
+def test_certificate_rejects_a_non_maximum_result(monkeypatch, capsys):
+    # Restores the real search after the script swaps it out.
+    monkeypatch.setattr(optimum, "_find_augmenting_path", optimum._find_augmenting_path)
+    exec(CRIPPLED_SEARCH, {})
+    assert capsys.readouterr().out == (
+        "error: augmenting path found after termination; matching not maximum\n"
+    )
+
+
+def test_certificate_survives_optimize():
+    env = dict(os.environ)
+    package_root = str(Path(matchforge.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", CRIPPLED_SEARCH], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "error: augmenting path found after termination" in proc.stdout
 
 
 def test_submaximal_matching_admits_augmenting_path():
