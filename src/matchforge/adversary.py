@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .graphs import Edge, Graph, Matching, norm_edge, save_graph
+from .graphs import Edge, Graph, Matching, norm_edge, read_records, save_graph
 from .matchers import MIN_FORCED, MIN_NODE, RULES, PolicyError
 
 
@@ -673,13 +673,5 @@ def emit_hard_instance(
 
 
 def load_moves(text: str) -> list[Edge]:
-    pairs = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] != "p" or len(parts) != 3:
-            raise ValueError(f"bad move line: {raw!r}")
-        pairs.append(norm_edge(int(parts[1]), int(parts[2])))
-    return pairs
+    """Read a move script (see save_moves) as canonical edges, in order."""
+    return [norm_edge(u, v) for _, _, (u, v) in read_records(text, {"p": "p <u> <v>"})]

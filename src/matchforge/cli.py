@@ -42,13 +42,6 @@ class CliError(Exception):
         self.code = code
 
 
-def _read(path: str) -> str:
-    try:
-        return Path(path).read_text()
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from None
-
-
 def _write(path: str, text: str) -> None:
     try:
         Path(path).write_text(text)
@@ -56,16 +49,12 @@ def _write(path: str, text: str) -> None:
         raise CliError(f"cannot write {path}: {exc}") from None
 
 
-def _load_graph(path: str):
+def _load(path: str, loader, *args):
+    """Read a document with loader(text, *args); format errors name the path."""
     try:
-        return load_graph(_read(path))
-    except GraphFormatError as exc:
-        raise CliError(f"{path}: {exc}") from None
-
-
-def _load_trace(path: str, g):
-    try:
-        return matchers.load_trace(_read(path), g)
+        return loader(Path(path).read_text(), *args)
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc}") from None
     except GraphFormatError as exc:
         raise CliError(f"{path}: {exc}") from None
 
@@ -99,7 +88,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_run(args) -> int:
-    g = _load_graph(args.input)
+    g = _load(args.input, load_graph)
     if args.algo == "shuffle":
         if not args.perm:
             raise CliError("shuffle needs --perm")
@@ -114,7 +103,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_opt(args) -> int:
-    g = _load_graph(args.input)
+    g = _load(args.input, load_graph)
     m = optimum.maximum_matching(g)
     if args.out:
         _write(args.out, save_matching(m))
@@ -123,8 +112,8 @@ def cmd_opt(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    g = _load_graph(args.input)
-    trace = _load_trace(args.trace, g)
+    g = _load(args.input, load_graph)
+    trace = _load(args.trace, matchers.load_trace, g)
     m_star = decomposition.canonicalize(g, trace.result, optimum.maximum_matching(g))
     dec = decomposition.decompose(g, trace.result, m_star)
     sys.stdout.write(decomposition.format_components(dec))
@@ -134,15 +123,12 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    g = _load_graph(args.input)
-    trace = _load_trace(args.trace, g)
+    g = _load(args.input, load_graph)
+    trace = _load(args.trace, matchers.load_trace, g)
     delta = args.delta if args.delta else max(3, g.delta)
-    try:
-        m_star = decomposition.canonicalize(g, trace.result, optimum.maximum_matching(g))
-        dec = decomposition.decompose(g, trace.result, m_star)
-        ledger = charging.build_ledger(trace, dec, delta)
-    except (charging.TraceMismatchError, decomposition.NonCanonicalError) as exc:
-        raise CliError(str(exc)) from None
+    m_star = decomposition.canonicalize(g, trace.result, optimum.maximum_matching(g))
+    dec = decomposition.decompose(g, trace.result, m_star)
+    ledger = charging.build_ledger(trace, dec, delta)
     report = charging.verify_all(ledger)
     sys.stdout.write(report.csv() if args.csv else report.text())
     if dec.m_star:
@@ -152,7 +138,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_worstcase(args) -> int:
-    g = _load_graph(args.input)
+    g = _load(args.input, load_graph)
     try:
         size, witness = matchers.worst_case_size(g, args.algo, budget=args.budget)
     except matchers.SearchBudgetExceededError as exc:

@@ -133,23 +133,21 @@ def _union_components(m: Matching, m2: Matching):
     return sorted(comps, key=lambda c: min(c[1]))
 
 
-def canonicalize(g: Graph, m: Matching, m_prime: Matching, check_maximum: bool = True) -> Matching:
+def canonicalize(g: Graph, m: Matching, m_prime: Matching) -> Matching:
     """Transform a maximum matching so the matching graph has only singletons
     and alternating paths that start and end with an optimum edge.
 
     Mixed paths and cycles have their optimum edges replaced by the heuristic
     edges of the same component, which preserves cardinality.  A component
     bounded by heuristic edges on both ends cannot occur for a maximal m
-    against a maximum m_prime and is reported as an internal error.
+    against a maximum m_prime and is reported as an internal error.  That
+    m_prime is maximum is certified first by Berge's criterion: it must admit
+    no augmenting path.
     """
     m.validate(g)
     m_prime.validate(g)
-    if check_maximum:
-        best = optimum.maximum_matching(g, certify=False)
-        if len(m_prime) != len(best):
-            raise CanonicalizationError(
-                f"matching of size {len(m_prime)} is not maximum (optimum is {len(best)})"
-            )
+    if optimum.has_augmenting_path(g, m_prime):
+        raise CanonicalizationError("second matching is not maximum: it has an augmenting path")
 
     new_star: set[Edge] = set(m_prime.pairs)
     for shape, _, labels, edges in _union_components(m, m_prime):

@@ -28,6 +28,20 @@ def norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _check_edge(n: int, e: Edge, seen: set[Edge]) -> None:
+    """Add edge e of an n-node graph to seen; raise ValueError if it breaks a rule."""
+    u, v = e
+    if u == v:
+        raise ValueError(f"self-loop at node {u}")
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"edge {e} has node id outside 0..{n - 1}")
+    if u > v:
+        raise ValueError(f"edge {e} not in canonical (min, max) order")
+    if e in seen:
+        raise ValueError(f"duplicate edge {e}")
+    seen.add(e)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple graph with node count, edge set, and cached max degree."""
@@ -38,19 +52,12 @@ class Graph:
     adjacency: tuple[tuple[int, ...], ...] = field(init=False)
 
     def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ValueError(f"node count {self.n} is negative")
         seen: set[Edge] = set()
         adj: list[list[int]] = [[] for _ in range(self.n)]
-        for e in self.edges:
-            u, v = e
-            if u == v:
-                raise ValueError(f"self-loop at node {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge {e} has node id outside 0..{self.n - 1}")
-            if u > v:
-                raise ValueError(f"edge {e} not in canonical (min, max) order")
-            if e in seen:
-                raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
+        for u, v in self.edges:
+            _check_edge(self.n, (u, v), seen)
             adj[u].append(v)
             adj[v].append(u)
         object.__setattr__(self, "edges", tuple(sorted(seen)))
@@ -213,61 +220,71 @@ class ResidualView:
 # ---------------------------------------------------------------------------
 # File formats.
 #
-# Graph file: optional '#' comment lines, a header "graph <n> <m>", then
-# exactly m lines "e <u> <v>" with 0 <= u < v < n.  Matching file: lines
-# "m <u> <v>".  Whitespace-separated, LF-terminated.
+# Every document (graph, matching, trace, move script) holds one record per
+# line (see read_records).  Graph file: a header "graph <n> <m>", then exactly
+# m lines "e <u> <v>" with 0 <= u < v < n.  Matching file: "m <u> <v>" lines.
 # ---------------------------------------------------------------------------
+
+# The largest node count a graph document may announce: ten times the
+# largest graphs the project plans to verify (10^5 nodes), so a corrupt
+# header cannot make load_graph allocate adjacency lists without bound.
+MAX_NODES = 10**6
+
+
+def read_records(text: str, forms: dict[str, str]) -> Iterator[tuple[int, str, list]]:
+    """Yield (line number, tag, fields) for each record of a document.
+
+    ``forms`` maps each allowed tag to its form, e.g. ``{"e": "e <u> <v>"}``,
+    which fixes the field count.  Fields are integers, except a trailing
+    ``<mode>``, which stays a string.  Any other line raises GraphFormatError.
+    """
+    shapes = {}  # tag -> (token count, end of the integer tokens)
+    for tag, form in forms.items():
+        size = len(form.split())
+        shapes[tag] = (size, size - 1 if form.endswith(" <mode>") else size)
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        tag = parts[0]
+        if tag not in forms:
+            raise GraphFormatError(f"line {lineno}: unknown record '{tag}'")
+        size, stop = shapes[tag]
+        if len(parts) != size:
+            raise GraphFormatError(f"line {lineno}: record must be '{forms[tag]}'")
+        try:
+            fields = [*map(int, parts[1:stop]), *parts[stop:]]
+        except ValueError:
+            raise GraphFormatError(f"line {lineno}: non-integer field in '{forms[tag]}'") from None
+        yield lineno, tag, fields
 
 
 def load_graph(text: str) -> Graph:
     """Parse the edge-list document format; report errors with line numbers."""
     n = None
     m_expect = None
-    edges: list[Edge] = []
     seen: set[Edge] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "graph":
+    for lineno, tag, fields in read_records(text, {"graph": "graph <n> <m>", "e": "e <u> <v>"}):
+        if tag == "graph":
             if n is not None:
                 raise GraphFormatError(f"line {lineno}: duplicate header")
-            if len(parts) != 3:
-                raise GraphFormatError(f"line {lineno}: header must be 'graph <n> <m>'")
-            try:
-                n, m_expect = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: non-integer header field") from None
+            n, m_expect = fields
             if n < 0 or m_expect < 0:
                 raise GraphFormatError(f"line {lineno}: negative header field")
-        elif parts[0] == "e":
-            if n is None:
-                raise GraphFormatError(f"line {lineno}: edge before header")
-            if len(parts) != 3:
-                raise GraphFormatError(f"line {lineno}: edge line must be 'e <u> <v>'")
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: non-integer node id") from None
-            if u == v:
-                raise GraphFormatError(f"line {lineno}: self-loop at node {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphFormatError(f"line {lineno}: node id out of range 0..{n - 1}")
-            if not (u < v):
-                raise GraphFormatError(f"line {lineno}: edge must satisfy u < v")
-            e = (u, v)
-            if e in seen:
-                raise GraphFormatError(f"line {lineno}: duplicate edge {e}")
-            seen.add(e)
-            edges.append(e)
-        else:
-            raise GraphFormatError(f"line {lineno}: unknown record '{parts[0]}'")
+            if n > MAX_NODES:
+                raise GraphFormatError(f"line {lineno}: {n} nodes exceed the bound of {MAX_NODES}")
+            continue
+        if n is None:
+            raise GraphFormatError(f"line {lineno}: edge before header")
+        try:
+            _check_edge(n, tuple(fields), seen)
+        except ValueError as exc:
+            raise GraphFormatError(f"line {lineno}: {exc}") from None
     if n is None:
         raise GraphFormatError("missing 'graph <n> <m>' header")
-    if m_expect != len(edges):
-        raise GraphFormatError(f"header announced {m_expect} edges, found {len(edges)}")
-    return Graph(n, tuple(sorted(edges)))
+    if m_expect != len(seen):
+        raise GraphFormatError(f"header announced {m_expect} edges, found {len(seen)}")
+    return Graph(n, tuple(sorted(seen)))
 
 
 def save_graph(g: Graph) -> str:
@@ -277,19 +294,7 @@ def save_graph(g: Graph) -> str:
 
 
 def load_matching(text: str, g: Graph | None = None) -> Matching:
-    pairs: list[Edge] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] != "m" or len(parts) != 3:
-            raise GraphFormatError(f"line {lineno}: matching line must be 'm <u> <v>'")
-        try:
-            u, v = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: non-integer node id") from None
-        pairs.append(norm_edge(u, v))
+    pairs = [fields for _, _, fields in read_records(text, {"m": "m <u> <v>"})]
     try:
         matching = Matching.from_pairs(pairs)
         if g is not None:

@@ -23,11 +23,12 @@ policy always takes the first candidate, which makes runs reproducible.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
-from .graphs import Edge, Graph, GraphFormatError, Matching, ResidualView, norm_edge
+from .graphs import Edge, Graph, GraphFormatError, Matching, ResidualView, norm_edge, read_records
 
 # Selection kinds: what the policy chooses at one step.
 ANY_EDGE = "any_edge"        # any alive edge (a free step)
@@ -215,12 +216,13 @@ class RunTrace:
             if view.degree_of(st.selected) != st.sel_degree:
                 raise ValueError(f"step {st.index}: recorded selection degree is stale")
             min_before = view.min_degree()
-            touched = sorted({x for e in st.removed for x in e})
-            before = {x: view.degree_of(x) for x in touched}
             removed = view.remove_pair(st.selected, st.partner)
             if tuple(removed) != st.removed:
                 raise ValueError(f"step {st.index}: removed-edge list mismatch")
-            after = {x: view.degree_of(x) for x in touched}
+            # Each removed edge took one degree from each of its endpoints.
+            hits = Counter(x for e in removed for x in e)
+            after = {x: view.degree_of(x) for x in sorted(hits)}
+            before = {x: d + hits[x] for x, d in after.items()}
             out.append(ReplayedStep(st.index, st.selected, st.sel_degree, st.partner,
                                     st.removed, st.mode, min_before, before, after))
         if view.has_alive():
@@ -244,44 +246,21 @@ def save_trace(trace: RunTrace) -> str:
 
 def load_trace(text: str, g: Graph) -> RunTrace:
     """Parse and replay-check a trace file against its graph."""
-    steps: list[TraceStep] = []
-    cur: list | None = None
-    removed: list[Edge] = []
-
-    def flush():
-        if cur is not None:
-            steps.append(TraceStep(cur[0], cur[1], cur[2], cur[3], tuple(removed), cur[4]))
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "s":
-            if len(parts) != 6:
-                raise GraphFormatError(f"line {lineno}: step line must be 's <i> <u> <d> <v> <mode>'")
-            flush()
-            try:
-                cur = [int(parts[1]), int(parts[2]), int(parts[3]), int(parts[4]), parts[5]]
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: non-integer step field") from None
-            if parts[5] not in (MODE_DEGREE, MODE_FREE):
-                raise GraphFormatError(f"line {lineno}: unknown mode '{parts[5]}'")
-            removed = []
-        elif parts[0] == "r":
-            if cur is None:
-                raise GraphFormatError(f"line {lineno}: removed edge before any step")
-            if len(parts) != 3:
-                raise GraphFormatError(f"line {lineno}: removed line must be 'r <a> <b>'")
-            try:
-                removed.append(norm_edge(int(parts[1]), int(parts[2])))
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: non-integer node id") from None
+    records: list[tuple[list, list[Edge]]] = []  # step fields, removed edges
+    forms = {"s": "s <i> <u> <d> <v> <mode>", "r": "r <a> <b>"}
+    for lineno, tag, fields in read_records(text, forms):
+        if tag == "s":
+            if fields[4] not in (MODE_DEGREE, MODE_FREE):
+                raise GraphFormatError(f"line {lineno}: unknown mode '{fields[4]}'")
+            records.append((fields, []))
+        elif not records:
+            raise GraphFormatError(f"line {lineno}: removed edge before any step")
         else:
-            raise GraphFormatError(f"line {lineno}: unknown record '{parts[0]}'")
-    flush()
-    trace = RunTrace(g, tuple(steps), Matching.from_pairs(st.edge for st in steps))
+            records[-1][1].append(norm_edge(*fields))
+    steps = tuple(TraceStep(i, u, d, v, tuple(removed), mode)
+                  for (i, u, d, v, mode), removed in records)
     try:
+        trace = RunTrace(g, steps, Matching.from_pairs(st.edge for st in steps))
         trace.verify_replay()
     except ValueError as exc:
         raise GraphFormatError(f"trace does not replay: {exc}") from None

@@ -90,19 +90,19 @@ def _find_augmenting_path(g: Graph, match: list[int], root: int) -> bool:
     return False
 
 
-def maximum_matching(g: Graph, certify: bool = True) -> Matching:
+def maximum_matching(g: Graph) -> Matching:
     """A maximum-cardinality matching (the size is unique, the edge set is not).
 
-    With certify=True (default) ``has_augmenting_path`` searches again from
-    every unmatched node and must fail, which certifies maximality by Berge's
-    criterion; a found path raises CertificateError.
+    ``has_augmenting_path`` then searches again from every unmatched node and
+    must fail, which certifies maximality by Berge's criterion; a found path
+    raises CertificateError.
     """
     match = [-1] * g.n
     for v in range(g.n):
         if match[v] == -1:
             _find_augmenting_path(g, match, v)
     result = Matching.from_pairs((v, match[v]) for v in range(g.n) if v < match[v])
-    if certify and has_augmenting_path(g, result):
+    if has_augmenting_path(g, result):
         raise CertificateError("augmenting path found after termination; matching not maximum")
     return result
 

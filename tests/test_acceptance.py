@@ -241,7 +241,7 @@ def test_criterion_7_canonicalization():
             continue
         trace = run_one_two_min_greedy(g, RandomPolicy(seed))
         m_prime = maximum_matching(g)
-        m_star = canonicalize(g, trace.result, m_prime, check_maximum=False)
+        m_star = canonicalize(g, trace.result, m_prime)
         if len(m_star) != len(m_prime):
             ok = False
             break

@@ -1,7 +1,7 @@
 from pathlib import Path
 
 from matchforge.cli import main
-from matchforge.graphs import load_graph
+from matchforge.graphs import MAX_NODES, load_graph
 
 
 def run_cli(*argv):
@@ -49,6 +49,29 @@ def test_unwritable_output_is_input_error(tmp_path: Path, capsys):
     out = tmp_path / "missing" / "g.graph"
     assert run_cli("gen", "--n", "5", "--out", str(out)) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
+
+
+def test_negative_node_count_is_input_error(tmp_path: Path, capsys):
+    out = tmp_path / "g.graph"
+    assert run_cli("gen", "--n", "-1", "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: node count -1 is negative\n"
+    assert not out.exists()
+
+
+def test_node_bound_is_input_error(tmp_path: Path, capsys):
+    g = tmp_path / "big.graph"
+    g.write_text(f"graph {MAX_NODES + 1} 0\n")
+    assert run_cli("run", "--algo", "greedy", "--in", str(g)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {g}: line 1: ")
+
+
+def test_trace_steps_sharing_a_node_are_input_error(tmp_path: Path, capsys):
+    g = tmp_path / "p3.graph"
+    t = tmp_path / "bad.trace"
+    g.write_text("graph 3 2\ne 0 1\ne 1 2\n")
+    t.write_text("s 1 1 1 1 degree_rule\n")
+    assert run_cli("verify", "--in", str(g), "--trace", str(t)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {t}: trace does not replay: ")
 
 
 def test_worstcase_and_budget(tmp_path: Path, capsys):

@@ -1,7 +1,11 @@
-import pytest
-from hypothesis import given, settings, strategies as st
+import re
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from matchforge.adversary import load_moves
 from matchforge.graphs import (
+    MAX_NODES,
     Graph,
     GraphFormatError,
     GenerationError,
@@ -15,6 +19,7 @@ from matchforge.graphs import (
     save_graph,
     save_matching,
 )
+from matchforge.matchers import MODE_DEGREE, MODE_FREE, load_trace
 
 
 def P3():
@@ -57,6 +62,24 @@ class TestLoadGraph:
     def test_edge_count_mismatch(self):
         with pytest.raises(GraphFormatError, match="announced 3"):
             load_graph("graph 3 3\ne 0 1\n")
+
+    def test_header_above_node_bound(self):
+        with pytest.raises(GraphFormatError, match=f"line 1: {MAX_NODES + 1} nodes exceed"):
+            load_graph(f"graph {MAX_NODES + 1} 0\n")
+
+    def test_negative_node_count(self):
+        with pytest.raises(ValueError, match="node count -1 is negative"):
+            Graph(-1, ())
+
+    def test_edge_rules_match_the_constructor(self):
+        # Self-loop, range, order, duplicate: one wording, plus the line.
+        for edges in ([(1, 1)], [(0, 5)], [(1, 0)], [(0, 1), (0, 1)]):
+            with pytest.raises(ValueError) as direct:
+                Graph(3, tuple(edges))
+            text = f"graph 3 {len(edges)}\n" + "".join(f"e {u} {v}\n" for u, v in edges)
+            with pytest.raises(GraphFormatError) as loaded:
+                load_graph(text)
+            assert str(loaded.value) == f"line {len(edges) + 1}: {direct.value}"
 
     def test_comments_and_roundtrip(self):
         g = load_graph("# a comment\ngraph 4 2\ne 0 2\ne 1 3\n")
@@ -211,3 +234,68 @@ def test_removal_sequences_keep_view_consistent(g, rng):
 @given(graphs())
 def test_save_load_roundtrip(g):
     assert load_graph(save_graph(g)).edge_set == g.edge_set
+
+
+# Every record form of the four readers.  The property below builds lines
+# from these tags (and some that no reader knows), with fields either shaped
+# by a form (its count, each field mostly of its kind) or drawn at random.
+FORMS = {
+    "graph": "graph <n> <m>", "e": "e <u> <v>", "m": "m <u> <v>",
+    "s": "s <i> <u> <d> <v> <mode>", "r": "r <a> <b>", "p": "p <u> <v>",
+}
+MODES = (MODE_DEGREE, MODE_FREE)
+INTS = ("0", "1", "2", "3", "4", "-1")
+READERS = {
+    "graph": (load_graph, ("graph", "e")),
+    "matching": (load_matching, ("m",)),
+    "matching_on_K4": (lambda text: load_matching(text, K4()), ("m",)),
+    "trace_on_K4": (lambda text: load_trace(text, K4()), ("s", "r")),
+    "moves": (load_moves, ("p",)),
+}
+
+
+@st.composite
+def record_lines(draw):
+    tag = draw(st.sampled_from([*FORMS, "#", "x", "7"]))
+    if tag in FORMS and draw(st.booleans()):
+        slots = FORMS[tag].split()[1:]
+        fields = [draw(st.sampled_from([*MODES, "x"] if slot == "<mode>" else [*INTS, "x"]))
+                  for slot in slots]
+    else:
+        fields = draw(st.lists(st.sampled_from([*INTS, "x", *MODES]), max_size=6))
+    return " ".join([tag, *fields])
+
+
+def first_bad_line(text: str, tags) -> int | None:
+    """The first line a reader of these tags must reject on its own: an
+    unknown tag, a wrong field count, a non-integer field or a bad mode."""
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        names = FORMS[parts[0]].split() if parts[0] in tags else []
+        if len(parts) != len(names) or any(
+                value not in MODES if name == "<mode>" else not re.fullmatch(r"-?\d+", value)
+                for name, value in zip(names[1:], parts[1:])):
+            return lineno
+    return None
+
+
+@pytest.mark.parametrize("reader", READERS)
+@settings(max_examples=200, deadline=None)
+@given(st.lists(record_lines(), max_size=8).map("\n".join))
+@example("p 0 x")
+@example("s 0 1 3 1 degree_rule")  # a step whose pick is a self-pair
+@example("s 0 0 3 1 degree_rule\nr 0 4")  # a removed edge outside the graph
+def test_readers_raise_only_format_errors(reader, text):
+    load, tags = READERS[reader]
+    bad = first_bad_line(text, tags)
+    try:
+        load(text)
+    except GraphFormatError as exc:
+        if bad is not None:
+            # Lines are read in order, so no later line can be blamed.
+            found = re.match(r"line (\d+): ", str(exc))
+            assert found and int(found.group(1)) <= bad, str(exc)
+    else:
+        assert bad is None, f"line {bad} was accepted"

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matchforge.graphs import Graph, gen_random_bounded
+from matchforge.graphs import Graph, GraphFormatError, gen_random_bounded
 from matchforge.matchers import (
     FirstPolicy,
     PolicyError,
@@ -205,6 +205,16 @@ class TestTraceIO:
         text = save_trace(t).replace("r 1 2\n", "")
         with pytest.raises(Exception, match="replay|mismatch"):
             load_trace(text, g)
+
+    def test_steps_sharing_a_node_are_a_format_error(self):
+        # Both steps pick node 1, so the picks are no matching.
+        text = "s 0 0 1 1 degree_rule\nr 0 1\ns 1 1 1 2 degree_rule\nr 1 2\n"
+        with pytest.raises(GraphFormatError, match="does not replay: .*node-disjoint"):
+            load_trace(text, P3())
+
+    def test_removed_edge_outside_the_graph_is_a_format_error(self):
+        with pytest.raises(GraphFormatError, match="step 0: removed-edge list mismatch"):
+            load_trace("s 0 0 3 1 degree_rule\nr 0 4\n", K4())
 
 
 class TestWorstCase:
