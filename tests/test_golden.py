@@ -1,8 +1,9 @@
 """Byte-level golden digests of every reproducible output.
 
 Each section renders one family of outputs (traces, choice enumerations,
-worst-case witnesses, sweep CSVs, game transcripts) for fixed seeds and
-compares the sha256 of the rendering with a pinned digest.  The ledger
+worst-case witnesses, sweep CSVs, game transcripts, and optima and
+free-step runs on benchmark-size graphs) for fixed seeds and compares the
+sha256 of the rendering with a pinned digest.  The ledger
 sections render the decomposition, the verification report and every
 transfer, donation, tally and path record of the coin ledger.  A refactor
 that keeps behaviour keeps every digest; any change in a trace byte, a
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -23,7 +25,7 @@ from matchforge.adversary import TruthfulAdversary, play_game
 from matchforge.charging import build_ledger, verify_all
 from matchforge.cli import main
 from matchforge.decomposition import canonicalize, decompose, format_components
-from matchforge.graphs import Graph, gen_random_bounded, gen_regular, save_graph
+from matchforge.graphs import Graph, gen_random_bounded, gen_regular, save_graph, save_matching
 from matchforge.matchers import (
     ALGORITHMS,
     FirstPolicy,
@@ -164,6 +166,34 @@ def _witness_ledgers() -> str:
     return "".join(out)
 
 
+@lru_cache(maxsize=1)
+def _bench_graphs() -> tuple[Graph, ...]:
+    """Graphs of the benchmark's sizes at two seeds each: 3-regular with
+    n = 1500 and 3000, 4-regular with n = 2000, and Δ = 5 with n = 1500."""
+    graphs = []
+    for seed in (1, 2):
+        graphs += [gen_regular(1500, 3, seed), gen_regular(3000, 3, seed),
+                   gen_regular(2000, 4, seed), gen_random_bounded(1500, 5, 0.6, seed)]
+    return tuple(graphs)
+
+
+def _bench_optima() -> str:
+    return "".join(f"# graph {gi}\n{save_matching(maximum_matching(g))}"
+                   for gi, g in enumerate(_bench_graphs()))
+
+
+def _bench_free_traces() -> str:
+    """one_two_mingreedy random runs on the Δ = 5 graphs, which take free
+    steps (any alive edge) while every degree is at least 3."""
+    out = []
+    for gi, g in enumerate(_bench_graphs()):
+        if g.delta == 5:
+            for seed in RANDOM_SEEDS:
+                trace = run_algorithm("one_two_mingreedy", g, RandomPolicy(seed))
+                out.append(f"# graph {gi} seed {seed}\n{save_trace(trace)}")
+    return "".join(out)
+
+
 SECTIONS = {
     **{f"trace:{a}": (lambda a=a: _traces(a)) for a in ALGORITHMS},
     **{f"choices:{a}": (lambda a=a: _choices(a)) for a in RULE_ALGOS},
@@ -171,6 +201,8 @@ SECTIONS = {
     **{f"ledger:{a}": (lambda a=a: _ledgers(a)) for a in LEDGER_ALGOS},
     "ledger:witnesses": _witness_ledgers,
     "games": _games,
+    "optimum:bench": _bench_optima,
+    "trace:bench_free": _bench_free_traces,
 }
 
 GOLDEN = {
@@ -184,8 +216,10 @@ GOLDEN = {
     "ledger:mingreedy": "83d447a96b65fe9cd5f2f3a854966815050dfb81aee95347f3db6651c7ce7235",
     "ledger:one_two_mingreedy": "8e96aaad8885139ab1ba199da6039b3be44d923042bb68ee666d6eb2886cd209",
     "ledger:witnesses": "eb6160650e4b63a181f34ca69f7c1641e054018af49057da1d1cc11374c00d61",
+    "optimum:bench": "622641732ae47fabf708a2297874c6679ca1c91a339848778b1aab1576a0723b",
     "sweep:run": "dc95fdbdee0231efc711cf71e24c8bbb2ba044809e3fc68db6277afdd9de77b3",
     "sweep:worst": "7226cabe54d060773b19a06ba2a309106d9ebcef5739182c058a67aed50bd30a",
+    "trace:bench_free": "ec90f49db769121e544291c1ee820c0332b390df1d1b94fc2b2d378ce11b14d5",
     "trace:greedy": "54394de455fa63c2bd59261e8fbe396a5636ab1165d9a61942bd20a6bed804aa",
     "trace:karpsipser": "f1ee2f42496dafba79382af1554fffe9875b970f38a415711a40ef2cf4506008",
     "trace:mingreedy": "70ed90ea4d75806ad0baf25982211324fc0179a97004ff1105d77695e2767280",
