@@ -8,8 +8,12 @@ exclusively (each run or replay builds its own from the graph).
 
 from __future__ import annotations
 
+import operator
 import random
+from collections.abc import KeysView, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import compress
 from typing import Iterable, Iterator
 
 Edge = tuple[int, int]
@@ -44,25 +48,50 @@ def _check_edge(n: int, e: Edge, seen: set[Edge]) -> None:
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple graph with node count, edge set, and cached max degree."""
+    """Immutable simple graph with node count, edge set, and cached max degree.
+
+    An edge's id is its index in ``edges``, the canonical edge order;
+    ``edge_id`` maps each edge to its id and is built once, with the graph.
+    """
 
     n: int
     edges: tuple[Edge, ...]
     delta: int = field(init=False)
     adjacency: tuple[tuple[int, ...], ...] = field(init=False)
+    edge_id: dict[Edge, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"node count {self.n} is negative")
+        n = self.n
+        if n < 0:
+            raise ValueError(f"node count {n} is negative")
         seen: set[Edge] = set()
-        adj: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
-            _check_edge(self.n, (u, v), seen)
+            e = (u, v)
+            if not 0 <= u < v < n or e in seen:
+                _check_edge(n, e, seen)  # raises, naming the rule e breaks
+            seen.add(e)
+        # The checked edges are the seen set; sorting them from the input
+        # order is cheap, since every generator and reader passes them sorted.
+        edges = tuple(sorted(map(tuple, self.edges)))
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for u, v in edges:
             adj[u].append(v)
             adj[v].append(u)
-        object.__setattr__(self, "edges", tuple(sorted(seen)))
-        object.__setattr__(self, "adjacency", tuple(tuple(sorted(a)) for a in adj))
-        object.__setattr__(self, "delta", max((len(a) for a in adj), default=0) if self.n else 0)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "edge_id", dict(zip(edges, range(len(edges)))))
+        # In canonical order every node meets its neighbors in ascending id.
+        object.__setattr__(self, "adjacency", tuple(map(tuple, adj)))
+        object.__setattr__(self, "delta", max(map(len, adj), default=0))
+
+    @cached_property
+    def incident(self) -> tuple[tuple[int, ...], ...]:
+        """incident[v][j] is the id of the edge from v to adjacency[v][j];
+        built on first use."""
+        inc: list[list[int]] = [[] for _ in range(self.n)]
+        for i, (u, v) in enumerate(self.edges):
+            inc[u].append(i)
+            inc[v].append(i)
+        return tuple(map(tuple, inc))
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -73,8 +102,9 @@ class Graph:
         return len(self.edges)
 
     @property
-    def edge_set(self) -> frozenset[Edge]:
-        return frozenset(self.edges)
+    def edge_set(self) -> KeysView[Edge]:
+        """The canonical edges as a set (a view of ``edge_id``)."""
+        return self.edge_id.keys()
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -112,24 +142,131 @@ class Matching:
         return frozenset(x for e in self.pairs for x in e)
 
     def validate(self, g: Graph) -> None:
-        """Check every pair is an edge of g (disjointness holds by construction)."""
-        for e in self.pairs:
-            if e not in g.edge_set:
-                raise ValueError(f"matching pair {e} is not an edge of the graph")
+        """Check every pair is an edge of g (disjointness holds by construction);
+        the error names the smallest pair that is not."""
+        bad = [e for e in self.pairs if e not in g.edge_id]
+        if bad:
+            raise ValueError(f"matching pair {min(bad)} is not an edge of the graph")
+
+
+class AliveEdges(Sequence):
+    """The alive edges of one ResidualView, ascending in canonical order.
+
+    A live, read-only sequence: the view's removals and restores show in it
+    at once.  A Fenwick tree (Fenwick, 1994) over the graph's edge ids
+    counts the alive ones, so ``len`` is O(1), ``in`` is O(1), ``[k]`` and
+    ``index`` are O(log m), and iteration walks the ids in order.  The tree
+    catches up with the removals and restores only when ``[k]`` or ``index``
+    reads it, so a run that never asks for an edge by position never pays
+    for it.
+    """
+
+    __slots__ = ("_edges", "_ids", "_flags", "_tree", "_pending", "_len")
+
+    def __init__(self, graph: Graph):
+        m = graph.m
+        self._edges = graph.edges
+        self._ids = graph.edge_id
+        self._flags = bytearray(b"\x01") * m   # 1 where the edge id is alive
+        self._tree = [i & -i for i in range(m + 1)]   # Fenwick tree of an all-ones row
+        self._pending: list[tuple[int, int]] = []     # (edge id, ±1) not yet in the tree
+        self._len = m
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, k: int) -> Edge:
+        k = operator.index(k)
+        if k < 0:
+            k += self._len
+        if not 0 <= k < self._len:
+            raise IndexError("alive edge index out of range")
+        # Descend the tree to the longest id prefix holding exactly k alive
+        # ids; the next id is the k-th alive edge.
+        tree = self._synced()
+        m = len(tree) - 1
+        pos = 0
+        step = 1 << (m.bit_length() - 1)
+        while step:
+            nxt = pos + step
+            if nxt <= m and tree[nxt] <= k:
+                pos = nxt
+                k -= tree[nxt]
+            step >>= 1
+        return self._edges[pos]
+
+    def __contains__(self, edge: object) -> bool:
+        i = self._ids.get(edge)
+        return i is not None and self._flags[i] == 1
+
+    def __iter__(self) -> Iterator[Edge]:
+        return compress(self._edges, self._flags)
+
+    def index(self, edge: Edge) -> int:
+        """Position of an alive edge in the sequence."""
+        if edge not in self:
+            raise ValueError(f"{edge} is not an alive edge")
+        tree = self._synced()
+        pos = 0
+        j = self._ids[edge]
+        while j:
+            pos += tree[j]
+            j &= j - 1
+        return pos
+
+    def _flip(self, i: int, delta: int) -> None:
+        """Kill (delta -1) or revive (delta +1) edge id i."""
+        self._flags[i] += delta
+        self._len += delta
+        self._pending.append((i, delta))
+
+    def _synced(self) -> list[int]:
+        """The tree with every pending flip applied: one O(log m) update per
+        flip, or one O(m) rebuild from the flags when that is cheaper."""
+        pending = self._pending
+        if pending:
+            tree = self._tree
+            m = len(tree) - 1
+            if len(pending) * m.bit_length() > m:
+                self._tree = tree = _fenwick(self._flags)
+            else:
+                for i, delta in pending:
+                    j = i + 1
+                    while j <= m:
+                        tree[j] += delta
+                        j += j & -j
+            pending.clear()
+        return self._tree
+
+    def _drift(self) -> bool:
+        """True when the count or the tree no longer matches the flags."""
+        return self._synced() != _fenwick(self._flags) or self._len != sum(self._flags)
+
+
+def _fenwick(flags: bytearray) -> list[int]:
+    """The Fenwick tree (1-based, tree[0] unused) over a row of 0/1 flags."""
+    tree = [0, *flags]
+    m = len(flags)
+    for j in range(1, m + 1):
+        up = j + (j & -j)
+        if up <= m:
+            tree[up] += tree[j]
+    return tree
 
 
 class ResidualView:
     """Mutable deletion view of a graph with degree buckets.
 
-    Tracks which edges are still alive, per-node alive degrees, and a
-    degree -> nodes bucket index so minimum-degree queries stay cheap.
+    Tracks which edges are still alive (an ``AliveEdges`` index over the
+    graph's edge ids), per-node alive degrees, and a degree -> nodes bucket
+    index so minimum-degree queries stay cheap.
     """
 
     __slots__ = ("graph", "_alive", "deg", "_buckets")
 
     def __init__(self, graph: Graph):
         self.graph = graph
-        self._alive: set[Edge] = set(graph.edges)
+        self._alive = AliveEdges(graph)
         self.deg: list[int] = [graph.degree(v) for v in range(graph.n)]
         self._buckets: dict[int, set[int]] = {}
         for v in range(graph.n):
@@ -137,16 +274,18 @@ class ResidualView:
                 self._buckets.setdefault(self.deg[v], set()).add(v)
 
     def has_alive(self) -> bool:
-        return bool(self._alive)
+        return len(self._alive) > 0
 
     def alive_edge(self, u: int, v: int) -> bool:
         return norm_edge(u, v) in self._alive
 
-    def alive_edges(self) -> list[Edge]:
-        return sorted(self._alive)
+    def alive_edges(self) -> AliveEdges:
+        """The alive edges in ascending order, as a live read-only sequence."""
+        return self._alive
 
     def alive_neighbors(self, v: int) -> list[int]:
-        return [w for w in self.graph.adjacency[v] if norm_edge(v, w) in self._alive]
+        flags = self._alive._flags
+        return [w for w, i in zip(self.graph.adjacency[v], self.graph.incident[v]) if flags[i]]
 
     def degree_of(self, v: int) -> int:
         return self.deg[v]
@@ -156,12 +295,16 @@ class ResidualView:
         live = [d for d, s in self._buckets.items() if s]
         return min(live) if live else 0
 
+    def nodes_of_degree(self, d: int) -> list[int]:
+        """All nodes of alive degree d > 0, ascending id."""
+        return sorted(self._buckets.get(d, ()))
+
     def min_degree_nodes(self) -> list[int]:
         """All nodes of minimum nonzero degree, ascending id."""
         d = self.min_degree()
         if d == 0:
             raise ValueError("residual graph has no alive edges")
-        return sorted(self._buckets[d])
+        return self.nodes_of_degree(d)
 
     def _set_deg(self, v: int, d: int) -> None:
         old = self.deg[v]
@@ -180,29 +323,37 @@ class ResidualView:
         """
         if not self.alive_edge(u, v):
             raise ValueError(f"edge {norm_edge(u, v)} is not alive")
-        removed: set[Edge] = set()
-        for x in (u, v):
-            for w in self.graph.adjacency[x]:
-                e = norm_edge(x, w)
-                if e in self._alive:
-                    removed.add(e)
-        for e in removed:
-            self._alive.discard(e)
-            for x in e:
-                self._set_deg(x, self.deg[x] - 1)
-        return sorted(removed)
+        inc = self.graph.incident
+        flags = self._alive._flags
+        removed = sorted({i for x in (u, v) for i in inc[x] if flags[i]})
+        edges = self.graph.edges
+        # u and v lose every alive edge; any other end loses one per edge.
+        self._set_deg(u, 0)
+        self._set_deg(v, 0)
+        for i in removed:
+            self._alive._flip(i, -1)
+            for x in edges[i]:
+                if x != u and x != v:
+                    self._set_deg(x, self.deg[x] - 1)
+        return [edges[i] for i in removed]
 
     def restore_edges(self, removed: Iterable[Edge]) -> None:
         """Exact inverse of remove_pair, used by exhaustive searches."""
         for e in removed:
-            if e in self._alive:
+            i = self.graph.edge_id.get(e)
+            if i is None:
+                raise ValueError(f"{e} is not an edge of the graph")
+            if self._alive._flags[i]:
                 raise ValueError(f"edge {e} is already alive")
-            self._alive.add(e)
+            self._alive._flip(i, 1)
             for x in e:
                 self._set_deg(x, self.deg[x] + 1)
 
     def check_consistency(self) -> None:
-        """Recompute degrees and buckets from alive edges; raise on drift."""
+        """Recompute the alive-edge index, degrees and buckets from the alive
+        edges; raise on drift."""
+        if self._alive._drift():
+            raise ValueError("alive-edge index drifted from alive edges")
         deg = [0] * self.graph.n
         for u, v in self._alive:
             deg[u] += 1
@@ -294,14 +445,27 @@ def save_graph(g: Graph) -> str:
 
 
 def load_matching(text: str, g: Graph | None = None) -> Matching:
-    pairs = [fields for _, _, fields in read_records(text, {"m": "m <u> <v>"})]
-    try:
-        matching = Matching.from_pairs(pairs)
-        if g is not None:
-            matching.validate(g)
-    except ValueError as exc:
-        raise GraphFormatError(str(exc)) from None
-    return matching
+    """Parse a matching document; against g, every pair must be an edge of g.
+
+    A self-pair, a pair sharing a node with an earlier pair, or a pair that
+    is not an edge of g raises GraphFormatError naming its line.
+    """
+    pairs: list[Edge] = []
+    covered: set[int] = set()
+    for lineno, _, (u, v) in read_records(text, {"m": "m <u> <v>"}):
+        e = norm_edge(u, v)
+        if u == v:
+            fault = f"self-pair at node {u}"
+        elif u in covered or v in covered:
+            fault = f"pair {e} shares a node with an earlier pair"
+        elif g is not None and e not in g.edge_id:
+            fault = f"matching pair {e} is not an edge of the graph"
+        else:
+            covered.update(e)
+            pairs.append(e)
+            continue
+        raise GraphFormatError(f"line {lineno}: {fault}")
+    return Matching(frozenset(pairs))
 
 
 def save_matching(m: Matching) -> str:

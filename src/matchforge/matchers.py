@@ -287,7 +287,8 @@ def _select(view: ResidualView, chooser: Chooser, idx: int, rule: Callable[[int]
     order.  A forced neighbor is taken without asking it, so a random
     policy draws nothing for it.
     """
-    kind = rule(view.min_degree())
+    mind = view.min_degree()
+    kind = rule(mind)
     if kind == ANY_EDGE:
         u, v = chooser.choose(idx, "edge", view.alive_edges())
         u, v = _freemode_orientation(view, u, v)
@@ -295,7 +296,7 @@ def _select(view: ResidualView, chooser: Chooser, idx: int, rule: Callable[[int]
     if kind == ANY_NODE:
         nodes = sorted(x for x in range(view.graph.n) if view.degree_of(x) > 0)
     else:
-        nodes = view.min_degree_nodes()
+        nodes = view.nodes_of_degree(mind)
     u = chooser.choose(idx, "node", nodes)
     if kind == MIN_FORCED:
         (v,) = view.alive_neighbors(u)

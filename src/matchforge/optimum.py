@@ -1,8 +1,11 @@
 """Exact maximum-cardinality matching oracles.
 
-``maximum_matching`` is a blossom-style repeated augmenting-path search,
-O(n^3), deterministic (ascending-id search order), and self-certifying: a
-final failed search from every unmatched node witnesses optimality.
+``maximum_matching`` runs Edmonds' blossom search (1965) from each node
+still unmatched, in ascending id; it is deterministic and self-certifying:
+a final failed search from every unmatched node witnesses optimality.  Each
+search keeps state only for the nodes it reaches and relabels only the
+members of the blossoms it contracts, so it costs what it visits, not O(n)
+per root and per blossom as with arrays over all nodes.
 ``max_matching_bruteforce`` is the independent cross-validation oracle.
 """
 
@@ -24,57 +27,68 @@ class CertificateError(RuntimeError):
 def _find_augmenting_path(g: Graph, match: list[int], root: int) -> bool:
     """One BFS phase with blossom contraction; augments match in place.
 
-    Returns True if an augmenting path from root was found and applied.
+    Returns True if an augmenting path from root was found and applied; a
+    failed search leaves match untouched.  State is kept only for the nodes
+    the search reaches (``parent``, ``base`` and ``members`` default to the
+    node alone), and a contraction relabels only the members of the bases
+    it merges, so a search costs what it visits, not O(n) per root and per
+    blossom.
     """
-    n = g.n
-    parent = [-1] * n
-    base = list(range(n))
-    used = [False] * n
-    used[root] = True
+    parent: dict[int, int] = {}
+    base: dict[int, int] = {}              # node -> its blossom's base
+    members: dict[int, list[int]] = {}     # base -> the nodes with that base
+    used = {root}
     queue = deque([root])
 
     def lca(a: int, b: int) -> int:
-        hit = [False] * n
+        hit = set()
         x = a
         while True:
-            x = base[x]
-            hit[x] = True
+            x = base.get(x, x)
+            hit.add(x)
             if match[x] == -1:
                 break
             x = parent[match[x]]
         y = b
         while True:
-            y = base[y]
-            if hit[y]:
+            y = base.get(y, y)
+            if y in hit:
                 return y
             y = parent[match[y]]
 
-    def mark_path(v: int, b: int, child: int, in_blossom: list[bool]) -> None:
-        while base[v] != b:
-            in_blossom[base[v]] = True
-            in_blossom[base[match[v]]] = True
+    def mark_path(v: int, b: int, child: int, marked: set[int]) -> None:
+        while base.get(v, v) != b:
+            marked.add(base.get(v, v))
+            marked.add(base.get(match[v], match[v]))
             parent[v] = child
             child = match[v]
             v = parent[match[v]]
 
     while queue:
         v = queue.popleft()
+        mate = match[v]
+        v_base = base.get(v, v)   # changes only when a blossom is contracted
         for to in g.adjacency[v]:
-            if base[v] == base[to] or match[v] == to:
+            if to == mate or v_base == base.get(to, to):
                 continue
-            if to == root or (match[to] != -1 and parent[match[to]] != -1):
+            if to == root or (match[to] != -1 and match[to] in parent):
                 # Odd cycle: contract the blossom around the common base.
                 cur_base = lca(v, to)
-                in_blossom = [False] * n
-                mark_path(v, cur_base, to, in_blossom)
-                mark_path(to, cur_base, v, in_blossom)
-                for i in range(n):
-                    if in_blossom[base[i]]:
-                        base[i] = cur_base
-                        if not used[i]:
-                            used[i] = True
-                            queue.append(i)
-            elif parent[to] == -1:
+                marked: set[int] = set()
+                mark_path(v, cur_base, to, marked)
+                mark_path(to, cur_base, v, marked)
+                # Every member of a marked base joins cur_base (never marked
+                # itself: both walks stop at it); unused ones are queued in
+                # ascending id.
+                joined = [x for b in marked for x in members.pop(b, (b,))]
+                for x in joined:
+                    base[x] = cur_base
+                for x in sorted(x for x in joined if x not in used):
+                    used.add(x)
+                    queue.append(x)
+                members.setdefault(cur_base, [cur_base]).extend(joined)
+                v_base = base.get(v, v)
+            elif to not in parent:
                 parent[to] = v
                 if match[to] == -1:
                     # Augment along the alternating path back to the root.
@@ -85,7 +99,7 @@ def _find_augmenting_path(g: Graph, match: list[int], root: int) -> bool:
                         match[to] = prev
                         to = nxt
                     return True
-                used[match[to]] = True
+                used.add(match[to])
                 queue.append(match[to])
     return False
 
@@ -108,15 +122,18 @@ def maximum_matching(g: Graph) -> Matching:
 
 
 def has_augmenting_path(g: Graph, m: Matching) -> bool:
-    """Independent Berge check for an arbitrary matching of g."""
+    """Independent Berge check for an arbitrary matching of g.
+
+    A failed search leaves ``match`` untouched and the first found path ends
+    the check, so every search runs on the matching m itself.
+    """
     match = [-1] * g.n
     for u, v in m:
         match[u] = v
         match[v] = u
     for v in range(g.n):
-        if match[v] == -1:
-            if _find_augmenting_path(g, list(match), v):
-                return True
+        if match[v] == -1 and _find_augmenting_path(g, match, v):
+            return True
     return False
 
 

@@ -1,4 +1,5 @@
 import re
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,7 +20,8 @@ from matchforge.graphs import (
     save_graph,
     save_matching,
 )
-from matchforge.matchers import MODE_DEGREE, MODE_FREE, load_trace
+from matchforge import matchers
+from matchforge.matchers import MODE_DEGREE, MODE_FREE, RULES, load_trace
 
 
 def P3():
@@ -94,6 +96,21 @@ class TestLoadGraph:
         with pytest.raises(GraphFormatError):
             load_matching("m 0 1\nm 1 2\n")
 
+    def test_matching_faults_name_their_line(self):
+        with pytest.raises(GraphFormatError, match=r"^line 2: self-pair at node 1$"):
+            load_matching("m 0 2\nm 1 1\n")
+        with pytest.raises(GraphFormatError,
+                           match=r"^line 3: pair \(1, 3\) shares a node with an earlier pair$"):
+            load_matching("m 0 3\n# comment\nm 3 1\nm 1 2\n", K4())
+        with pytest.raises(GraphFormatError,
+                           match=r"^line 2: matching pair \(1, 3\) is not an edge of the graph$"):
+            load_matching("# the diagonals of C4 are not edges\nm 3 1\nm 0 2\n", C4())
+
+    def test_validate_names_the_smallest_bad_pair(self):
+        m = Matching.from_pairs([(6, 7), (0, 2), (4, 5), (1, 3)])
+        with pytest.raises(ValueError, match=r"matching pair \(0, 2\) is not an edge"):
+            m.validate(Graph.from_edges(8, [(4, 5)]))
+
 
 class TestRemovePair:
     def test_c4(self):
@@ -111,7 +128,7 @@ class TestRemovePair:
         view = ResidualView(K4())
         removed = view.remove_pair(0, 1)
         assert len(removed) == 5
-        assert view.alive_edges() == [(2, 3)]
+        assert list(view.alive_edges()) == [(2, 3)]
 
     def test_dead_edge_rejected(self):
         view = ResidualView(P3())
@@ -124,7 +141,7 @@ class TestRemovePair:
         removed = view.remove_pair(0, 1)
         view.restore_edges(removed)
         view.check_consistency()
-        assert view.alive_edges() == list(K4().edges)
+        assert list(view.alive_edges()) == list(K4().edges)
 
 
     def test_consistency_check_reports_drift(self):
@@ -139,6 +156,19 @@ class TestRemovePair:
         view._buckets.setdefault(2, set()).add(0)
         with pytest.raises(ValueError, match="bucket of another degree"):
             view.check_consistency()
+
+
+    def test_consistency_check_reports_index_drift(self):
+        view = ResidualView(K4())
+        view.alive_edges()._tree[2] += 1
+        with pytest.raises(ValueError, match="alive-edge index drifted"):
+            view.check_consistency()
+
+    def test_restore_rejects_a_non_edge(self):
+        view = ResidualView(P3())
+        view.remove_pair(0, 1)
+        with pytest.raises(ValueError, match=r"\(0, 2\) is not an edge"):
+            view.restore_edges([(0, 2)])
 
 
 class TestMinDegreeNodes:
@@ -230,6 +260,85 @@ def test_removal_sequences_keep_view_consistent(g, rng):
         view.check_consistency()
 
 
+def check_alive_sequence(view, alive: set) -> None:
+    """view.alive_edges() against sorted(alive), an independent model."""
+    seq = view.alive_edges()
+    expect = sorted(alive)
+    size = len(expect)
+    assert len(seq) == size
+    assert [seq[k] for k in range(size)] == expect
+    assert [seq[k] for k in range(-size, 0)] == expect
+    assert list(seq) == expect
+    assert [seq.index(e) for e in expect] == list(range(size))
+    for e in view.graph.edges:
+        assert (e in seq) == (e in alive)
+        if e not in alive:
+            with pytest.raises(ValueError):
+                seq.index(e)
+    for k in (size, -size - 1, size + 7):
+        with pytest.raises(IndexError):
+            seq[k]
+    view.check_consistency()
+
+
+class ModelView(ResidualView):
+    """A ResidualView that keeps the alive edges as a plain set too and
+    checks its alive-edge sequence against that set after every change."""
+
+    def __init__(self, graph):
+        super().__init__(graph)
+        self.model = set(graph.edges)
+        check_alive_sequence(self, self.model)
+
+    def remove_pair(self, u, v):
+        removed = super().remove_pair(u, v)
+        self.model -= {e for e in self.model if u in e or v in e}
+        check_alive_sequence(self, self.model)
+        return removed
+
+    def restore_edges(self, removed):
+        removed = list(removed)
+        super().restore_edges(removed)
+        self.model |= set(removed)
+        check_alive_sequence(self, self.model)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_n=14, max_delta=5), st.integers(min_value=0, max_value=10**6))
+def test_alive_sequence_follows_random_runs_of_every_rule(g, seed):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matchers, "ResidualView", ModelView)
+        for algo in RULES:
+            matchers.run_algorithm(algo, g, matchers.RandomPolicy(seed))
+
+
+@settings(max_examples=30, deadline=None)
+@given(graphs(max_n=7, max_delta=4))
+def test_alive_sequence_follows_pick_enumeration(g):
+    # The enumeration restores every removed pair when it backtracks.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matchers, "ResidualView", ModelView)
+        for algo in RULES:
+            for _ in islice(matchers.iter_all_pick_sequences(g, algo), 100):
+                pass
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphs(max_n=40, max_delta=5), st.randoms(use_true_random=False))
+def test_alive_sequence_catches_up_after_unread_removals(g, rng):
+    # Reads at random steps only, so the index catches up on several
+    # removals at once, flip by flip or by a rebuild.
+    view = ResidualView(g)
+    model = set(g.edges)
+    while view.has_alive():
+        u, v = rng.choice(sorted(model))
+        view.remove_pair(u, v)
+        model -= {e for e in model if u in e or v in e}
+        if rng.random() < 0.3:
+            check_alive_sequence(view, model)
+    check_alive_sequence(view, model)
+
+
 @settings(max_examples=40, deadline=None)
 @given(graphs())
 def test_save_load_roundtrip(g):
@@ -281,21 +390,51 @@ def first_bad_line(text: str, tags) -> int | None:
     return None
 
 
+# The graph each matching reader checks its pairs against, if any.
+PAIR_GRAPHS = {"matching": None, "matching_on_K4": K4()}
+
+
+def first_bad_pair(text: str, g: Graph | None) -> int | None:
+    """The first line a matching reader must reject: a grammar fault, a
+    self-pair, a pair sharing a node with an earlier pair or, against g, a
+    pair that is not an edge of g."""
+    grammar = first_bad_line(text, ("m",))
+    covered: set[int] = set()
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        if lineno == grammar:
+            return lineno
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        u, v = sorted(map(int, parts[1:]))
+        if u == v or {u, v} & covered or (g is not None and (u, v) not in g.edge_set):
+            return lineno
+        covered |= {u, v}
+    return None
+
+
 @pytest.mark.parametrize("reader", READERS)
 @settings(max_examples=200, deadline=None)
 @given(st.lists(record_lines(), max_size=8).map("\n".join))
 @example("p 0 x")
 @example("s 0 1 3 1 degree_rule")  # a step whose pick is a self-pair
 @example("s 0 0 3 1 degree_rule\nr 0 4")  # a removed edge outside the graph
+@example("m 0 1\nm 2 2")  # a self-pair
+@example("m 0 1\n\nm 2 1")  # a pair sharing a node with an earlier one
 def test_readers_raise_only_format_errors(reader, text):
     load, tags = READERS[reader]
     bad = first_bad_line(text, tags)
+    if reader in PAIR_GRAPHS:
+        # A matching reader rejects the first faulty line, of any kind.
+        bad = first_bad_pair(text, PAIR_GRAPHS[reader])
     try:
         load(text)
     except GraphFormatError as exc:
-        if bad is not None:
+        found = re.match(r"line (\d+): ", str(exc))
+        if reader in PAIR_GRAPHS:
+            assert found and int(found.group(1)) == bad, str(exc)
+        elif bad is not None:
             # Lines are read in order, so no later line can be blamed.
-            found = re.match(r"line (\d+): ", str(exc))
             assert found and int(found.group(1)) <= bad, str(exc)
     else:
         assert bad is None, f"line {bad} was accepted"

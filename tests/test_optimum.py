@@ -9,7 +9,7 @@ import pytest
 
 import matchforge
 from matchforge import optimum
-from matchforge.graphs import Graph, Matching, gen_random_bounded
+from matchforge.graphs import Graph, Matching, gen_random_bounded, gen_regular
 from matchforge.optimum import (
     BudgetExceededError,
     has_augmenting_path,
@@ -124,3 +124,39 @@ def test_bruteforce_budget():
     assert g.m > 24
     with pytest.raises(BudgetExceededError):
         max_matching_bruteforce(g)
+
+
+def _nx_size(nx, g: Graph) -> int:
+    other = nx.Graph()
+    other.add_nodes_from(range(g.n))
+    other.add_edges_from(g.edges)
+    return len(nx.max_weight_matching(other, maxcardinality=True))
+
+
+def test_size_matches_networkx_on_blossom_rich_graphs():
+    # Up to 60 nodes and 3n random edges: many nested blossoms, past the
+    # brute-force oracle's 24 edges.
+    nx = pytest.importorskip("networkx")
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(2, 60)
+        pairs = ((rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3 * n)))
+        g = Graph.from_edges(n, {(u, v) for u, v in pairs if u != v})
+        assert len(maximum_matching(g)) == _nx_size(nx, g), seed
+
+
+def test_size_matches_networkx_at_n_1000():
+    # An oracle at the size of the benchmark's graphs, where brute force
+    # cannot go: three dense graphs with near-perfect matchings and three
+    # sparse ones (paths, trees and odd cycles) without a perfect matching.
+    nx = pytest.importorskip("networkx")
+    graphs = [gen_regular(1000, 3, 1), gen_regular(1000, 4, 2),
+              gen_random_bounded(1000, 5, 0.6, 3), gen_random_bounded(1000, 2, 0.002, 4),
+              gen_random_bounded(1000, 3, 0.003, 5), gen_random_bounded(1000, 4, 0.004, 6)]
+    imperfect = 0
+    for g in graphs:
+        m = maximum_matching(g)
+        m.validate(g)
+        assert len(m) == _nx_size(nx, g)
+        imperfect += 2 * len(m) < g.n
+    assert imperfect >= 3
