@@ -161,7 +161,7 @@ class AliveEdges(Sequence):
     for it.
     """
 
-    __slots__ = ("_edges", "_ids", "_flags", "_tree", "_pending", "_len")
+    __slots__ = ("_edges", "_ids", "_flags", "_tree", "_killed", "_revived", "_len")
 
     def __init__(self, graph: Graph):
         m = graph.m
@@ -169,7 +169,8 @@ class AliveEdges(Sequence):
         self._ids = graph.edge_id
         self._flags = bytearray(b"\x01") * m   # 1 where the edge id is alive
         self._tree = [i & -i for i in range(m + 1)]   # Fenwick tree of an all-ones row
-        self._pending: list[tuple[int, int]] = []     # (edge id, ±1) not yet in the tree
+        self._killed: list[int] = []    # edge ids killed since the tree was last read
+        self._revived: list[int] = []   # edge ids revived since then
         self._len = m
 
     def __len__(self) -> int:
@@ -214,28 +215,37 @@ class AliveEdges(Sequence):
             j &= j - 1
         return pos
 
-    def _flip(self, i: int, delta: int) -> None:
-        """Kill (delta -1) or revive (delta +1) edge id i."""
-        self._flags[i] += delta
-        self._len += delta
-        self._pending.append((i, delta))
+    def _kill(self, ids: list[int]) -> None:
+        """Mark the alive edge ids dead."""
+        flags = self._flags
+        for i in ids:
+            flags[i] = 0
+        self._len -= len(ids)
+        self._killed += ids
+
+    def _revive(self, i: int) -> None:
+        """Mark the dead edge id i alive."""
+        self._flags[i] = 1
+        self._len += 1
+        self._revived.append(i)
 
     def _synced(self) -> list[int]:
-        """The tree with every pending flip applied: one O(log m) update per
-        flip, or one O(m) rebuild from the flags when that is cheaper."""
-        pending = self._pending
-        if pending:
+        """The tree with every kill and revival applied: one O(log m) update
+        each, or one O(m) rebuild from the flags when that is cheaper."""
+        if self._killed or self._revived:
             tree = self._tree
             m = len(tree) - 1
-            if len(pending) * m.bit_length() > m:
-                self._tree = tree = _fenwick(self._flags)
+            if (len(self._killed) + len(self._revived)) * m.bit_length() > m:
+                self._tree = _fenwick(self._flags)
             else:
-                for i, delta in pending:
-                    j = i + 1
-                    while j <= m:
-                        tree[j] += delta
-                        j += j & -j
-            pending.clear()
+                for ids, delta in ((self._killed, -1), (self._revived, 1)):
+                    for i in ids:
+                        j = i + 1
+                        while j <= m:
+                            tree[j] += delta
+                            j += j & -j
+            self._killed.clear()
+            self._revived.clear()
         return self._tree
 
     def _drift(self) -> bool:
@@ -274,10 +284,11 @@ class ResidualView:
                 self._buckets.setdefault(self.deg[v], set()).add(v)
 
     def has_alive(self) -> bool:
-        return len(self._alive) > 0
+        return self._alive._len > 0
 
     def alive_edge(self, u: int, v: int) -> bool:
-        return norm_edge(u, v) in self._alive
+        i = self.graph.edge_id.get(norm_edge(u, v))
+        return i is not None and self._alive._flags[i] == 1
 
     def alive_edges(self) -> AliveEdges:
         """The alive edges in ascending order, as a live read-only sequence."""
@@ -330,8 +341,8 @@ class ResidualView:
         # u and v lose every alive edge; any other end loses one per edge.
         self._set_deg(u, 0)
         self._set_deg(v, 0)
+        self._alive._kill(removed)
         for i in removed:
-            self._alive._flip(i, -1)
             for x in edges[i]:
                 if x != u and x != v:
                     self._set_deg(x, self.deg[x] - 1)
@@ -345,7 +356,7 @@ class ResidualView:
                 raise ValueError(f"{e} is not an edge of the graph")
             if self._alive._flags[i]:
                 raise ValueError(f"edge {e} is already alive")
-            self._alive._flip(i, 1)
+            self._alive._revive(i)
             for x in e:
                 self._set_deg(x, self.deg[x] + 1)
 

@@ -157,7 +157,6 @@ class TestRemovePair:
         with pytest.raises(ValueError, match="bucket of another degree"):
             view.check_consistency()
 
-
     def test_consistency_check_reports_index_drift(self):
         view = ResidualView(K4())
         view.alive_edges()._tree[2] += 1
