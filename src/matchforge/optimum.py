@@ -28,11 +28,9 @@ def _find_augmenting_path(g: Graph, match: list[int], root: int) -> bool:
     """One BFS phase with blossom contraction; augments match in place.
 
     Returns True if an augmenting path from root was found and applied; a
-    failed search leaves match untouched.  State is kept only for the nodes
-    the search reaches (``parent``, ``base`` and ``members`` default to the
-    node alone), and a contraction relabels only the members of the bases
-    it merges, so a search costs what it visits, not O(n) per root and per
-    blossom.
+    failed search leaves match untouched.  ``parent`` and ``used`` hold only
+    reached nodes, and a node missing from ``base`` or ``members`` is a
+    blossom of its own.
     """
     parent: dict[int, int] = {}
     base: dict[int, int] = {}              # node -> its blossom's base
@@ -57,12 +55,13 @@ def _find_augmenting_path(g: Graph, match: list[int], root: int) -> bool:
             y = parent[match[y]]
 
     def mark_path(v: int, b: int, child: int, marked: set[int]) -> None:
-        while base.get(v, v) != b:
-            marked.add(base.get(v, v))
-            marked.add(base.get(match[v], match[v]))
+        while (v_base := base.get(v, v)) != b:
+            mate = match[v]
+            marked.add(v_base)
+            marked.add(base.get(mate, mate))
             parent[v] = child
-            child = match[v]
-            v = parent[match[v]]
+            child = mate
+            v = parent[mate]
 
     while queue:
         v = queue.popleft()
@@ -80,13 +79,17 @@ def _find_augmenting_path(g: Graph, match: list[int], root: int) -> bool:
                 # Every member of a marked base joins cur_base (never marked
                 # itself: both walks stop at it); unused ones are queued in
                 # ascending id.
-                joined = [x for b in marked for x in members.pop(b, (b,))]
-                for x in joined:
-                    base[x] = cur_base
-                for x in sorted(x for x in joined if x not in used):
-                    used.add(x)
-                    queue.append(x)
-                members.setdefault(cur_base, [cur_base]).extend(joined)
+                moved, fresh = [], []
+                for b in marked:
+                    for x in members.pop(b, (b,)):
+                        base[x] = cur_base
+                        moved.append(x)
+                        if x not in used:
+                            fresh.append(x)
+                fresh.sort()
+                used.update(fresh)
+                queue.extend(fresh)
+                members.setdefault(cur_base, [cur_base]).extend(moved)
                 v_base = base.get(v, v)
             elif to not in parent:
                 parent[to] = v
