@@ -2,7 +2,8 @@
 
 Each section renders one family of outputs (traces, choice enumerations,
 worst-case witnesses, sweep CSVs, game transcripts, and optima and
-free-step runs on benchmark-size graphs) for fixed seeds and compares the
+free-step runs on benchmark-size graphs, and the constructor games) for
+fixed seeds and compares the
 sha256 of the rendering with a pinned digest.  The ledger
 sections render the decomposition, the verification report and every
 transfer, donation, tally and path record of the coin ledger.  A refactor
@@ -21,7 +22,16 @@ from functools import lru_cache
 
 import pytest
 
-from matchforge.adversary import TruthfulAdversary, play_game
+from matchforge import adversary
+from matchforge.adversary import (
+    AdversaryB,
+    AdversaryBPrime,
+    GameError,
+    Pattern,
+    TruthfulAdversary,
+    game_files,
+    play_game,
+)
 from matchforge.charging import build_ledger, verify_all
 from matchforge.cli import main
 from matchforge.decomposition import canonicalize, decompose, format_components
@@ -29,6 +39,7 @@ from matchforge.graphs import Graph, gen_random_bounded, gen_regular, save_graph
 from matchforge.matchers import (
     ALGORITHMS,
     FirstPolicy,
+    PolicyError,
     RandomPolicy,
     iter_all_pick_sequences,
     run_algorithm,
@@ -123,6 +134,40 @@ def _games() -> str:
     return "".join(out)
 
 
+def _constructor_game(algo, make) -> str:
+    """The .graph, .moves and .transcript files of one constructor game, or
+    the error that rejects the encoding."""
+    try:
+        result = play_game(algo, make())
+    except (PolicyError, GameError) as exc:
+        return f"rejected: {type(exc).__name__}: {exc}\n"
+    return "".join(game_files(result).values())
+
+
+def _games_b() -> str:
+    return "".join(f"# B({delta}) {algo}\n" + _constructor_game(algo, lambda: AdversaryB(delta))
+                   for delta in range(3, 9) for algo in adversary.ENCODINGS)
+
+
+def _games_bprime() -> str:
+    return "".join(f"# Bprime({delta}, {t}) {algo}\n"
+                   + _constructor_game(algo, lambda: AdversaryBPrime(delta, t))
+                   for delta in (3, 4, 5) for t in (20, 50, 100)
+                   for algo in adversary.ENCODINGS)
+
+
+def _games_explorer() -> str:
+    """A mingreedy encoding that ranks lists with one known neighbor first,
+    so AdversaryB(5) extends a frontier (as in tests/test_adversary.py)."""
+
+    class Explorer(adversary.RuleEncoding):
+        def query(self):
+            return [Pattern(total=3, unmatched=2, known=1), Pattern(unmatched=2),
+                    Pattern(unmatched_min=1)]
+
+    return _constructor_game(Explorer("mingreedy"), lambda: AdversaryB(5))
+
+
 def _ledger_text(g: Graph, trace) -> str:
     """Components, reports, transfers, donations, tallies and path records of
     one run's ledgers at delta = max(3, max degree) and one above."""
@@ -201,6 +246,9 @@ SECTIONS = {
     **{f"ledger:{a}": (lambda a=a: _ledgers(a)) for a in LEDGER_ALGOS},
     "ledger:witnesses": _witness_ledgers,
     "games": _games,
+    "games:B": _games_b,
+    "games:Bprime": _games_bprime,
+    "games:explorer": _games_explorer,
     "optimum:bench": _bench_optima,
     "trace:bench_free": _bench_free_traces,
 }
@@ -212,6 +260,9 @@ GOLDEN = {
     "choices:mrg": "2d292d68f94133ea3a5e27e537735e9f314bc053b9fb797088af14e77354173c",
     "choices:one_two_mingreedy": "d8ef81dac3ae9484efaba49560bc3bb1b2b78ca585b1faba51efcc38af952c22",
     "games": "a9bf943ffe32939d94bbc1032c0520256556a445baaf9c275d97689844f74b2b",
+    "games:B": "a89b60134da792a58df475e84081d17ad726498cfd35b8c65ed1096e98fcd2c4",
+    "games:Bprime": "f5770493ea24641c895b187f0df400a19a2e9e878b1cc78e9993e882c0b5c00c",
+    "games:explorer": "32883c084fb7978d1ed2f7d3414af8674c2fcfd9b97833618e1a3dfec57dbe17",
     "inputs": "05e4880299b6fd5569e9c5c85538d3a3b4b9ac495ddd4d080cfa371b8976292f",
     "ledger:mingreedy": "83d447a96b65fe9cd5f2f3a854966815050dfb81aee95347f3db6651c7ce7235",
     "ledger:one_two_mingreedy": "8e96aaad8885139ab1ba199da6039b3be44d923042bb68ee666d6eb2886cd209",
