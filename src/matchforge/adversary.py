@@ -10,6 +10,14 @@ Two on-the-fly constructors are provided: the budgetless one that forces
 any degree-pattern algorithm down to one expensive component, and the
 node-count-announcing one that mass-produces such components so the ratio
 approaches the same bound from above.
+
+A round costs what it changes.  The adversary keeps every node's neighbor
+counts as edges, reveals and matches happen, and finds the lowest-id live
+node for a pattern among at most (delta + 1)^3 heaps keyed by those counts,
+not by rescanning the nodes.  An encoding builds its ranked list once per
+game, and the transcript's query line is built once per distinct list.
+Served nodes, and so transcripts, are the ones a scan of every node in id
+order gives; tests/test_adversary.py keeps that scan as the oracle.
 """
 
 from __future__ import annotations
@@ -17,9 +25,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heappop, heappush
 from pathlib import Path
 
-from .graphs import Edge, Graph, Matching, norm_edge, read_records, save_graph
+from .graphs import MAX_NODES, Edge, Graph, Matching, norm_edge, read_records, save_graph
 from .matchers import MIN_FORCED, MIN_NODE, RULES, PolicyError
 
 
@@ -97,10 +106,14 @@ class PriorityAlgorithm:
     """Base: tracks its own matches and picks the first unmatched neighbor."""
 
     def start(self, announced_nodes: int | None) -> None:
+        """Begin a game; a subclass builds its ranked list here."""
         self.matched: set[int] = set()
+        self.patterns: tuple[Pattern, ...] = ()
 
-    def query(self) -> list[Pattern]:
-        raise NotImplementedError
+    def query(self) -> tuple[Pattern, ...]:
+        """The ranked list for this round: the one built by start, handed
+        out as is, so that an unchanged query is the same object."""
+        return self.patterns
 
     def receive(self, item: DataItem) -> int:
         partner = self.pick_partner(item)
@@ -126,15 +139,13 @@ class RuleEncoding(PriorityAlgorithm):
     def start(self, announced_nodes):
         super().start(announced_nodes)
         cap = (announced_nodes - 1) if announced_nodes else 64
-        self.patterns = []
+        patterns = []
         for d in range(1, cap + 1):
             if self.rule(d) not in (MIN_NODE, MIN_FORCED):
                 break
-            self.patterns.append(Pattern(unmatched=d))
-        self.patterns.append(CATCH_ALL)
-
-    def query(self):
-        return list(self.patterns)
+            patterns.append(Pattern(unmatched=d))
+        patterns.append(CATCH_ALL)
+        self.patterns = tuple(patterns)
 
 
 class ShuffleEncoding(PriorityAlgorithm):
@@ -160,9 +171,7 @@ class ShuffleEncoding(PriorityAlgorithm):
         if sorted(order) != list(range(announced_nodes)):
             raise PolicyError("permutation must cover 0..n-1")
         self.rank = {v: i for i, v in enumerate(order)}
-
-    def query(self):
-        return [Pattern(node=v) for v in self.rank]
+        self.patterns = tuple(Pattern(node=v) for v in order)
 
     def pick_partner(self, item):
         cands = [w for w in item.neighbors if w not in self.matched]
@@ -198,6 +207,15 @@ class _AdversaryBase:
     subclass may build a fresh list for a pattern (``_construct``); any
     pattern can be served by a committed live node.  Once sealed and no
     node is live, the game is over.
+
+    Each node's unmatched-neighbor and known-neighbor counts are kept up to
+    date where they change, and every live (unmatched, non-isolated) node
+    sits in a min-heap of node ids under its (total, unmatched, known)
+    triple.  A node's triple never returns to an earlier value (total and
+    known only grow, and unmatched only falls while they stay), and matching
+    a node lowers its own unmatched count, so a heap entry is current exactly
+    when its node's triple is still the heap's key.  Entries that are not
+    are dropped when they reach the top.
     """
 
     sealed = False
@@ -213,6 +231,11 @@ class _AdversaryBase:
         self.served: list[DataItem] = []
         self.n_created = 0
         self._pending = None
+        self._n_unmatched: list[int] = []
+        self._n_known: list[int] = []
+        self._live: dict[tuple[int, int, int], list[int]] = {}
+        self._query: tuple[Pattern, ...] | None = None
+        self._query_line = ""
 
     def announced_nodes(self) -> int | None:
         return None
@@ -224,16 +247,25 @@ class _AdversaryBase:
         self.n_created += k
         for v in ids:
             self.adj[v] = set()
+        self._n_unmatched += [0] * k
+        self._n_known += [0] * k
         return ids
 
     def _add_edges(self, edges: list[tuple[int, int]]) -> None:
+        adj, matched, known = self.adj, self.matched, self.known
+        n_unmatched, n_known = self._n_unmatched, self._n_known
         for u, v in edges:
-            if u == v or v in self.adj[u]:
+            if u == v or v in adj[u]:
                 raise GameError(f"illegal edge {(u, v)}")
-            self.adj[u].add(v)
-            self.adj[v].add(u)
-            if len(self.adj[u]) > self.delta or len(self.adj[v]) > self.delta:
+            adj[u].add(v)
+            adj[v].add(u)
+            if len(adj[u]) > self.delta or len(adj[v]) > self.delta:
                 raise GameError(f"edge {(u, v)} violates the degree bound")
+            n_unmatched[u] += v not in matched
+            n_unmatched[v] += u not in matched
+            n_known[u] += v in known
+            n_known[v] += u in known
+        self._refile({x for e in edges for x in e})
         toks = " ".join(f"{min(u, v)}-{max(u, v)}" for u, v in edges)
         self.transcript.append(f"build {toks} {self.delta}")
 
@@ -241,35 +273,60 @@ class _AdversaryBase:
         if set(neighbors) != self.adj[node]:
             raise GameError(f"served list of node {node} is not its full final list")
         item = DataItem(node, tuple(neighbors))
-        self.known.add(node)
-        self.known.update(neighbors)
+        changed = set()
+        for x in (node, *neighbors):
+            if x not in self.known:
+                self.known.add(x)
+                for y in self.adj[x]:
+                    self._n_known[y] += 1
+                    changed.add(y)
+        self._refile(changed)
         self.served.append(item)
         self.transcript.append(f"serve {node} {' '.join(map(str, neighbors))}")
         return item
 
     # -- state queries ---------------------------------------------------------
 
-    def _counts(self, v: int) -> tuple[int, int, int]:
-        total = len(self.adj[v])
-        unmatched = sum(1 for w in self.adj[v] if w not in self.matched)
-        known = sum(1 for w in self.adj[v] if w in self.known)
-        return total, unmatched, known
+    def _count_key(self, v: int) -> tuple[int, int, int]:
+        """Node v's (total, unmatched, known) neighbor counts."""
+        return len(self.adj[v]), self._n_unmatched[v], self._n_known[v]
+
+    def _refile(self, nodes) -> None:
+        """File each live node of nodes under its current count triple."""
+        for v in nodes:
+            if self._n_unmatched[v] and v not in self.matched:
+                heappush(self._live.setdefault(self._count_key(v), []), v)
 
     def _first_live(self, pat: Pattern) -> int | None:
         """The lowest-id live (unmatched, non-isolated) node matching pat."""
-        # self.adj holds ids in allocation order, which is ascending.
-        for v in self.adj:
-            if v in self.matched:
+        if pat.node is not None:
+            v = pat.node
+            if v not in self.adj or v in self.matched:
+                return None
+            key = self._count_key(v)
+            return v if key[1] and pat.matches(*key, node=v) else None
+        best = None
+        for key, heap in self._live.items():
+            if not heap or (best is not None and heap[0] > best) or not pat.matches(*key):
                 continue
-            total, unmatched, known = self._counts(v)
-            if unmatched and pat.matches(total, unmatched, known, node=v):
-                return v
-        return None
+            while heap and self._count_key(heap[0]) != key:
+                heappop(heap)
+            if heap and (best is None or heap[0] < best):
+                best = heap[0]
+        return best
 
     # -- game protocol -----------------------------------------------------------
 
     def log_query(self, patterns) -> None:
-        self.transcript.append("q " + " | ".join(p.describe() for p in patterns))
+        # tuple() returns a tuple argument itself, and a tuple cannot change,
+        # so a query handed out again is recognised by identity; the line is
+        # built once per distinct list and shared by the rounds that repeat it.
+        query = tuple(patterns)
+        if query is not self._query:
+            if query != self._query:
+                self._query_line = "q " + " | ".join(p.describe() for p in query)
+            self._query = query
+        self.transcript.append(self._query_line)
 
     def observe_match(self, u: int, v: int) -> None:
         if u in self.matched or v in self.matched:
@@ -278,6 +335,12 @@ class _AdversaryBase:
             raise GameError("matched pair is not an edge")
         self.matched.add(u)
         self.matched.add(v)
+        changed = set()
+        for x in (u, v):
+            for w in self.adj[x]:
+                self._n_unmatched[w] -= 1
+                changed.add(w)
+        self._refile(changed)
         self.transcript.append(f"match {u} {v}")
         self._after_match(u, v)
 
@@ -322,6 +385,9 @@ class TruthfulAdversary(_AdversaryBase):
         self.g = g
         self.n_created = g.n
         self.adj = {v: set(g.adjacency[v]) for v in range(g.n)}
+        self._n_unmatched = [len(self.adj[v]) for v in range(g.n)]
+        self._n_known = [0] * g.n
+        self._refile(range(g.n))
 
     def announced_nodes(self) -> int:
         return self.g.n
@@ -464,7 +530,7 @@ class AdversaryB(_CenterMixin):
         for v in self.adj:
             if v in self.matched:
                 continue
-            total, unmatched, known = self._counts(v)
+            total, unmatched, known = self._count_key(v)
             if not unmatched:
                 continue
             own_known = v in self.known
@@ -489,6 +555,9 @@ class AdversaryBPrime(_CenterMixin):
         super().__init__(delta)
         if t < 7:
             raise ValueError("t must be >= 7 so construction precedes the endgame")
+        if t * delta > MAX_NODES:
+            raise ValueError(f"t*delta = {t * delta} announced nodes exceed the bound "
+                             f"of {MAX_NODES}")
         self.t = t
         self.budget = t * delta
         self.threshold = t * delta - 6 * delta

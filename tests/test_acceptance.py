@@ -51,7 +51,7 @@ def test_criterion_1_tightness_reproduction():
 def test_criterion_2_asymptotic_tightness():
     t0 = time.time()
     excesses = []
-    for t in (20, 50, 100, 200):
+    for t in (20, 50, 100, 200, 500, 1000, 2000):
         result = play_game("mingreedy", AdversaryBPrime(3, t))
         opt = len(maximum_matching(result.graph))
         ratio = Fraction(len(result.matching), opt)

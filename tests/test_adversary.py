@@ -10,6 +10,8 @@ import pytest
 
 import matchforge
 from matchforge.adversary import (
+    CATCH_ALL,
+    ENCODINGS,
     AdversaryB,
     AdversaryBPrime,
     GameError,
@@ -23,7 +25,7 @@ from matchforge.adversary import (
     save_moves,
     _filler_parts,
 )
-from matchforge.graphs import Graph, gen_random_bounded
+from matchforge.graphs import MAX_NODES, Graph, gen_random_bounded
 from matchforge.matchers import (
     RULES,
     FirstPolicy,
@@ -178,6 +180,13 @@ class TestAdversaryBPrime:
         with pytest.raises(ValueError):
             AdversaryBPrime(3, 6)
 
+    def test_announced_node_bound(self):
+        # At the bound nothing is built yet; one past it is refused outright.
+        adv = AdversaryBPrime(4, MAX_NODES // 4)
+        assert adv.n_created == 0 and not adv.adj
+        with pytest.raises(ValueError, match="exceed the bound"):
+            AdversaryBPrime(4, MAX_NODES // 4 + 1)
+
     @pytest.mark.parametrize("algo", ["shuffle", "vertex_iterative"])
     def test_node_order_encodings_are_not_total(self, algo):
         # Node-id patterns name nodes the constructor has not built yet, so
@@ -249,6 +258,101 @@ class TestEncodings:
     def test_unknown_encoding(self):
         with pytest.raises(PolicyError):
             encode_priority("nope")
+
+
+def _recount(adv, v):
+    """Node v's (total, unmatched, known) counts recomputed from the state."""
+    nbrs = adv.adj[v]
+    return (len(nbrs), sum(1 for w in nbrs if w not in adv.matched),
+            sum(1 for w in nbrs if w in adv.known))
+
+
+def _scan_first_live(adv, pat):
+    """The lowest-id live node matching pat, by a scan of every node."""
+    for v in adv.adj:
+        if v in adv.matched:
+            continue
+        total, unmatched, known = _recount(adv, v)
+        if unmatched and pat.matches(total, unmatched, known, node=v):
+            return v
+    return None
+
+
+# Patterns beyond the encodings' own, over every count and a node id that
+# no game here allocates.
+PROBES = (Pattern(known=0), Pattern(known=1), Pattern(total=2), Pattern(total=3),
+          Pattern(total=3, unmatched=2, known=1), Pattern(unmatched_min=2, known=1),
+          Pattern(node=0), Pattern(node=5, unmatched=1), Pattern(node=10**6))
+
+
+def _checked(cls):
+    """cls with its maintained counts and live-node answers compared, every
+    round, with a recount and a scan of every node."""
+
+    class Checked(cls):
+        rounds_checked = 0
+
+        def _check_counts(self):
+            for v in self.adj:
+                assert self._count_key(v) == _recount(self, v), v
+
+        def _first_live(self, pat):
+            got = super()._first_live(pat)
+            assert got == _scan_first_live(self, pat), (pat, got)
+            return got
+
+        def respond(self, patterns):
+            self._check_counts()
+            for pat in (*patterns, CATCH_ALL, *PROBES):
+                self._first_live(pat)
+            self.rounds_checked += 1
+            return super().respond(patterns)
+
+        def observe_match(self, u, v):
+            super().observe_match(u, v)
+            self._check_counts()
+
+    return Checked
+
+
+class TestLiveIndex:
+    def test_truthful_games(self):
+        for seed in range(40):
+            rng = random.Random(seed)
+            g = gen_random_bounded(rng.randint(2, 14), rng.randint(3, 5),
+                                   rng.uniform(0.2, 0.9), seed)
+            for algo in ENCODINGS:
+                adv = _checked(TruthfulAdversary)(g)
+                result = play_game(algo, adv)
+                assert adv.rounds_checked == len(result.picks), (seed, algo)
+
+    def test_adversary_b(self):
+        for delta in range(3, 7):
+            for algo in RULES:
+                adv = _checked(AdversaryB)(delta)
+                play_game(algo, adv)
+                assert adv.rounds_checked > 0
+
+    def test_adversary_bprime(self):
+        for delta in (3, 4, 5):
+            for t in (7, 12, 20):
+                for algo in ("mingreedy", "one_two_mingreedy", "greedy"):
+                    adv = _checked(AdversaryBPrime)(delta, t)
+                    result = play_game(algo, adv)
+                    assert result.graph.n == delta * t
+
+    def test_explorer(self):
+        class Explorer(encode_priority("mingreedy").__class__):
+            def query(self):
+                return [
+                    Pattern(total=3, unmatched=2, known=1),
+                    Pattern(unmatched=2),
+                    Pattern(unmatched_min=1),
+                ]
+
+        adv = _checked(AdversaryB)(5)
+        result = play_game(Explorer("mingreedy"), adv)
+        assert adv.rounds_checked == len(result.picks)
 
 
 def K3():

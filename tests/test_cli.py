@@ -126,6 +126,24 @@ def test_game_bprime(capsys):
     assert "n=60" in capsys.readouterr().out
 
 
+def test_game_bprime_node_bound_is_input_error(capsys):
+    t = MAX_NODES // 3 + 1
+    assert run_cli("game", "--algo", "mingreedy", "--adversary", "Bprime",
+                   "--delta", "3", "--t", str(t)) == 2
+    assert capsys.readouterr().err == (f"error: t*delta = {3 * t} announced nodes exceed "
+                                       f"the bound of {MAX_NODES}\n")
+
+
+def test_sweep_bprime_node_bound_is_input_error(tmp_path: Path, capsys):
+    out = tmp_path / "s.csv"
+    t = MAX_NODES // 4 + 1
+    assert run_cli("sweep", "--deltas", "4", "--source", "bprime", "--t", str(t),
+                   "--out", str(out)) == 2
+    assert capsys.readouterr().err == (f"error: t*delta = {4 * t} announced nodes exceed "
+                                       f"the bound of {MAX_NODES}\n")
+    assert not out.exists()
+
+
 def test_sweep_hard_instances(tmp_path: Path):
     out = tmp_path / "s.csv"
     assert run_cli("sweep", "--deltas", "3,4,5,6", "--source", "hard",
