@@ -278,8 +278,8 @@ def _scan_first_live(adv, pat):
     return None
 
 
-# Patterns beyond the encodings' own, over every count and a node id that
-# no game here allocates.
+# Patterns beyond the encodings' own: on the known and total counts, on
+# several counts at once, on node ids, and on a node id no game here builds.
 PROBES = (Pattern(known=0), Pattern(known=1), Pattern(total=2), Pattern(total=3),
           Pattern(total=3, unmatched=2, known=1), Pattern(unmatched_min=2, known=1),
           Pattern(node=0), Pattern(node=5, unmatched=1), Pattern(node=10**6))
@@ -336,7 +336,7 @@ class TestLiveIndex:
     def test_adversary_bprime(self):
         for delta in (3, 4, 5):
             for t in (7, 12, 20):
-                for algo in ("mingreedy", "one_two_mingreedy", "greedy"):
+                for algo in RULES:
                     adv = _checked(AdversaryBPrime)(delta, t)
                     result = play_game(algo, adv)
                     assert result.graph.n == delta * t
@@ -408,6 +408,12 @@ class TestEmittedArtifacts:
             make_adversary("Bprime", 3)
         with pytest.raises(ValueError):
             make_adversary("X", 3)
+
+    def test_repeated_query_line_is_shared(self):
+        # The 3t-1-pattern query is built once; every round holds that string.
+        result = play_game("mingreedy", AdversaryBPrime(3, 20))
+        lines = [line for line in result.transcript if line.startswith("q ")]
+        assert len(lines) > 1 and all(line is lines[0] for line in lines)
 
     def test_transcript_records_moves(self):
         result, _, _ = game_ratio("mingreedy", AdversaryB(4))
