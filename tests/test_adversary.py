@@ -16,6 +16,7 @@ from matchforge.adversary import (
     AdversaryBPrime,
     GameError,
     Pattern,
+    RuleEncoding,
     TruthfulAdversary,
     emit_hard_instance,
     encode_priority,
@@ -46,6 +47,18 @@ def game_ratio(algo, adversary):
 
 def P3():
     return Graph.from_edges(3, [(0, 1), (1, 2)])
+
+
+class Explorer(RuleEncoding):
+    """Prefers lists with one known neighbor, which makes a constructor
+    extend a frontier."""
+
+    def query(self):
+        return [
+            Pattern(total=3, unmatched=2, known=1),
+            Pattern(unmatched=2),
+            Pattern(unmatched_min=1),
+        ]
 
 
 class TestAdversaryB:
@@ -100,16 +113,8 @@ class TestAdversaryB:
             assert result.graph.delta <= delta
 
     def test_case3_frontier_edge(self):
-        # An explorer that prefers lists with one known neighbor triggers
-        # the frontier-extension response and its extra edge.
-        class Explorer(encode_priority("mingreedy").__class__):
-            def query(self):
-                return [
-                    Pattern(total=3, unmatched=2, known=1),
-                    Pattern(unmatched=2),
-                    Pattern(unmatched_min=1),
-                ]
-
+        # The explorer triggers the frontier-extension response and its
+        # extra edge.
         adv = AdversaryB(5)
         result = play_game(Explorer("mingreedy"), adv)
         opt = len(maximum_matching(result.graph))
@@ -342,14 +347,6 @@ class TestLiveIndex:
                     assert result.graph.n == delta * t
 
     def test_explorer(self):
-        class Explorer(encode_priority("mingreedy").__class__):
-            def query(self):
-                return [
-                    Pattern(total=3, unmatched=2, known=1),
-                    Pattern(unmatched=2),
-                    Pattern(unmatched_min=1),
-                ]
-
         adv = _checked(AdversaryB)(5)
         result = play_game(Explorer("mingreedy"), adv)
         assert adv.rounds_checked == len(result.picks)
