@@ -215,14 +215,6 @@ class AliveEdges(Sequence):
             j &= j - 1
         return pos
 
-    def _kill(self, ids: list[int]) -> None:
-        """Mark the alive edge ids dead."""
-        flags = self._flags
-        for i in ids:
-            flags[i] = 0
-        self._len -= len(ids)
-        self._killed += ids
-
     def _revive(self, i: int) -> None:
         """Mark the dead edge id i alive."""
         self._flags[i] = 1
@@ -268,8 +260,10 @@ class ResidualView:
     """Mutable deletion view of a graph with degree buckets.
 
     Tracks which edges are still alive (an ``AliveEdges`` index over the
-    graph's edge ids), per-node alive degrees, and a degree -> nodes bucket
-    index so minimum-degree queries stay cheap.
+    graph's edge ids), per-node alive degrees, and the nodes of each alive
+    degree: ``_buckets[d]`` is the set of nodes of degree d, for d in
+    1..graph.delta (``_buckets[0]`` stays empty), so minimum-degree queries
+    stay cheap and a step touches only the buckets of the nodes it changes.
     """
 
     __slots__ = ("graph", "_alive", "deg", "_buckets")
@@ -277,18 +271,14 @@ class ResidualView:
     def __init__(self, graph: Graph):
         self.graph = graph
         self._alive = AliveEdges(graph)
-        self.deg: list[int] = [graph.degree(v) for v in range(graph.n)]
-        self._buckets: dict[int, set[int]] = {}
-        for v in range(graph.n):
-            if self.deg[v] > 0:
-                self._buckets.setdefault(self.deg[v], set()).add(v)
+        self.deg: list[int] = list(map(len, graph.adjacency))
+        self._buckets: list[set[int]] = [set() for _ in range(graph.delta + 1)]
+        for v, d in enumerate(self.deg):
+            if d:
+                self._buckets[d].add(v)
 
     def has_alive(self) -> bool:
         return self._alive._len > 0
-
-    def alive_edge(self, u: int, v: int) -> bool:
-        i = self.graph.edge_id.get(norm_edge(u, v))
-        return i is not None and self._alive._flags[i] == 1
 
     def alive_edges(self) -> AliveEdges:
         """The alive edges in ascending order, as a live read-only sequence."""
@@ -298,58 +288,61 @@ class ResidualView:
         flags = self._alive._flags
         return [w for w, i in zip(self.graph.adjacency[v], self.graph.incident[v]) if flags[i]]
 
-    def degree_of(self, v: int) -> int:
-        return self.deg[v]
-
     def min_degree(self) -> int:
         """Minimum nonzero alive degree, or 0 if no edges remain."""
-        live = [d for d, s in self._buckets.items() if s]
-        return min(live) if live else 0
+        buckets = self._buckets
+        for d in range(1, len(buckets)):
+            if buckets[d]:
+                return d
+        return 0
 
     def nodes_of_degree(self, d: int) -> list[int]:
         """All nodes of alive degree d > 0, ascending id."""
-        return sorted(self._buckets.get(d, ()))
-
-    def min_degree_nodes(self) -> list[int]:
-        """All nodes of minimum nonzero degree, ascending id."""
-        d = self.min_degree()
-        if d == 0:
-            raise ValueError("residual graph has no alive edges")
-        return self.nodes_of_degree(d)
-
-    def _set_deg(self, v: int, d: int) -> None:
-        old = self.deg[v]
-        if old == d:
-            return
-        if old > 0:
-            self._buckets[old].discard(v)
-        if d > 0:
-            self._buckets.setdefault(d, set()).add(v)
-        self.deg[v] = d
+        return sorted(self._buckets[d]) if 0 < d < len(self._buckets) else []
 
     def remove_pair(self, u: int, v: int) -> list[Edge]:
         """Kill every alive edge incident to u or v; return them in ascending order.
 
         The edge {u, v} itself must be alive.
         """
-        if not self.alive_edge(u, v):
+        graph = self.graph
+        alive = self._alive
+        flags = alive._flags
+        i = graph.edge_id.get((u, v) if u < v else (v, u))
+        if i is None or not flags[i]:
             raise ValueError(f"edge {norm_edge(u, v)} is not alive")
-        inc = self.graph.incident
-        flags = self._alive._flags
-        removed = sorted({i for x in (u, v) for i in inc[x] if flags[i]})
-        edges = self.graph.edges
-        # u and v lose every alive edge; any other end loses one per edge.
-        self._set_deg(u, 0)
-        self._set_deg(v, 0)
-        self._alive._kill(removed)
-        for i in removed:
-            for x in edges[i]:
-                if x != u and x != v:
-                    self._set_deg(x, self.deg[x] - 1)
-        return [edges[i] for i in removed]
+        adjacency = graph.adjacency
+        incident = graph.incident
+        deg = self.deg
+        buckets = self._buckets
+        # With {u, v} dead first, neither end meets the other below: u and
+        # v drop to degree 0, and every other end of a killed edge drops by
+        # one per edge, moving one bucket down each time.
+        flags[i] = 0
+        removed = [i]
+        for x in (u, v):
+            buckets[deg[x]].discard(x)
+            deg[x] = 0
+            for w, j in zip(adjacency[x], incident[x]):
+                if flags[j]:
+                    flags[j] = 0
+                    removed.append(j)
+                    d = deg[w]
+                    buckets[d].discard(w)
+                    d -= 1
+                    deg[w] = d
+                    if d:
+                        buckets[d].add(w)
+        removed.sort()
+        # The flags are cleared above; the Fenwick tree catches up later.
+        alive._len -= len(removed)
+        alive._killed += removed
+        return list(map(graph.edges.__getitem__, removed))
 
     def restore_edges(self, removed: Iterable[Edge]) -> None:
         """Exact inverse of remove_pair, used by exhaustive searches."""
+        deg = self.deg
+        buckets = self._buckets
         for e in removed:
             i = self.graph.edge_id.get(e)
             if i is None:
@@ -358,7 +351,10 @@ class ResidualView:
                 raise ValueError(f"edge {e} is already alive")
             self._alive._revive(i)
             for x in e:
-                self._set_deg(x, self.deg[x] + 1)
+                d = deg[x]
+                buckets[d].discard(x)
+                deg[x] = d + 1
+                buckets[d + 1].add(x)
 
     def check_consistency(self) -> None:
         """Recompute the alive-edge index, degrees and buckets from the alive
@@ -372,10 +368,10 @@ class ResidualView:
         if deg != self.deg:
             raise ValueError("maintained degrees drifted from alive edges")
         positive = {v for v in range(self.graph.n) if deg[v] > 0}
-        bucketed = {v for s in self._buckets.values() for v in s}
+        bucketed = {v for s in self._buckets for v in s}
         if positive != bucketed:
             raise ValueError("buckets do not partition nodes of positive degree")
-        if any(deg[v] != d for d, s in self._buckets.items() for v in s):
+        if any(deg[v] != d for d, s in enumerate(self._buckets) for v in s):
             raise ValueError("a node sits in the bucket of another degree")
 
 
@@ -400,53 +396,82 @@ def read_records(text: str, forms: dict[str, str]) -> Iterator[tuple[int, str, l
     which fixes the field count.  Fields are integers, except a trailing
     ``<mode>``, which stays a string.  Any other line raises GraphFormatError.
     """
-    shapes = {}  # tag -> (token count, end of the integer tokens)
-    for tag, form in forms.items():
-        size = len(form.split())
-        shapes[tag] = (size, size - 1 if form.endswith(" <mode>") else size)
+    shapes = {tag: (len(form.split()), form.endswith(" <mode>")) for tag, form in forms.items()}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
-        if not parts or parts[0].startswith("#"):
+        if not parts:
             continue
         tag = parts[0]
-        if tag not in forms:
+        shape = shapes.get(tag)
+        if shape is None:
+            if tag.startswith("#"):
+                continue
             raise GraphFormatError(f"line {lineno}: unknown record '{tag}'")
-        size, stop = shapes[tag]
+        size, mode = shape
         if len(parts) != size:
             raise GraphFormatError(f"line {lineno}: record must be '{forms[tag]}'")
         try:
-            fields = [*map(int, parts[1:stop]), *parts[stop:]]
+            if mode:
+                fields = [*map(int, parts[1:-1]), parts[-1]]
+            else:
+                fields = list(map(int, parts[1:]))
         except ValueError:
             raise GraphFormatError(f"line {lineno}: non-integer field in '{forms[tag]}'") from None
         yield lineno, tag, fields
 
 
-def load_graph(text: str) -> Graph:
-    """Parse the edge-list document format; report errors with line numbers."""
-    n = None
-    m_expect = None
-    seen: set[Edge] = set()
+def _scan_graph(text: str, seen: set[Edge] | None) -> tuple[int, int, list[Edge]]:
+    """Read a graph document as (n, announced m, (u, v) of each edge line).
+
+    With ``seen``, each edge is also checked on its own line, so that the
+    error names the first faulty one; without it, edges are left to
+    ``Graph`` to check.
+    """
+    n = m = None
+    edges: list[Edge] = []
     for lineno, tag, fields in read_records(text, {"graph": "graph <n> <m>", "e": "e <u> <v>"}):
-        if tag == "graph":
-            if n is not None:
-                raise GraphFormatError(f"line {lineno}: duplicate header")
-            n, m_expect = fields
-            if n < 0 or m_expect < 0:
-                raise GraphFormatError(f"line {lineno}: negative header field")
-            if n > MAX_NODES:
-                raise GraphFormatError(f"line {lineno}: {n} nodes exceed the bound of {MAX_NODES}")
+        if tag == "e":
+            if n is None:
+                raise GraphFormatError(f"line {lineno}: edge before header")
+            u, v = fields
+            if seen is not None:
+                try:
+                    _check_edge(n, (u, v), seen)
+                except ValueError as exc:
+                    raise GraphFormatError(f"line {lineno}: {exc}") from None
+            edges.append((u, v))
             continue
-        if n is None:
-            raise GraphFormatError(f"line {lineno}: edge before header")
-        try:
-            _check_edge(n, tuple(fields), seen)
-        except ValueError as exc:
-            raise GraphFormatError(f"line {lineno}: {exc}") from None
+        if n is not None:
+            raise GraphFormatError(f"line {lineno}: duplicate header")
+        n, m = fields
+        if n < 0 or m < 0:
+            raise GraphFormatError(f"line {lineno}: negative header field")
+        if n > MAX_NODES:
+            raise GraphFormatError(f"line {lineno}: {n} nodes exceed the bound of {MAX_NODES}")
     if n is None:
         raise GraphFormatError("missing 'graph <n> <m>' header")
-    if m_expect != len(seen):
-        raise GraphFormatError(f"header announced {m_expect} edges, found {len(seen)}")
-    return Graph(n, tuple(sorted(seen)))
+    return n, m, edges
+
+
+def load_graph(text: str) -> Graph:
+    """Parse the edge-list document format; report errors with line numbers.
+
+    Each edge is checked once, by the ``Graph`` it goes into.  Only a
+    faulty document is read a second time, checking each edge on its line,
+    so that the error names the first faulty line.
+    """
+    fault = None
+    try:
+        n, m_expect, edges = _scan_graph(text, None)
+        g = Graph(n, tuple(edges))
+    except ValueError as exc:
+        fault = exc
+    if fault is not None:
+        _scan_graph(text, set())
+        raise fault
+    if m_expect != len(edges):
+        raise GraphFormatError(f"header announced {m_expect} edges, found {len(edges)}")
+    return g
 
 
 def save_graph(g: Graph) -> str:
@@ -511,7 +536,14 @@ def gen_random_bounded(n: int, delta: int, p: float, seed: int) -> Graph:
 
 
 def gen_regular(n: int, d: int, seed: int, max_attempts: int = 1000) -> Graph:
-    """Simple d-regular graph via the pairing model with rejection."""
+    """Simple d-regular graph via the pairing model with rejection.
+
+    A pairing with a self-loop or a repeated edge is rejected whole, and
+    after ``max_attempts`` rejections the generator gives up.  For small
+    dense parameters nearly every pairing is rejected, so e.g.
+    ``gen_regular(8, 5, 9)`` raises GenerationError although 5-regular
+    graphs on 8 nodes exist.
+    """
     if n * d % 2 != 0:
         raise ValueError("n * d must be even")
     if not 0 <= d < n:

@@ -23,7 +23,6 @@ policy always takes the first candidate, which makes runs reproducible.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Sequence
@@ -168,7 +167,12 @@ class ScriptedPolicy(Policy):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+# Trace records are frozen dataclasses that set their fields in one
+# ``__dict__`` update: a run, a read and a replay each build one record per
+# step, and the generated frozen ``__init__`` sets each field on its own.
+
+
+@dataclass(frozen=True, init=False)
 class TraceStep:
     """One picked edge: who was selected, at what degree, and what died."""
 
@@ -179,18 +183,31 @@ class TraceStep:
     removed: tuple[Edge, ...]
     mode: str
 
+    def __init__(self, index: int, selected: int, sel_degree: int, partner: int,
+                 removed: tuple[Edge, ...], mode: str):
+        self.__dict__.update(index=index, selected=selected, sel_degree=sel_degree,
+                             partner=partner, removed=removed, mode=mode)
+
     @property
     def edge(self) -> Edge:
         return norm_edge(self.selected, self.partner)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ReplayedStep(TraceStep):
     """A trace step with the degrees its replay observed."""
 
     min_before: int                # minimum nonzero degree before the step
     deg_before: dict[int, int]     # touched node -> degree before the step
     deg_after: dict[int, int]      # touched node -> degree after the step
+
+    def __init__(self, index: int, selected: int, sel_degree: int, partner: int,
+                 removed: tuple[Edge, ...], mode: str, min_before: int,
+                 deg_before: dict[int, int], deg_after: dict[int, int]):
+        self.__dict__.update(index=index, selected=selected, sel_degree=sel_degree,
+                             partner=partner, removed=removed, mode=mode,
+                             min_before=min_before, deg_before=deg_before,
+                             deg_after=deg_after)
 
 
 @dataclass(frozen=True)
@@ -209,25 +226,39 @@ class RunTrace:
         on the trace, so later readers do not replay it again.
         """
         view = ResidualView(self.graph)
+        deg = view.deg
+        alive = view.alive_edges()
+        picked = []
         out = []
         for st in self.steps:
-            if not view.alive_edge(st.selected, st.partner):
+            u = st.selected
+            v = st.partner
+            e = (u, v) if u < v else (v, u)
+            if e not in alive:
                 raise ValueError(f"step {st.index}: picked edge not alive")
-            if view.degree_of(st.selected) != st.sel_degree:
+            if deg[u] != st.sel_degree:
                 raise ValueError(f"step {st.index}: recorded selection degree is stale")
             min_before = view.min_degree()
-            removed = view.remove_pair(st.selected, st.partner)
+            removed = view.remove_pair(u, v)
             if tuple(removed) != st.removed:
                 raise ValueError(f"step {st.index}: removed-edge list mismatch")
             # Each removed edge took one degree from each of its endpoints.
-            hits = Counter(x for e in removed for x in e)
-            after = {x: view.degree_of(x) for x in sorted(hits)}
-            before = {x: d + hits[x] for x, d in after.items()}
-            out.append(ReplayedStep(st.index, st.selected, st.sel_degree, st.partner,
+            hits: dict[int, int] = {}
+            for a, b in removed:
+                hits[a] = hits.get(a, 0) + 1
+                hits[b] = hits.get(b, 0) + 1
+            before = {}
+            after = {}
+            for x in sorted(hits):
+                d = deg[x]
+                after[x] = d
+                before[x] = d + hits[x]
+            out.append(ReplayedStep(st.index, u, st.sel_degree, v,
                                     st.removed, st.mode, min_before, before, after))
+            picked.append(e)
         if view.has_alive():
             raise ValueError("alive edges remain after the last step")
-        if self.result.pairs != frozenset(st.edge for st in self.steps):
+        if self.result.pairs != frozenset(picked):
             raise ValueError("result does not equal the set of picked edges")
         return tuple(out)
 
@@ -240,27 +271,34 @@ def save_trace(trace: RunTrace) -> str:
     lines = []
     for st in trace.steps:
         lines.append(f"s {st.index} {st.selected} {st.sel_degree} {st.partner} {st.mode}")
-        lines.extend(f"r {a} {b}" for a, b in st.removed)
+        for a, b in st.removed:
+            lines.append(f"r {a} {b}")
     return "\n".join(lines) + "\n"
 
 
 def load_trace(text: str, g: Graph) -> RunTrace:
     """Parse and replay-check a trace file against its graph."""
     records: list[tuple[list, list[Edge]]] = []  # step fields, removed edges
+    removed: list[Edge] | None = None            # the removed edges of the last step
     forms = {"s": "s <i> <u> <d> <v> <mode>", "r": "r <a> <b>"}
     for lineno, tag, fields in read_records(text, forms):
-        if tag == "s":
-            if fields[4] not in (MODE_DEGREE, MODE_FREE):
-                raise GraphFormatError(f"line {lineno}: unknown mode '{fields[4]}'")
-            records.append((fields, []))
-        elif not records:
-            raise GraphFormatError(f"line {lineno}: removed edge before any step")
+        if tag == "r":
+            if removed is None:
+                raise GraphFormatError(f"line {lineno}: removed edge before any step")
+            a, b = fields
+            removed.append((a, b) if a < b else (b, a))
+        elif fields[4] not in (MODE_DEGREE, MODE_FREE):
+            raise GraphFormatError(f"line {lineno}: unknown mode '{fields[4]}'")
         else:
-            records[-1][1].append(norm_edge(*fields))
-    steps = tuple(TraceStep(i, u, d, v, tuple(removed), mode)
-                  for (i, u, d, v, mode), removed in records)
+            removed = []
+            records.append((fields, removed))
+    steps = []
+    pairs = []
+    for (i, u, d, v, mode), killed in records:
+        steps.append(TraceStep(i, u, d, v, tuple(killed), mode))
+        pairs.append((u, v) if u < v else (v, u))
     try:
-        trace = RunTrace(g, steps, Matching.from_pairs(st.edge for st in steps))
+        trace = RunTrace(g, tuple(steps), Matching(frozenset(pairs)))
         trace.verify_replay()
     except ValueError as exc:
         raise GraphFormatError(f"trace does not replay: {exc}") from None
@@ -275,7 +313,8 @@ def load_trace(text: str, g: Graph) -> RunTrace:
 def _freemode_orientation(view: ResidualView, u: int, v: int) -> tuple[int, int]:
     # Record the endpoint of smaller current degree as the selected node
     # (ties by id); the charging analysis cases on the selected degree.
-    if (view.degree_of(u), u) <= (view.degree_of(v), v):
+    deg = view.deg
+    if (deg[u], u) <= (deg[v], v):
         return u, v
     return v, u
 
@@ -294,7 +333,8 @@ def _select(view: ResidualView, chooser: Chooser, idx: int, rule: Callable[[int]
         u, v = _freemode_orientation(view, u, v)
         return u, v, MODE_FREE
     if kind == ANY_NODE:
-        nodes = sorted(x for x in range(view.graph.n) if view.degree_of(x) > 0)
+        deg = view.deg
+        nodes = [x for x in range(view.graph.n) if deg[x]]
     else:
         nodes = view.nodes_of_degree(mind)
     u = chooser.choose(idx, "node", nodes)
@@ -307,16 +347,19 @@ def _select(view: ResidualView, chooser: Chooser, idx: int, rule: Callable[[int]
 
 def _drive(g: Graph, chooser: Chooser, rule: Callable[[int], str]) -> RunTrace:
     view = ResidualView(g)
+    deg = view.deg
     steps: list[TraceStep] = []
+    pairs: list[Edge] = []
     idx = 0
     while view.has_alive():
         idx += 1
         u, v, mode = _select(view, chooser, idx, rule)
-        du = view.degree_of(u)
-        removed = view.remove_pair(u, v)
-        steps.append(TraceStep(idx, u, du, v, tuple(removed), mode))
+        du = deg[u]
+        removed = tuple(view.remove_pair(u, v))
+        steps.append(TraceStep(idx, u, du, v, removed, mode))
+        pairs.append((u, v) if u < v else (v, u))
     chooser.finish()
-    return RunTrace(g, tuple(steps), Matching.from_pairs(st.edge for st in steps))
+    return RunTrace(g, tuple(steps), Matching(frozenset(pairs)))
 
 
 def run_algorithm(algo: str, g: Graph, policy: Policy) -> RunTrace:
@@ -533,14 +576,15 @@ def worst_case_size(
         degs = [(state & inc[v]).bit_count() for v in nodes]
         mind = min(d for d in degs if d > 0)
         kind = rule(mind)
-        if kind == ANY_EDGE:
+        # Under ANY_NODE a pick (v, u) with v > u reaches the same successor
+        # as (u, v), so each alive edge is listed once, from its smaller end:
+        # the picks are the alive edges in ascending order.
+        if kind == ANY_EDGE or kind == ANY_NODE:
             return [edges[i] for i in _bits(state)]
-        # A forced neighbor is a degree-1 node's only edge.  Under ANY_NODE a
-        # pick (v, u) with v > u reaches the successor (u, v) reached first,
-        # so the search visits the alive edges in ascending order.
+        # A forced neighbor is a degree-1 node's only edge.
         out = []
         for u in nodes:
-            if degs[u] == mind or (kind == ANY_NODE and degs[u] > 0):
+            if degs[u] == mind:
                 for i in _bits(state & inc[u]):
                     a, b = edges[i]
                     out.append((u, b if a == u else a))

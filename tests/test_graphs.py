@@ -83,6 +83,22 @@ class TestLoadGraph:
                 load_graph(text)
             assert str(loaded.value) == f"line {len(edges) + 1}: {direct.value}"
 
+    # One faulty edge line per rule, as load_graph names it.
+    EDGE_FAULTS = [
+        ("e 2 2", "self-loop at node 2"),
+        ("e 1 9", r"edge \(1, 9\) has node id outside 0..3"),
+        ("e 3 1", r"edge \(3, 1\) not in canonical \(min, max\) order"),
+        ("e 0 1", r"duplicate edge \(0, 1\)"),
+    ]
+
+    @pytest.mark.parametrize("line, message", EDGE_FAULTS)
+    @pytest.mark.parametrize("later", ["e 3 3", "e 0 7", "e 2 0", "e 1 2", "x 1"])
+    def test_first_of_two_faulty_lines_is_named(self, line, message, later):
+        # The second faulty line breaks an edge rule too, or is no record.
+        text = f"graph 4 3\ne 0 1\n# a comment\n{line}\ne 1 2\n{later}\n"
+        with pytest.raises(GraphFormatError, match=rf"^line 4: {message}$"):
+            load_graph(text)
+
     def test_comments_and_roundtrip(self):
         g = load_graph("# a comment\ngraph 4 2\ne 0 2\ne 1 3\n")
         assert load_graph(save_graph(g)).edge_set == g.edge_set
@@ -153,7 +169,7 @@ class TestRemovePair:
     def test_consistency_check_reports_misplaced_bucket(self):
         view = ResidualView(K4())
         view._buckets[3].discard(0)
-        view._buckets.setdefault(2, set()).add(0)
+        view._buckets[2].add(0)
         with pytest.raises(ValueError, match="bucket of another degree"):
             view.check_consistency()
 
@@ -170,23 +186,20 @@ class TestRemovePair:
             view.restore_edges([(0, 2)])
 
 
+def min_degree_nodes(view):
+    return view.nodes_of_degree(view.min_degree())
+
+
 class TestMinDegreeNodes:
     def test_p3(self):
-        assert ResidualView(P3()).min_degree_nodes() == [0, 2]
+        assert min_degree_nodes(ResidualView(P3())) == [0, 2]
 
     def test_c4(self):
-        assert ResidualView(C4()).min_degree_nodes() == [0, 1, 2, 3]
+        assert min_degree_nodes(ResidualView(C4())) == [0, 1, 2, 3]
 
     def test_star(self):
         star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-        assert ResidualView(star).min_degree_nodes() == [1, 2, 3]
-
-    def test_empty_residual(self):
-        g = Graph.from_edges(2, [(0, 1)])
-        view = ResidualView(g)
-        view.remove_pair(0, 1)
-        with pytest.raises(ValueError):
-            view.min_degree_nodes()
+        assert min_degree_nodes(ResidualView(star)) == [1, 2, 3]
 
 
 class TestGenerators:
@@ -222,6 +235,12 @@ class TestGenerators:
         with pytest.raises(GenerationError):
             gen_regular(4, 3, 0, max_attempts=0)
 
+    def test_small_dense_parameters_exhaust_the_budget(self):
+        # 5-regular graphs on 8 nodes exist, but nearly every pairing has
+        # a loop or a repeated edge, and whole pairings are rejected.
+        with pytest.raises(GenerationError, match="rejected 1000 attempts for n=8, d=5"):
+            gen_regular(8, 5, 9)
+
 
 class TestConnectedComponents:
     def test_p3(self):
@@ -250,9 +269,9 @@ def test_removal_sequences_keep_view_consistent(g, rng):
     view = ResidualView(g)
     while view.has_alive():
         # Cross-check the bucket answer against a brute scan.
-        degs = [view.degree_of(v) for v in range(g.n)]
+        degs = view.deg
         mind = min(d for d in degs if d > 0)
-        assert view.min_degree_nodes() == [v for v in range(g.n) if degs[v] == mind]
+        assert min_degree_nodes(view) == [v for v in range(g.n) if degs[v] == mind]
         edges = view.alive_edges()
         u, v = edges[rng.randrange(len(edges))]
         view.remove_pair(u, v)

@@ -217,6 +217,36 @@ class TestTraceIO:
             load_trace("s 0 0 3 1 degree_rule\nr 0 4\n", K4())
 
 
+def degrees(alive, n):
+    deg = [0] * n
+    for u, v in alive:
+        deg[u] += 1
+        deg[v] += 1
+    return deg
+
+
+@pytest.mark.parametrize("algo", ["mingreedy", "one_two_mingreedy", "karpsipser", "greedy", "mrg"])
+def test_replayed_degrees_match_a_recount(algo):
+    # Every replayed step against degrees counted afresh from the alive
+    # edges before and after it.
+    for seed in range(30):
+        g = random_graph(seed, n_max=14, delta=5)
+        for policy in (FirstPolicy(), RandomPolicy(seed)):
+            trace = load_trace(save_trace(run_algorithm(algo, g, policy)), g)
+            alive = set(g.edges)
+            for rec in trace.replay:
+                before = degrees(alive, g.n)
+                killed = {e for e in alive if rec.selected in e or rec.partner in e}
+                assert set(rec.removed) == killed
+                alive -= killed
+                after = degrees(alive, g.n)
+                touched = sorted({x for e in killed for x in e})
+                assert rec.min_before == min(d for d in before if d)
+                assert list(rec.deg_before.items()) == [(x, before[x]) for x in touched]
+                assert list(rec.deg_after.items()) == [(x, after[x]) for x in touched]
+            assert not alive
+
+
 class TestWorstCase:
     def test_c6_free_variant(self):
         size, witness = worst_case_size(C6(), "one_two_mingreedy")
