@@ -11,10 +11,7 @@ from matchforge import (
     Graph,
     RandomPolicy,
     ScriptedPolicy,
-    run_greedy,
-    run_karp_sipser,
-    run_min_greedy,
-    run_one_two_min_greedy,
+    run_algorithm,
     run_shuffle,
 )
 
@@ -33,17 +30,17 @@ def main():
     k4 = Graph.from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
 
     show("minimum-degree greedy on the 4-path (first policy)",
-         run_min_greedy(p4, FirstPolicy()))
+         run_algorithm("mingreedy", p4, FirstPolicy()))
     show("minimum-degree greedy on the 6-cycle (seeded random policy)",
-         run_min_greedy(c6, RandomPolicy(7)))
+         run_algorithm("mingreedy", c6, RandomPolicy(7)))
 
     # On K4 every degree is 3, so the free variant may open with any edge.
     show("free variant on K4 (scripted: first edge, then forced tail)",
-         run_one_two_min_greedy(k4, ScriptedPolicy([0, 0, 0])))
+         run_algorithm("one_two_mingreedy", k4, ScriptedPolicy([0, 0, 0])))
 
     show("degree-1-preferring edge greedy on the 4-path",
-         run_karp_sipser(p4, FirstPolicy()))
-    show("plain edge greedy on K4", run_greedy(k4, FirstPolicy()))
+         run_algorithm("karpsipser", p4, FirstPolicy()))
+    show("plain edge greedy on K4", run_algorithm("greedy", k4, FirstPolicy()))
     show("permutation matcher on the 4-path with order (1, 0, 2, 3)",
          run_shuffle(p4, (1, 0, 2, 3)))
 

@@ -14,7 +14,7 @@ from matchforge import (
     canonicalize,
     decompose,
     maximum_matching,
-    run_one_two_min_greedy,
+    run_algorithm,
 )
 from matchforge.charging import verify_all
 from matchforge.decomposition import format_components
@@ -33,7 +33,7 @@ def main():
     ])
     print(f"graph: n={g.n} m={g.m} max degree {g.delta}")
 
-    trace = run_one_two_min_greedy(g, FirstPolicy())
+    trace = run_algorithm("one_two_mingreedy", g, FirstPolicy())
     print("picked edges:", [st.edge for st in trace.steps])
 
     m_star = canonicalize(g, trace.result, maximum_matching(g))

@@ -6,7 +6,7 @@ Library layout:
 - ``matchers``: the heuristics, policies, traces, and exhaustive worst-case search
 - ``optimum``: exact maximum matching (augmenting search with blossom
   contraction) plus an independent brute-force oracle
-- ``decomposition``: matching-graph components, canonicalization, local ratios
+- ``decomposition``: matching-graph components and canonicalization
 - ``charging``: transfers, cancellations, donations, and the balance verifier
 - ``adversary``: adaptive-priority games, algorithm encodings, hard-instance
   constructors
@@ -17,7 +17,6 @@ from .graphs import (
     Graph,
     Matching,
     ResidualView,
-    connected_components,
     gen_random_bounded,
     gen_regular,
     load_graph,
@@ -33,17 +32,12 @@ from .matchers import (
     TraceStep,
     load_trace,
     run_algorithm,
-    run_greedy,
-    run_karp_sipser,
-    run_min_greedy,
-    run_mrg,
-    run_one_two_min_greedy,
     run_shuffle,
     save_trace,
     worst_case_size,
 )
 from .optimum import max_matching_bruteforce, maximum_matching
-from .decomposition import Decomposition, canonicalize, decompose, endpoint_degrees
+from .decomposition import Decomposition, canonicalize, decompose
 from .charging import build_ledger, theta, target_ratio, verify_bounds, verify_lemma_predicates
 from .adversary import (
     AdversaryB,

@@ -24,11 +24,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from heapq import heappop, heappush
-from pathlib import Path
 
-from .graphs import MAX_NODES, Edge, Graph, Matching, norm_edge, read_records, save_graph
+from .graphs import MAX_NODES, Edge, Graph, Matching, norm_edge, save_graph
 from .matchers import MIN_FORCED, MIN_NODE, RULES, PolicyError
 
 
@@ -649,9 +647,6 @@ class GameResult:
     picks: tuple[Edge, ...] = field(default=())
     served: tuple[DataItem, ...] = field(default=())
 
-    def ratio(self, opt_size: int) -> Fraction:
-        return Fraction(len(self.matching), opt_size)
-
 
 # Rounds after which play_game gives up on a game that does not terminate.
 _MAX_ROUNDS = 1_000_000
@@ -714,33 +709,9 @@ def save_moves(result: GameResult) -> str:
 
 def game_files(result: GameResult) -> dict[str, str]:
     """The persisted form of a game, by file suffix: .graph (edge-list
-    format), .moves (the forced picks, replayable standalone) and
-    .transcript."""
+    format), .moves (the forced picks, in order) and .transcript."""
     return {
         ".graph": save_graph(result.graph),
         ".moves": save_moves(result),
         ".transcript": "\n".join(result.transcript) + "\n",
     }
-
-
-def emit_hard_instance(
-    delta: int,
-    t: int | None = None,
-    algo: str = "mingreedy",
-    prefix: str | None = None,
-) -> GameResult:
-    """Play a constructing-adversary game and persist it as goldens.
-
-    Writes <prefix>.graph, <prefix>.moves and <prefix>.transcript (see
-    game_files) when a prefix is given; always returns the game result.
-    """
-    result = play_game(algo, make_adversary("B" if t is None else "Bprime", delta, t))
-    if prefix is not None:
-        for suffix, text in game_files(result).items():
-            Path(prefix + suffix).write_text(text)
-    return result
-
-
-def load_moves(text: str) -> list[Edge]:
-    """Read a move script (see save_moves) as canonical edges, in order."""
-    return [norm_edge(u, v) for _, _, (u, v) in read_records(text, {"p": "p <u> <v>"})]

@@ -321,9 +321,6 @@ class ChargingLedger:
     def balance(self, ci: int) -> int:
         return self.credits_in[ci] - self.debits_out[ci]
 
-    def credits_to_endpoint(self, w: int, include_cancelled: bool = False) -> int:
-        return (self.raw_credits if include_cancelled else self.credits)[w]
-
     def local_ratio(self, ci: int) -> Fraction:
         comp = self.dec.components[ci]
         return (comp.m_count + self.theta * self.balance(ci)) / comp.opt_count

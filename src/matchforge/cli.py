@@ -23,6 +23,7 @@ from . import charging, decomposition, matchers, optimum
 from .graphs import (
     GenerationError,
     GraphFormatError,
+    SearchBudgetExceededError,
     gen_random_bounded,
     gen_regular,
     load_graph,
@@ -141,7 +142,7 @@ def cmd_worstcase(args) -> int:
     g = _load(args.input, load_graph)
     try:
         size, witness = matchers.worst_case_size(g, args.algo, budget=args.budget)
-    except matchers.SearchBudgetExceededError as exc:
+    except SearchBudgetExceededError as exc:
         bound = "unknown" if exc.bound is None else str(exc.bound)
         print(f"budget exceeded; best bound so far: {bound} (incomplete)")
         return EXIT_BUDGET
@@ -332,7 +333,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except matchers.SearchBudgetExceededError as exc:
+    except SearchBudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (matchers.PolicyError, adv_mod.GameError, GenerationError, ValueError) as exc:

@@ -3,7 +3,7 @@
 Given a heuristic matching M and a maximum matching, canonicalize the
 optimum so that every component of (V, M union M*) is either a singleton
 (one shared edge) or an alternating path that starts and ends with an
-M*-edge, then classify components and their local ratios.
+M*-edge, then classify the components.
 """
 
 from __future__ import annotations
@@ -48,10 +48,6 @@ class Component:
     @property
     def opt_count(self) -> int:
         return len(self.opt_edges)
-
-    @property
-    def local_ratio(self) -> Fraction:
-        return Fraction(self.m_count, self.opt_count)
 
 
 @dataclass(frozen=True)
@@ -199,11 +195,6 @@ def decompose(g: Graph, m: Matching, m_star: Matching) -> Decomposition:
         raise NonCanonicalError("components do not partition the optimum matching")
     f_edges = frozenset(g.edge_set - m.pairs - m_star.pairs)
     return Decomposition(g, m, m_star, tuple(components), f_edges)
-
-
-def endpoint_degrees(dec: Decomposition) -> dict[int, int]:
-    """Original-graph degree of every path endpoint."""
-    return {w: dec.graph.degree(w) for w in sorted(dec.endpoints)}
 
 
 def format_components(dec: Decomposition) -> str:

@@ -27,6 +27,16 @@ class GenerationError(RuntimeError):
     """Raised when a random generator cannot produce a graph within budget."""
 
 
+class SearchBudgetExceededError(RuntimeError):
+    """An exhaustive search ran out of budget; carries the best bound found
+    (None when there is none) and the budget, counted in ``unit``."""
+
+    def __init__(self, bound: int | None, budget: int, unit: str = "states"):
+        super().__init__(f"search budget of {budget} {unit} exceeded")
+        self.bound = bound
+        self.budget = budget
+
+
 def norm_edge(u: int, v: int) -> Edge:
     """Return the canonical (min, max) form of an undirected edge."""
     return (u, v) if u < v else (v, u)
@@ -133,13 +143,6 @@ class Matching:
 
     def __iter__(self) -> Iterator[Edge]:
         return iter(sorted(self.pairs))
-
-    def __contains__(self, edge: tuple[int, int]) -> bool:
-        return norm_edge(*edge) in self.pairs
-
-    @property
-    def nodes(self) -> frozenset[int]:
-        return frozenset(x for e in self.pairs for x in e)
 
     def validate(self, g: Graph) -> None:
         """Check every pair is an edge of g (disjointness holds by construction);
@@ -535,11 +538,14 @@ def gen_random_bounded(n: int, delta: int, p: float, seed: int) -> Graph:
     return Graph(n, tuple(sorted(edges)))
 
 
-def gen_regular(n: int, d: int, seed: int, max_attempts: int = 1000) -> Graph:
+PAIRING_ATTEMPTS = 1000
+
+
+def gen_regular(n: int, d: int, seed: int) -> Graph:
     """Simple d-regular graph via the pairing model with rejection.
 
     A pairing with a self-loop or a repeated edge is rejected whole, and
-    after ``max_attempts`` rejections the generator gives up.  For small
+    after ``PAIRING_ATTEMPTS`` rejections the generator gives up.  For small
     dense parameters nearly every pairing is rejected, so e.g.
     ``gen_regular(8, 5, 9)`` raises GenerationError although 5-regular
     graphs on 8 nodes exist.
@@ -549,7 +555,7 @@ def gen_regular(n: int, d: int, seed: int, max_attempts: int = 1000) -> Graph:
     if not 0 <= d < n:
         raise ValueError("need 0 <= d < n")
     rng = random.Random(seed)
-    for _ in range(max_attempts):
+    for _ in range(PAIRING_ATTEMPTS):
         stubs = [v for v in range(n) for _ in range(d)]
         rng.shuffle(stubs)
         edges: set[Edge] = set()
@@ -562,26 +568,4 @@ def gen_regular(n: int, d: int, seed: int, max_attempts: int = 1000) -> Graph:
             edges.add(norm_edge(u, v))
         if ok:
             return Graph(n, tuple(sorted(edges)))
-    raise GenerationError(f"pairing model rejected {max_attempts} attempts for n={n}, d={d}")
-
-
-def connected_components(g: Graph) -> list[list[int]]:
-    """Partition of 0..n-1 into maximal connected sets, each sorted,
-    ordered by least element."""
-    seen = [False] * g.n
-    out: list[list[int]] = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        comp = []
-        stack = [start]
-        seen[start] = True
-        while stack:
-            x = stack.pop()
-            comp.append(x)
-            for y in g.adjacency[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    stack.append(y)
-        out.append(sorted(comp))
-    return out
+    raise GenerationError(f"pairing model rejected {PAIRING_ATTEMPTS} attempts for n={n}, d={d}")

@@ -1,12 +1,14 @@
 """Greedy matching heuristics under pluggable nondeterminism.
 
 Each rule heuristic is one entry of ``RULES``, which maps the current minimum
-nonzero degree to the selection kind the policy resolves at that step.  Two
+nonzero degree to the selection kind the policy resolves at that step.  Three
 pieces of code interpret the kinds: ``_select`` on a ``ResidualView`` (used by
-every runner, ``iter_all_pick_sequences`` and ``script_from_picks``) and the
-bitmask search of ``worst_case_size``.  A new heuristic is one table entry,
+every runner, ``iter_all_pick_sequences`` and ``script_from_picks``), the
+bitmask search of ``worst_case_size``, and ``adversary.RuleEncoding``, which
+turns a rule into a game's ranked query.  A new heuristic is one table entry,
 e.g. ``"mingreedy4": lambda mind: ANY_EDGE if mind >= 4 else MIN_NODE``; runs,
-choice enumeration, pick scripts, exhaustive search and the CLI follow.
+choice enumeration, pick scripts, exhaustive search, game encodings and the
+CLI follow.
 
 Every run produces a ``RunTrace``: the full step-by-step record (selected
 node, its degree at selection, partner, removed edges, step mode).
@@ -27,7 +29,16 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
-from .graphs import Edge, Graph, GraphFormatError, Matching, ResidualView, norm_edge, read_records
+from .graphs import (
+    Edge,
+    Graph,
+    GraphFormatError,
+    Matching,
+    ResidualView,
+    SearchBudgetExceededError,
+    norm_edge,
+    read_records,
+)
 
 # Selection kinds: what the policy chooses at one step.
 ANY_EDGE = "any_edge"        # any alive edge (a free step)
@@ -38,9 +49,12 @@ ANY_NODE = "any_node"        # any non-isolated node, then one of its neighbors
 # Each rule heuristic's selection kind at the current minimum nonzero degree.
 RULES: dict[str, Callable[[int], str]] = {
     "mingreedy": lambda mind: MIN_NODE,
+    # While every degree is at least 3, any alive edge may be picked: a free
+    # step, recorded as such.
     "one_two_mingreedy": lambda mind: ANY_EDGE if mind >= 3 else MIN_NODE,
     "karpsipser": lambda mind: MIN_FORCED if mind == 1 else ANY_EDGE,
     "greedy": lambda mind: ANY_EDGE,
+    # Selection is over the non-isolated nodes (those with an alive edge).
     "mrg": lambda mind: ANY_NODE,
 }
 
@@ -52,15 +66,6 @@ MODE_FREE = "free_edge"
 
 class PolicyError(ValueError):
     """Raised when a policy cannot resolve a choice (bad script, bad input)."""
-
-
-class SearchBudgetExceededError(RuntimeError):
-    """Exhaustive search ran out of budget; carries the best bound found."""
-
-    def __init__(self, bound: int | None, budget: int):
-        super().__init__(f"search budget of {budget} states exceeded")
-        self.bound = bound
-        self.budget = budget
 
 
 # ---------------------------------------------------------------------------
@@ -220,17 +225,20 @@ class RunTrace:
     def replay(self) -> tuple[ReplayedStep, ...]:
         """Re-run the steps once on a fresh view of the trace's graph.
 
-        Raises ValueError when a picked edge is not alive, a recorded degree
-        is stale, a removed list differs, edges outlive the last step, or the
-        result is not the set of picked edges.  The degree snapshots are kept
-        on the trace, so later readers do not replay it again.
+        Raises ValueError when a step's index is not its 1-based position, a
+        picked edge is not alive, a recorded degree is stale, a removed list
+        differs, edges outlive the last step, or the result is not the set of
+        picked edges.  The degree snapshots are kept on the trace, so later
+        readers do not replay it again.
         """
         view = ResidualView(self.graph)
         deg = view.deg
         alive = view.alive_edges()
         picked = []
         out = []
-        for st in self.steps:
+        for position, st in enumerate(self.steps, 1):
+            if st.index != position:
+                raise ValueError(f"step {st.index}: index is not its position {position}")
             u = st.selected
             v = st.partner
             e = (u, v) if u < v else (v, u)
@@ -369,37 +377,6 @@ def run_algorithm(algo: str, g: Graph, policy: Policy) -> RunTrace:
     return _drive(g, policy.fresh(), RULES[algo])
 
 
-def run_min_greedy(g: Graph, policy: Policy) -> RunTrace:
-    """Repeatedly select a node of minimum nonzero degree, then a neighbor;
-    pick that edge and delete both endpoints."""
-    return run_algorithm("mingreedy", g, policy)
-
-
-def run_one_two_min_greedy(g: Graph, policy: Policy) -> RunTrace:
-    """Like min-greedy, but while every degree is at least 3 any alive edge
-    may be picked (a free step, recorded as such)."""
-    return run_algorithm("one_two_mingreedy", g, policy)
-
-
-def run_karp_sipser(g: Graph, policy: Policy) -> RunTrace:
-    """Edge-greedy that prefers edges incident to a degree-1 node."""
-    return run_algorithm("karpsipser", g, policy)
-
-
-def run_greedy(g: Graph, policy: Policy) -> RunTrace:
-    """Plain edge-greedy: pick any alive edge."""
-    return run_algorithm("greedy", g, policy)
-
-
-def run_mrg(g: Graph, policy: Policy) -> RunTrace:
-    """Node-then-edge greedy: select a non-isolated node, then a neighbor.
-
-    Selection is over non-isolated nodes (nodes with an alive edge); see the
-    module notes on this reading of the node-selection rule.
-    """
-    return run_algorithm("mrg", g, policy)
-
-
 class _RankChooser(Chooser):
     def __init__(self, rank: dict[int, int]):
         self.rank = rank
@@ -465,7 +442,7 @@ def iter_all_pick_sequences(g: Graph, algo: str, limit: int | None = None) -> It
         if not view.has_alive():
             count += 1
             if limit is not None and count > limit:
-                raise SearchBudgetExceededError(None, limit)
+                raise SearchBudgetExceededError(None, limit, "leaves")
             yield list(prefix)
             return
         odometer = _Odometer()

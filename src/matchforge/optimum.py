@@ -13,11 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .graphs import Graph, Matching
-
-
-class BudgetExceededError(RuntimeError):
-    """Raised when an exact search exceeds its configured budget."""
+from .graphs import Graph, Matching, SearchBudgetExceededError
 
 
 class CertificateError(RuntimeError):
@@ -148,7 +144,7 @@ def max_matching_bruteforce(g: Graph, max_edges: int = 24) -> int:
     neighbors.  Guarded by an edge-count budget.
     """
     if g.m > max_edges:
-        raise BudgetExceededError(f"{g.m} edges exceeds brute-force budget of {max_edges}")
+        raise SearchBudgetExceededError(None, max_edges, "edges")
     adj_mask = [0] * g.n
     for u, v in g.edges:
         adj_mask[u] |= 1 << v

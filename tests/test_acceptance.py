@@ -20,7 +20,6 @@ from matchforge.matchers import (
     FirstPolicy,
     RandomPolicy,
     run_algorithm,
-    run_one_two_min_greedy,
     script_from_picks,
     worst_case_size,
 )
@@ -176,14 +175,14 @@ def test_criterion_5_charging_verifier_never_fails():
             continue
         kind = i % 3
         if kind == 0:
-            trace = run_one_two_min_greedy(g, FirstPolicy())
+            trace = run_algorithm("one_two_mingreedy", g, FirstPolicy())
         elif kind == 1:
-            trace = run_one_two_min_greedy(g, RandomPolicy(seed))
+            trace = run_algorithm("one_two_mingreedy", g, RandomPolicy(seed))
         else:
-            base = run_one_two_min_greedy(g, RandomPolicy(seed))
+            base = run_algorithm("one_two_mingreedy", g, RandomPolicy(seed))
             picks = [st.edge for st in base.steps]
-            trace = run_one_two_min_greedy(
-                g, script_from_picks(g, picks, "one_two_mingreedy"))
+            trace = run_algorithm(
+                "one_two_mingreedy", g, script_from_picks(g, picks, "one_two_mingreedy"))
         m_star = canonicalize(g, trace.result, maximum_matching(g))
         dec = decompose(g, trace.result, m_star)
         ledger = build_ledger(trace, dec, max(3, delta))
@@ -239,7 +238,7 @@ def test_criterion_7_canonicalization():
                                rng.uniform(0.2, 0.9), seed)
         if g.m == 0:
             continue
-        trace = run_one_two_min_greedy(g, RandomPolicy(seed))
+        trace = run_algorithm("one_two_mingreedy", g, RandomPolicy(seed))
         m_prime = maximum_matching(g)
         m_star = canonicalize(g, trace.result, m_prime)
         if len(m_star) != len(m_prime):

@@ -18,9 +18,8 @@ from matchforge.adversary import (
     Pattern,
     RuleEncoding,
     TruthfulAdversary,
-    emit_hard_instance,
     encode_priority,
-    load_moves,
+    game_files,
     make_adversary,
     play_game,
     save_moves,
@@ -393,9 +392,8 @@ class TestServedListChecks:
 class TestEmittedArtifacts:
     def test_moves_roundtrip_and_replay(self):
         result, opt, _ = game_ratio("mingreedy", AdversaryB(5))
-        moves = load_moves(save_moves(result))
-        assert moves == list(result.picks)
-        standalone = trace_from_picks(result.graph, moves, "mingreedy")
+        assert save_moves(result) == "".join(f"p {u} {v}\n" for u, v in result.picks)
+        standalone = trace_from_picks(result.graph, result.picks, "mingreedy")
         assert standalone.result.pairs == result.matching.pairs
 
     def test_make_adversary(self):
@@ -417,18 +415,18 @@ class TestEmittedArtifacts:
         kinds = {line.split()[0] for line in result.transcript}
         assert {"q", "serve", "match", "build"} <= kinds
 
-    def test_emit_hard_instance_files(self, tmp_path):
+    def test_emit_hard_instance_files(self):
         from matchforge.graphs import load_graph
 
-        prefix = str(tmp_path / "h5")
-        result = emit_hard_instance(5, prefix=prefix)
-        g = load_graph((tmp_path / "h5.graph").read_text())
+        result = play_game("mingreedy", make_adversary("B", 5))
+        files = game_files(result)
+        g = load_graph(files[".graph"])
         assert g.edge_set == result.graph.edge_set
-        moves = load_moves((tmp_path / "h5.moves").read_text())
-        standalone = trace_from_picks(g, moves, "mingreedy")
+        assert files[".moves"] == save_moves(result)
+        standalone = trace_from_picks(g, result.picks, "mingreedy")
         assert standalone.result.pairs == result.matching.pairs
         assert len(maximum_matching(g)) == 7
 
-    def test_emit_with_budget(self, tmp_path):
-        result = emit_hard_instance(3, t=20, prefix=str(tmp_path / "b"))
+    def test_emit_with_budget(self):
+        result = play_game("mingreedy", make_adversary("Bprime", 3, 20))
         assert result.graph.n == 60

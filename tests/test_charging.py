@@ -19,9 +19,7 @@ from matchforge.matchers import (
     RandomPolicy,
     ScriptedPolicy,
     load_trace,
-    run_greedy,
-    run_min_greedy,
-    run_one_two_min_greedy,
+    run_algorithm,
     save_trace,
     script_from_picks,
 )
@@ -41,7 +39,7 @@ def random_ledger(seed, deltas=(3, 4, 5)):
     if g.m == 0:
         return None
     policy = [FirstPolicy(), RandomPolicy(seed)][seed % 2]
-    trace = run_one_two_min_greedy(g, policy)
+    trace = run_algorithm("one_two_mingreedy", g, policy)
     return ledger_for(g, trace, max(3, delta))
 
 
@@ -54,7 +52,7 @@ def test_theta_values():
 
 def test_p3_empty_ledger():
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
-    led = ledger_for(g, run_min_greedy(g, FirstPolicy()))
+    led = ledger_for(g, run_algorithm("mingreedy", g, FirstPolicy()))
     assert led.transfers == [] and led.donations == []
     rep = verify_bounds(led)
     assert rep.all_pass
@@ -76,7 +74,7 @@ class TestThreeCreditCancellation:
         ]
         g = Graph.from_edges(14, edges)
         assert g.delta == 6
-        trace = run_one_two_min_greedy(g, FirstPolicy())
+        trace = run_algorithm("one_two_mingreedy", g, FirstPolicy())
         return g, trace, ledger_for(g, trace, 6)
 
     def test_third_credit_cancelled(self):
@@ -85,8 +83,8 @@ class TestThreeCreditCancellation:
         assert len(cancelled) == 1
         (t,) = cancelled
         assert t.endpoint == 12 and t.source == 3 and t.step == 3
-        assert led.credits_to_endpoint(12, include_cancelled=True) == 3
-        assert led.credits_to_endpoint(12) == 2
+        assert led.raw_credits[12] == 3
+        assert led.credits[12] == 2
 
     def test_all_bounds_hold(self):
         _, _, led = self.build()
@@ -105,7 +103,7 @@ class TestDynamicDonation:
         g = Graph.from_edges(6, [(0, 1), (0, 2), (0, 4), (0, 5), (1, 2),
                                  (1, 4), (1, 5), (2, 3), (3, 4), (3, 5)])
         assert g.delta == 4
-        trace = run_one_two_min_greedy(g, FirstPolicy())
+        trace = run_algorithm("one_two_mingreedy", g, FirstPolicy())
         return g, trace, ledger_for(g, trace, 4)
 
     def test_donation_recorded(self):
@@ -149,8 +147,8 @@ class TestStaticDonation:
             (8, 10), (8, 11), (8, 12), (9, 10), (9, 11), (11, 12),
         ])
         picks = [(0, 10), (8, 11), (2, 12), (4, 9), (5, 6), (1, 3)]
-        trace = run_one_two_min_greedy(
-            g, script_from_picks(g, picks, "one_two_mingreedy")
+        trace = run_algorithm(
+            "one_two_mingreedy", g, script_from_picks(g, picks, "one_two_mingreedy")
         )
         return g, trace, ledger_for(g, trace, 4)
 
@@ -203,10 +201,10 @@ class TestCorpusProperties:
             g = gen_random_bounded(rng.randint(4, 12), 4, 0.6, seed)
             if g.m == 0:
                 continue
-            base = run_one_two_min_greedy(g, RandomPolicy(seed))
+            base = run_algorithm("one_two_mingreedy", g, RandomPolicy(seed))
             picks = [st.edge for st in base.steps]
-            replay = run_one_two_min_greedy(
-                g, script_from_picks(g, picks, "one_two_mingreedy")
+            replay = run_algorithm(
+                "one_two_mingreedy", g, script_from_picks(g, picks, "one_two_mingreedy")
             )
             assert verify_all(ledger_for(g, replay)).all_pass
 
@@ -224,7 +222,7 @@ class TestInputValidation:
     def test_non_heuristic_trace_rejected(self):
         # A greedy run that violates the minimum-degree rule.
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        trace = run_greedy(g, ScriptedPolicy([1]))  # picks (1, 2), run ends
+        trace = run_algorithm("greedy", g, ScriptedPolicy([1]))  # picks (1, 2), run ends
         m_star = canonicalize(g, trace.result, maximum_matching(g))
         dec = decompose(g, trace.result, m_star)
         with pytest.raises(TraceMismatchError, match="free step"):
@@ -232,8 +230,8 @@ class TestInputValidation:
 
     def test_mismatched_decomposition_rejected(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
-        t1 = run_min_greedy(g, FirstPolicy())
-        t2 = run_min_greedy(g, ScriptedPolicy([1, 0]))  # selects node 2
+        t1 = run_algorithm("mingreedy", g, FirstPolicy())
+        t2 = run_algorithm("mingreedy", g, ScriptedPolicy([1, 0]))  # selects node 2
         m_star = canonicalize(g, t2.result, maximum_matching(g))
         dec = decompose(g, t2.result, m_star)
         with pytest.raises(TraceMismatchError, match="differs"):
@@ -242,7 +240,7 @@ class TestInputValidation:
     def test_trace_on_another_graph_rejected(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
         tri = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-        t = run_min_greedy(g, FirstPolicy())
+        t = run_algorithm("mingreedy", g, FirstPolicy())
         m_star = canonicalize(tri, t.result, maximum_matching(tri))
         dec = decompose(tri, t.result, m_star)
         with pytest.raises(TraceMismatchError, match="graph differs"):
@@ -250,7 +248,7 @@ class TestInputValidation:
 
     def test_stale_degree_rejected(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        t = run_min_greedy(g, FirstPolicy())
+        t = run_algorithm("mingreedy", g, FirstPolicy())
         bad = replace(t, steps=(replace(t.steps[0], sel_degree=2),) + t.steps[1:])
         m_star = canonicalize(g, bad.result, maximum_matching(g))
         dec = decompose(g, bad.result, m_star)
@@ -259,13 +257,13 @@ class TestInputValidation:
 
     def test_ledger_reuses_the_loaded_replay(self):
         g = gen_random_bounded(12, 4, 0.6, 5)
-        trace = load_trace(save_trace(run_one_two_min_greedy(g, RandomPolicy(5))), g)
+        trace = load_trace(save_trace(run_algorithm("one_two_mingreedy", g, RandomPolicy(5))), g)
         led = ledger_for(g, trace)
         assert led.steps is trace.replay
 
     def test_delta_below_graph_degree_rejected(self):
         g = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
-        t = run_min_greedy(g, FirstPolicy())
+        t = run_algorithm("mingreedy", g, FirstPolicy())
         m_star = canonicalize(g, t.result, maximum_matching(g))
         dec = decompose(g, t.result, m_star)
         with pytest.raises(ValueError):

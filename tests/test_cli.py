@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 from matchforge.cli import main
@@ -32,6 +33,20 @@ def test_verify_rejects_corrupted_trace(tmp_path: Path):
     removed = [ln for ln in body if ln.startswith("r")]
     t.write_text("\n".join(ln for ln in body if ln != removed[0]) + "\n")
     assert run_cli("verify", "--in", str(g), "--trace", str(t)) == 2
+
+
+def test_verify_rejects_renumbered_steps(tmp_path: Path, capsys):
+    # In this run the ledger reads a step's successor by its index, which a
+    # shifted index would take past the last step.
+    g = tmp_path / "g.graph"
+    t = tmp_path / "t.trace"
+    run_cli("gen", "--n", "8", "--delta", "4", "--p", "0.5", "--seed", "5", "--out", str(g))
+    run_cli("run", "--algo", "one_two_mingreedy", "--policy", "random:5",
+            "--in", str(g), "--trace", str(t))
+    t.write_text(re.sub(r"^s (\d+)", lambda m: f"s {int(m.group(1)) + 5}",
+                        t.read_text(), flags=re.M))
+    assert run_cli("verify", "--in", str(g), "--trace", str(t)) == 2
+    assert "trace does not replay: step 6: index is not its position 1" in capsys.readouterr().err
 
 
 def test_missing_file_is_input_error(tmp_path: Path):

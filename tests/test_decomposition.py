@@ -8,11 +8,10 @@ from matchforge.decomposition import (
     NonCanonicalError,
     canonicalize,
     decompose,
-    endpoint_degrees,
     format_components,
 )
 from matchforge.graphs import Graph, Matching, gen_random_bounded
-from matchforge.matchers import FirstPolicy, RandomPolicy, run_one_two_min_greedy
+from matchforge.matchers import FirstPolicy, RandomPolicy, run_algorithm
 from matchforge.optimum import maximum_matching
 
 
@@ -57,7 +56,7 @@ class TestCanonicalize:
         (comp,) = decompose(P4(), m, m_star).components
         assert comp.kind == "path"
         assert comp.m_count == 1 and comp.opt_count == 2
-        assert comp.local_ratio == Fraction(1, 2)
+        assert Fraction(comp.m_count, comp.opt_count) == Fraction(1, 2)
         assert comp.endpoints == (0, 3)
 
     def test_non_maximum_rejected(self):
@@ -72,7 +71,7 @@ class TestCanonicalize:
                                    rng.uniform(0.2, 0.9), seed)
             if g.m == 0:
                 continue
-            m = run_one_two_min_greedy(g, RandomPolicy(seed)).result
+            m = run_algorithm("one_two_mingreedy", g, RandomPolicy(seed)).result
             m_prime = maximum_matching(g)
             m_star = canonicalize(g, m, m_prime)
             assert len(m_star) == len(m_prime)
@@ -111,7 +110,7 @@ class TestDecompose:
                                    rng.uniform(0.2, 0.9), seed)
             if g.m == 0:
                 continue
-            m = run_one_two_min_greedy(g, RandomPolicy(seed)).result
+            m = run_algorithm("one_two_mingreedy", g, RandomPolicy(seed)).result
             m_star = canonicalize(g, m, maximum_matching(g))
             dec = decompose(g, m, m_star)
             assert sum(c.m_count for c in dec.components) == len(m)
@@ -122,7 +121,7 @@ class TestDecompose:
                     assert comp.opt_count == comp.m_count + 1
                     assert comp.nodes[0] == min(comp.endpoints)
                 else:
-                    assert comp.local_ratio == 1
+                    assert Fraction(comp.m_count, comp.opt_count) == 1
             # Edge classes partition the graph's edges.
             assert dec.f_edges.isdisjoint(m.pairs)
             assert dec.f_edges.isdisjoint(m_star.pairs)
@@ -133,7 +132,7 @@ class TestDecompose:
 
     def test_global_ratio_matches_component_sums(self):
         g = C6()
-        m = run_one_two_min_greedy(g, FirstPolicy()).result
+        m = run_algorithm("one_two_mingreedy", g, FirstPolicy()).result
         m_star = canonicalize(g, m, maximum_matching(g))
         dec = decompose(g, m, m_star)
         assert dec.global_ratio == Fraction(len(m), len(m_star))
@@ -146,14 +145,14 @@ class TestEndpointDegrees:
         m = Matching.from_pairs([(1, 2)])
         m_star = Matching.from_pairs([(0, 1), (2, 3)])
         dec = decompose(P4(), m, m_star)
-        assert endpoint_degrees(dec) == {0: 1, 3: 1}
+        assert {w: P4().degree(w) for w in dec.endpoints} == {0: 1, 3: 1}
 
     def test_c6_run_has_no_endpoints(self):
         g = C6()
-        m = run_one_two_min_greedy(g, FirstPolicy()).result
+        m = run_algorithm("one_two_mingreedy", g, FirstPolicy()).result
         m_star = canonicalize(g, m, maximum_matching(g))
         dec = decompose(g, m, m_star)
-        assert endpoint_degrees(dec) == {}
+        assert dec.endpoints == frozenset()
 
     def test_traced_runs_have_endpoint_degree_at_least_two(self):
         for seed in range(200):
@@ -162,10 +161,10 @@ class TestEndpointDegrees:
                                    rng.uniform(0.3, 0.9), seed)
             if g.m == 0:
                 continue
-            m = run_one_two_min_greedy(g, RandomPolicy(seed)).result
+            m = run_algorithm("one_two_mingreedy", g, RandomPolicy(seed)).result
             m_star = canonicalize(g, m, maximum_matching(g))
             dec = decompose(g, m, m_star)
-            assert all(d >= 2 for d in endpoint_degrees(dec).values())
+            assert all(g.degree(w) >= 2 for w in dec.endpoints)
 
 
 def test_format_components():

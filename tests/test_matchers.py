@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,11 +13,6 @@ from matchforge.matchers import (
     iter_all_pick_sequences,
     load_trace,
     run_algorithm,
-    run_greedy,
-    run_karp_sipser,
-    run_min_greedy,
-    run_mrg,
-    run_one_two_min_greedy,
     run_shuffle,
     save_trace,
     script_from_picks,
@@ -52,11 +49,11 @@ def random_graph(seed, n_max=10, delta=4):
 
 class TestMinGreedy:
     def test_p3_first(self):
-        t = run_min_greedy(P3(), FirstPolicy())
+        t = run_algorithm("mingreedy", P3(), FirstPolicy())
         assert t.result.pairs == {(0, 1)}
 
     def test_c4_first(self):
-        t = run_min_greedy(C4(), FirstPolicy())
+        t = run_algorithm("mingreedy", C4(), FirstPolicy())
         assert t.result.pairs == {(0, 1), (2, 3)}
 
     def test_c6_every_choice_path_yields_three(self):
@@ -65,7 +62,7 @@ class TestMinGreedy:
         assert sizes == {3}
 
     def test_trace_records_degrees_and_mode(self):
-        t = run_min_greedy(P3(), FirstPolicy())
+        t = run_algorithm("mingreedy", P3(), FirstPolicy())
         (step,) = t.steps
         assert step.selected == 0 and step.sel_degree == 1 and step.partner == 1
         assert step.mode == "degree_rule"
@@ -74,12 +71,12 @@ class TestMinGreedy:
 
 class TestOneTwoMinGreedy:
     def test_p3_same_as_mingreedy(self):
-        assert (run_one_two_min_greedy(P3(), FirstPolicy()).result.pairs
-                == run_min_greedy(P3(), FirstPolicy()).result.pairs)
+        assert (run_algorithm("one_two_mingreedy", P3(), FirstPolicy()).result.pairs
+                == run_algorithm("mingreedy", P3(), FirstPolicy()).result.pairs)
 
     def test_k4_scripted_first_edge(self):
         # All degrees are 3, so the first step picks a free edge by script.
-        t = run_one_two_min_greedy(K4(), ScriptedPolicy([0, 0, 0]))
+        t = run_algorithm("one_two_mingreedy", K4(), ScriptedPolicy([0, 0, 0]))
         assert t.result.pairs == {(0, 1), (2, 3)}
         assert t.steps[0].mode == "free_edge"
         assert t.steps[1].mode == "degree_rule"
@@ -89,10 +86,10 @@ class TestOneTwoMinGreedy:
             g = random_graph(seed)
             if g.m == 0:
                 continue
-            mg = run_min_greedy(g, RandomPolicy(seed))
+            mg = run_algorithm("mingreedy", g, RandomPolicy(seed))
             picks = [st.edge for st in mg.steps]
-            replay = run_one_two_min_greedy(
-                g, script_from_picks(g, picks, "one_two_mingreedy")
+            replay = run_algorithm(
+                "one_two_mingreedy", g, script_from_picks(g, picks, "one_two_mingreedy")
             )
             assert [st.edge for st in replay.steps] == picks
 
@@ -109,15 +106,15 @@ class TestOneTwoMinGreedy:
 
 class TestOtherHeuristics:
     def test_karpsipser_p3(self):
-        assert run_karp_sipser(P3(), FirstPolicy()).result.pairs == {(0, 1)}
+        assert run_algorithm("karpsipser", P3(), FirstPolicy()).result.pairs == {(0, 1)}
 
     def test_greedy_triangle(self):
         tri = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
-        t = run_greedy(tri, FirstPolicy())
+        t = run_algorithm("greedy", tri, FirstPolicy())
         assert len(t.result) == 1
 
     def test_mrg_runs(self):
-        t = run_mrg(C6(), FirstPolicy())
+        t = run_algorithm("mrg", C6(), FirstPolicy())
         assert len(t.result) == 3
 
     def test_shuffle_p4(self):
@@ -134,25 +131,25 @@ class TestOtherHeuristics:
 class TestPolicies:
     def test_determinism_random_policy(self):
         g = random_graph(11)
-        a = run_min_greedy(g, RandomPolicy(5))
-        b = run_min_greedy(g, RandomPolicy(5))
+        a = run_algorithm("mingreedy", g, RandomPolicy(5))
+        b = run_algorithm("mingreedy", g, RandomPolicy(5))
         assert a == b
 
     def test_scripted_step_tagging(self):
-        t = run_min_greedy(P3(), ScriptedPolicy([(1, 0), (1, 0)]))
+        t = run_algorithm("mingreedy", P3(), ScriptedPolicy([(1, 0), (1, 0)]))
         assert t.result.pairs == {(0, 1)}
 
     def test_scripted_out_of_range(self):
         with pytest.raises(PolicyError, match="out of range"):
-            run_min_greedy(P3(), ScriptedPolicy([9, 0]))
+            run_algorithm("mingreedy", P3(), ScriptedPolicy([9, 0]))
 
     def test_scripted_leftover_rejected(self):
         with pytest.raises(PolicyError, match="unconsumed"):
-            run_min_greedy(P3(), ScriptedPolicy([0, 0, 0]))
+            run_algorithm("mingreedy", P3(), ScriptedPolicy([0, 0, 0]))
 
     def test_scripted_underflow_rejected(self):
         with pytest.raises(PolicyError, match="exhausted"):
-            run_min_greedy(C4(), ScriptedPolicy([0, 0]))
+            run_algorithm("mingreedy", C4(), ScriptedPolicy([0, 0]))
 
 
 class TestPicks:
@@ -187,12 +184,12 @@ class TestPicks:
 class TestTraceIO:
     def test_roundtrip(self):
         g = random_graph(3)
-        t = run_karp_sipser(g, RandomPolicy(2))
+        t = run_algorithm("karpsipser", g, RandomPolicy(2))
         assert load_trace(save_trace(t), g) == t
 
     def test_replay_is_cached_by_readers_not_runners(self):
         g = random_graph(3)
-        t = run_min_greedy(g, FirstPolicy())
+        t = run_algorithm("mingreedy", g, FirstPolicy())
         assert "replay" not in vars(t)
         loaded = load_trace(save_trace(t), g)
         assert loaded.replay is loaded.replay
@@ -201,7 +198,7 @@ class TestTraceIO:
 
     def test_corrupted_removed_edges_rejected(self):
         g = P3()
-        t = run_min_greedy(g, FirstPolicy())
+        t = run_algorithm("mingreedy", g, FirstPolicy())
         text = save_trace(t).replace("r 1 2\n", "")
         with pytest.raises(Exception, match="replay|mismatch"):
             load_trace(text, g)
@@ -213,8 +210,18 @@ class TestTraceIO:
             load_trace(text, P3())
 
     def test_removed_edge_outside_the_graph_is_a_format_error(self):
-        with pytest.raises(GraphFormatError, match="step 0: removed-edge list mismatch"):
-            load_trace("s 0 0 3 1 degree_rule\nr 0 4\n", K4())
+        with pytest.raises(GraphFormatError, match="step 1: removed-edge list mismatch"):
+            load_trace("s 1 0 3 1 degree_rule\nr 0 4\n", K4())
+
+    def test_renumbered_steps_are_a_format_error(self):
+        # The ledger reads step i at position i, so a step must carry its
+        # 1-based position as its index.
+        g = random_graph(3)
+        text = save_trace(run_algorithm("one_two_mingreedy", g, RandomPolicy(3)))
+        shifted = re.sub(r"^s (\d+)", lambda m: f"s {int(m.group(1)) + 5}", text, flags=re.M)
+        with pytest.raises(GraphFormatError,
+                           match="does not replay: step 6: index is not its position 1"):
+            load_trace(shifted, g)
 
 
 def degrees(alive, n):
@@ -292,6 +299,6 @@ def test_runs_produce_maximal_matchings(seed, algo):
     g = random_graph(seed)
     t = run_algorithm(algo, g, RandomPolicy(seed))
     t.verify_replay()  # also checks no alive edge remains
-    covered = t.result.nodes
+    covered = {x for e in t.result.pairs for x in e}
     for u, v in g.edges:
         assert u in covered or v in covered, "matching is not maximal"

@@ -9,9 +9,14 @@ import pytest
 
 import matchforge
 from matchforge import optimum
-from matchforge.graphs import Graph, Matching, gen_random_bounded, gen_regular
+from matchforge.graphs import (
+    Graph,
+    Matching,
+    SearchBudgetExceededError,
+    gen_random_bounded,
+    gen_regular,
+)
 from matchforge.optimum import (
-    BudgetExceededError,
     has_augmenting_path,
     max_matching_bruteforce,
     maximum_matching,
@@ -122,8 +127,9 @@ def test_submaximal_matching_admits_augmenting_path():
 def test_bruteforce_budget():
     g = gen_random_bounded(30, 4, 1.0, 0)
     assert g.m > 24
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(SearchBudgetExceededError, match="budget of 24 edges") as exc:
         max_matching_bruteforce(g)
+    assert exc.value.bound is None
 
 
 def _nx_size(nx, g: Graph) -> int:
