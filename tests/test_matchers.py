@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from matchforge.graphs import Graph, GraphFormatError, gen_random_bounded
 from matchforge.matchers import (
+    RULES,
     FirstPolicy,
     PolicyError,
     RandomPolicy,
@@ -288,6 +289,100 @@ class TestWorstCase:
         g = random_graph(1, n_max=10)
         with pytest.raises(SearchBudgetExceededError):
             worst_case_size(g, "one_two_mingreedy", budget=1)
+
+
+# The search's work, pinned: per rule and per ``search_graph(seed)``, the
+# number of states the search expands (the smallest budget that succeeds)
+# and the bound it reports at half that budget.  A faster search must expand
+# the same states, so both stay fixed.
+SEARCH_WORK = {
+    "mingreedy": [
+        (58, 4), (7, 2), (4, None), (5, 2), (3, None), (13, None), (95, None),
+        (4, None), (7, 2), (4, None), (26, None), (17, 3), (10, None), (13, 3), (5, 2),
+        (2, None), (6, None), (66, 4), (2, None), (16, 4), (25, 4), (7, 2), (2, None),
+        (38, 5), (45, 4), (12, None), (13, None), (9, None), (3, None), (13, None),
+        (19, 4), (5, 2), (1, None), (49, 4), (47, 4), (14, None), (19, 3), (45, None),
+        (30, None), (3, None),
+    ],
+    "one_two_mingreedy": [
+        (96, 4), (10, 2), (4, None), (5, 2), (3, None), (13, None), (340, 4),
+        (4, None), (10, 2), (4, None), (26, None), (52, 3), (10, None), (13, 3),
+        (5, 2), (2, None), (6, None), (66, 4), (2, None), (16, 4), (196, 4), (10, 2),
+        (2, None), (138, 4), (74, 4), (12, None), (13, None), (9, None), (3, None),
+        (13, None), (19, 4), (5, 2), (1, None), (49, 4), (70, 4), (14, None), (19, 3),
+        (62, None), (30, None), (3, None),
+    ],
+    "karpsipser": [
+        (241, 4), (10, 2), (4, None), (8, 2), (3, None), (18, None), (397, 4),
+        (4, None), (10, 2), (9, None), (43, 3), (53, 3), (10, None), (16, 2), (5, 2),
+        (2, None), (6, None), (91, 3), (2, None), (46, 4), (209, 4), (10, 2),
+        (2, None), (270, 4), (145, 3), (27, 3), (28, None), (35, None), (3, None),
+        (17, None), (67, 3), (5, 2), (1, None), (54, 3), (85, 3), (66, 3), (19, 3),
+        (145, 3), (117, 3), (8, 2),
+    ],
+    "greedy": [
+        (270, 4), (10, 2), (15, 2), (8, 2), (5, 2), (48, 3), (397, 4), (11, 2),
+        (10, 2), (26, 3), (53, 3), (53, 3), (33, 2), (16, 2), (5, 2), (5, 2), (15, 2),
+        (91, 3), (7, 2), (82, 3), (209, 4), (10, 2), (3, None), (281, 4), (148, 3),
+        (32, 3), (77, 3), (102, 3), (3, None), (47, 3), (73, 3), (5, 2), (1, None),
+        (63, 3), (85, 3), (67, 3), (19, 3), (159, 3), (127, 3), (8, 2),
+    ],
+    "mrg": [
+        (270, 4), (10, 2), (15, 2), (8, 2), (5, 2), (48, 3), (397, 4), (11, 2),
+        (10, 2), (26, 3), (53, 3), (53, 3), (33, 2), (16, 2), (5, 2), (5, 2), (15, 2),
+        (91, 3), (7, 2), (82, 3), (209, 4), (10, 2), (3, None), (281, 4), (148, 3),
+        (32, 3), (77, 3), (102, 3), (3, None), (47, 3), (73, 3), (5, 2), (1, None),
+        (63, 3), (85, 3), (67, 3), (19, 3), (159, 3), (127, 3), (8, 2),
+    ],
+}
+
+
+def search_graph(seed):
+    import random
+    rng = random.Random(seed)
+    return gen_random_bounded(rng.randint(4, 10), rng.randint(3, 5), rng.uniform(0.4, 0.9), seed)
+
+
+def smallest_budget(g, algo):
+    lo, hi = 0, 1
+    while True:
+        try:
+            worst_case_size(g, algo, budget=hi)
+            break
+        except SearchBudgetExceededError:
+            lo, hi = hi, hi * 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            worst_case_size(g, algo, budget=mid)
+            hi = mid
+        except SearchBudgetExceededError:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize("algo", list(RULES))
+def test_search_expands_the_pinned_states(algo):
+    got = []
+    for seed in range(40):
+        g = search_graph(seed)
+        spent = smallest_budget(g, algo)
+        with pytest.raises(SearchBudgetExceededError) as info:
+            worst_case_size(g, algo, budget=spent // 2)
+        got.append((spent, info.value.bound))
+    assert got == SEARCH_WORK[algo]
+
+
+@pytest.mark.parametrize("algo", list(RULES))
+def test_search_size_and_witness_match_the_enumeration(algo):
+    import random
+    for seed in range(60):
+        rng = random.Random(seed)
+        g = gen_random_bounded(rng.randint(0, 7), rng.randint(2, 4), rng.uniform(0.3, 0.9), seed)
+        runs = list(iter_all_pick_sequences(g, algo, limit=100_000))
+        size, witness = worst_case_size(g, algo)
+        assert size == min(len(p) for p in runs)
+        assert [st.edge for st in witness.steps] in runs
 
 
 @settings(max_examples=50, deadline=None)
