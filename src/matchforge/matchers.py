@@ -4,8 +4,9 @@ Each rule heuristic is one entry of ``RULES``, which maps the current minimum
 nonzero degree to the selection kind the policy resolves at that step.  Three
 pieces of code interpret the kinds: ``_select`` on a ``ResidualView`` (used by
 every runner, ``iter_all_pick_sequences`` and ``script_from_picks``), the
-bitmask search of ``worst_case_size``, and ``adversary.RuleEncoding``, which
-turns a rule into a game's ranked query.  A new heuristic is one table entry,
+bitmask search of ``worst_case_size``, which reads each state's moves from a
+move table built once per graph, and ``adversary.RuleEncoding``, which turns
+a rule into a game's ranked query.  A new heuristic is one table entry,
 e.g. ``"mingreedy4": lambda mind: ANY_EDGE if mind >= 4 else MIN_NODE``; runs,
 choice enumeration, pick scripts, exhaustive search, game encodings and the
 CLI follow.
@@ -15,7 +16,8 @@ node, its degree at selection, partner, removed edges, step mode).
 ``RunTrace.replay`` checks it by re-running it once and keeps the per-step
 degree snapshots, which ``load_trace`` and the charging ledger share.
 ``worst_case_size`` exhausts all nondeterministic choice sequences of a
-heuristic and returns the minimum matching size with a witness trace.
+heuristic and returns the minimum matching size with a witness trace, read
+back from its memo.
 
 Canonical orders: candidate nodes ascending by id, candidate neighbors
 ascending by id, candidate edges ascending as (u, v) pairs.  The first
@@ -520,16 +522,15 @@ def trace_from_picks(g: Graph, picks: Sequence[tuple[int, int]], algo: str) -> R
 # ---------------------------------------------------------------------------
 
 
-def worst_case_size(
-    g: Graph,
-    algo: str,
-    budget: int = 2_000_000,
-) -> tuple[int, RunTrace]:
+def worst_case_size(g: Graph, algo: str, budget: int = 2_000_000) -> tuple[int, RunTrace]:
     """Minimum matching size over ALL nondeterministic choice sequences.
 
     Memoized DFS over residual states keyed by the alive-edge bitmask, which
     deduplicates permuted choice orders reaching the same residual graph.
-    Returns the exact minimum and one witness trace achieving it.
+    Each state's moves are read from a table built once per call.  Returns
+    the exact minimum and one witness trace achieving it, read back from the
+    memo: at each state, the first move in canonical order whose successor
+    is worth one less.
     """
     if algo not in RULES:
         raise PolicyError(f"worst-case search unsupported for '{algo}'")
@@ -537,81 +538,64 @@ def worst_case_size(
     m = g.m
     if m == 0:
         return 0, RunTrace(g, (), Matching.from_pairs(()))
-    edges = list(g.edges)
     inc = [0] * g.n
-    for i, (u, v) in enumerate(edges):
+    for i, (u, v) in enumerate(g.edges):
         inc[u] |= 1 << i
         inc[v] |= 1 << i
-    nodes = range(g.n)
+    # A move is (edge bit, the edges it kills, selected, partner).  Under
+    # ANY_NODE a pick (v, u) with v > u reaches the same successor as (u, v),
+    # so free kinds list each alive edge once, from its smaller end.
+    edge_moves = [(1 << i, inc[u] | inc[v], u, v) for i, (u, v) in enumerate(g.edges)]
+    node_moves: list[list[tuple[int, int, int, int]]] = [[] for _ in inc]
+    for bit, kill, u, v in edge_moves:
+        node_moves[u].append((bit, kill, u, v))
+        node_moves[v].append((bit, kill, v, u))
+    free = [d > 0 and rule(d) in (ANY_EDGE, ANY_NODE) for d in range(g.delta + 1)]
     full = (1 << m) - 1
-    memo: dict[int, int] = {}
-    choice: dict[int, tuple[int, int]] = {}
+    memo = {0: 0}
     spent = 0
 
-    def moves_of(state: int) -> list[tuple[int, int]]:
-        """Every (selected, partner) pick the rule allows in this state."""
-        degs = [(state & inc[v]).bit_count() for v in nodes]
-        mind = min(d for d in degs if d > 0)
-        kind = rule(mind)
-        # Under ANY_NODE a pick (v, u) with v > u reaches the same successor
-        # as (u, v), so each alive edge is listed once, from its smaller end:
-        # the picks are the alive edges in ascending order.
-        if kind == ANY_EDGE or kind == ANY_NODE:
-            return [edges[i] for i in _bits(state)]
+    def moves_of(state: int) -> list[tuple[int, int, int, int]]:
+        """Every move the rule allows in this state, in canonical order."""
+        degs = [(state & x).bit_count() for x in inc]
+        mind = min(filter(None, degs))
+        if free[mind]:
+            return [mv for mv in edge_moves if state & mv[0]]
         # A forced neighbor is a degree-1 node's only edge.
-        out = []
-        for u in nodes:
-            if degs[u] == mind:
-                for i in _bits(state & inc[u]):
-                    a, b = edges[i]
-                    out.append((u, b if a == u else a))
-        return out
+        return [mv for d, mvs in zip(degs, node_moves) if d == mind
+                for mv in mvs if state & mv[0]]
 
     def rec(state: int) -> int:
         nonlocal spent
-        if state == 0:
-            return 0
-        cached = memo.get(state)
-        if cached is not None:
-            return cached
         spent += 1
         if spent > budget:
             raise SearchBudgetExceededError(None, budget)
-        best = None
-        best_move = None
-        seen_next: set[int] = set()
-        for u, v in moves_of(state):
-            nxt = state & ~(inc[u] | inc[v])
-            if nxt in seen_next:
-                continue
-            seen_next.add(nxt)
-            val = 1 + rec(nxt)
-            if best is None or val < best:
+        # A repeated successor is a memo hit of equal value: best stays.
+        best = m
+        for mv in moves_of(state):
+            nxt = state & ~mv[1]
+            val = memo.get(nxt)
+            if val is None:
+                val = rec(nxt)
+            if val < best:
                 best = val
-                best_move = (u, v)
-        memo[state] = best
-        choice[state] = best_move
-        return best
+        memo[state] = best + 1
+        return best + 1
 
     try:
         size = rec(full)
-    except SearchBudgetExceededError as exc:
-        done = [1 + memo[full & ~(inc[u] | inc[v])]
-                for u, v in moves_of(full)
-                if (full & ~(inc[u] | inc[v])) in memo]
+    except SearchBudgetExceededError:
+        # The bound reads the first moves whose successors are done; a move
+        # that kills every edge is left out.
+        done = [1 + memo[nxt] for nxt in (full & ~mv[1] for mv in moves_of(full))
+                if nxt and nxt in memo]
         raise SearchBudgetExceededError(min(done) if done else None, budget) from None
 
     picks = []
     state = full
     while state:
-        u, v = choice[state]
+        want = memo[state] - 1
+        _, kill, u, v = next(mv for mv in moves_of(state) if memo[state & ~mv[1]] == want)
         picks.append((u, v))
-        state &= ~(inc[u] | inc[v])
+        state &= ~kill
     return size, trace_from_picks(g, picks, algo)
-
-
-def _bits(x: int) -> Iterator[int]:
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
