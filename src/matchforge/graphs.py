@@ -523,14 +523,21 @@ def gen_random_bounded(n: int, delta: int, p: float, seed: int) -> Graph:
     Candidate pairs are visited in a seeded-random order and each is kept
     with probability p when both endpoints still have spare degree.
     """
+    if n > MAX_NODES:
+        raise ValueError(f"{n} nodes exceed the bound of {MAX_NODES}")
     if delta < 1:
         raise ValueError("delta must be >= 1")
     rng = random.Random(seed)
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    # Each pair (u, v) is shuffled as the int u << 20 | v (MAX_NODES < 2**20).
+    # A shuffle's draws depend only on the list's length, so the order is the
+    # one a list of tuples gets, at half the memory.
+    pairs = [u << 20 | v for u in range(n) for v in range(u + 1, n)]
     rng.shuffle(pairs)
     deg = [0] * n
     edges = []
-    for u, v in pairs:
+    for code in pairs:
+        u = code >> 20
+        v = code & 0xFFFFF
         if deg[u] < delta and deg[v] < delta and rng.random() < p:
             deg[u] += 1
             deg[v] += 1
@@ -550,6 +557,8 @@ def gen_regular(n: int, d: int, seed: int) -> Graph:
     ``gen_regular(8, 5, 9)`` raises GenerationError although 5-regular
     graphs on 8 nodes exist.
     """
+    if n > MAX_NODES:
+        raise ValueError(f"{n} nodes exceed the bound of {MAX_NODES}")
     if n * d % 2 != 0:
         raise ValueError("n * d must be even")
     if not 0 <= d < n:

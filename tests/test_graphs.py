@@ -235,6 +235,36 @@ class TestGenerators:
         with pytest.raises(GenerationError, match="rejected 1000 attempts for n=8, d=5"):
             gen_regular(8, 5, 9)
 
+    def test_random_bounded_matches_a_shuffle_of_pair_tuples(self):
+        import random
+
+        def shuffled_tuples(n, delta, p, seed):
+            rng = random.Random(seed)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            rng.shuffle(pairs)
+            deg = [0] * n
+            edges = []
+            for u, v in pairs:
+                if deg[u] < delta and deg[v] < delta and rng.random() < p:
+                    deg[u] += 1
+                    deg[v] += 1
+                    edges.append((u, v))
+            return tuple(sorted(edges))
+
+        rng = random.Random(2024)
+        cases = [(n, 3, 0.7, n) for n in (0, 1, 2)] + [(300, 5, 0.6, 11)]
+        cases += [(rng.randint(0, 40), rng.randint(1, 6), rng.random(), rng.randrange(10**6))
+                  for _ in range(500)]
+        for n, delta, p, seed in cases:
+            assert gen_random_bounded(n, delta, p, seed).edges == shuffled_tuples(n, delta, p, seed)
+
+    def test_generators_refuse_more_than_max_nodes(self):
+        # Degree 0 keeps a generator without the check from allocating.
+        with pytest.raises(ValueError, match=f"{MAX_NODES + 1} nodes exceed the bound"):
+            gen_regular(MAX_NODES + 1, 0, 1)
+        with pytest.raises(ValueError, match=f"{MAX_NODES + 1} nodes exceed the bound"):
+            gen_random_bounded(MAX_NODES + 1, 0, 0.5, 1)
+
 
 @st.composite
 def graphs(draw, max_n=10, max_delta=4):
