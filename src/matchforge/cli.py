@@ -13,6 +13,7 @@ reproduces its output byte for byte.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -205,8 +206,11 @@ def cmd_sweep(args) -> int:
                 jobs.append((idx, delta, args.source, seed, algo,
                              args.n, args.p, args.t, args.mode, args.budget))
                 idx += 1
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # The pool forks all its workers at the first submit, so it gets no more
+    # than there are rows or cores.
+    workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_row, jobs))
     else:
         rows = [_sweep_row(j) for j in jobs]

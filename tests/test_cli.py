@@ -1,6 +1,7 @@
 import re
 from pathlib import Path
 
+from matchforge import cli
 from matchforge.cli import main
 from matchforge.graphs import MAX_NODES, load_graph
 
@@ -157,6 +158,53 @@ def test_sweep_bprime_node_bound_is_input_error(tmp_path: Path, capsys):
     assert capsys.readouterr().err == (f"error: t*delta = {4 * t} announced nodes exceed "
                                        f"the bound of {MAX_NODES}\n")
     assert not out.exists()
+
+
+def test_gen_node_bound_is_input_error(tmp_path: Path, capsys):
+    out = tmp_path / "big.graph"
+    assert run_cli("gen", "--kind", "regular", "--n", str(MAX_NODES + 2), "--degree", "0",
+                   "--seed", "1", "--out", str(out)) == 2
+    assert capsys.readouterr().err == (f"error: {MAX_NODES + 2} nodes exceed "
+                                       f"the bound of {MAX_NODES}\n")
+    assert not out.exists()
+
+
+def test_sweep_node_bound_is_input_error(tmp_path: Path, capsys):
+    out = tmp_path / "s.csv"
+    assert run_cli("sweep", "--deltas", "0", "--source", "random", "--n", str(MAX_NODES + 1),
+                   "--out", str(out)) == 2
+    assert capsys.readouterr().err == (f"error: {MAX_NODES + 1} nodes exceed "
+                                       f"the bound of {MAX_NODES}\n")
+    assert not out.exists()
+
+
+def test_sweep_workers_are_clamped_to_rows_and_cores(tmp_path: Path, monkeypatch):
+    started = []
+
+    class Recorder:
+        # Starts no process: records the worker count and maps in place.
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    a, b, c = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
+    args = ["sweep", "--deltas", "3", "--source", "random", "--count", "2",
+            "--seed", "3", "--algos", "mingreedy", "--n", "9"]
+    assert run_cli(*args, "--jobs", "5000", "--out", str(a)) == 0
+    assert run_cli(*args, "--count", "7", "--jobs", "5000", "--out", str(b)) == 0
+    assert started == [2, 3]
+    assert run_cli(*args, "--jobs", "1", "--out", str(c)) == 0
+    assert a.read_bytes() == c.read_bytes()
 
 
 def test_sweep_hard_instances(tmp_path: Path):
