@@ -522,7 +522,11 @@ def trace_from_picks(g: Graph, picks: Sequence[tuple[int, int]], algo: str) -> R
 # ---------------------------------------------------------------------------
 
 
-def worst_case_size(g: Graph, algo: str, budget: int = 2_000_000) -> tuple[int, RunTrace]:
+def worst_case_size(
+    g: Graph,
+    algo: str,
+    budget: int = 2_000_000,
+) -> tuple[int, RunTrace]:
     """Minimum matching size over ALL nondeterministic choice sequences.
 
     Memoized DFS over residual states keyed by the alive-edge bitmask, which
@@ -538,18 +542,14 @@ def worst_case_size(g: Graph, algo: str, budget: int = 2_000_000) -> tuple[int, 
     m = g.m
     if m == 0:
         return 0, RunTrace(g, (), Matching.from_pairs(()))
-    inc = [0] * g.n
-    for i, (u, v) in enumerate(g.edges):
-        inc[u] |= 1 << i
-        inc[v] |= 1 << i
+    inc = [sum(1 << i for i in ids) for ids in g.incident]
     # A move is (edge bit, the edges it kills, selected, partner).  Under
     # ANY_NODE a pick (v, u) with v > u reaches the same successor as (u, v),
-    # so free kinds list each alive edge once, from its smaller end.
+    # so free kinds list each alive edge once, from its smaller end.  A
+    # node's moves are in ascending edge id, which is ascending partner id.
     edge_moves = [(1 << i, inc[u] | inc[v], u, v) for i, (u, v) in enumerate(g.edges)]
-    node_moves: list[list[tuple[int, int, int, int]]] = [[] for _ in inc]
-    for bit, kill, u, v in edge_moves:
-        node_moves[u].append((bit, kill, u, v))
-        node_moves[v].append((bit, kill, v, u))
+    node_moves = [[(1 << i, inc[u] | inc[w], u, w) for i, w in zip(g.incident[u], g.adjacency[u])]
+                  for u in range(g.n)]
     free = [d > 0 and rule(d) in (ANY_EDGE, ANY_NODE) for d in range(g.delta + 1)]
     full = (1 << m) - 1
     memo = {0: 0}
