@@ -528,9 +528,8 @@ def gen_random_bounded(n: int, delta: int, p: float, seed: int) -> Graph:
     if delta < 1:
         raise ValueError("delta must be >= 1")
     rng = random.Random(seed)
-    # Each pair (u, v) is shuffled as the int u << 20 | v (MAX_NODES < 2**20).
-    # A shuffle's draws depend only on the list's length, so the order is the
-    # one a list of tuples gets, at half the memory.
+    # Pairs are shuffled as ints u << 20 | v (MAX_NODES < 2**20): a shuffle's
+    # draws depend only on the list's length, so the order is as for tuples.
     pairs = [u << 20 | v for u in range(n) for v in range(u + 1, n)]
     rng.shuffle(pairs)
     deg = [0] * n

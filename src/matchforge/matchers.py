@@ -530,11 +530,10 @@ def worst_case_size(
     """Minimum matching size over ALL nondeterministic choice sequences.
 
     Memoized DFS over residual states keyed by the alive-edge bitmask, which
-    deduplicates permuted choice orders reaching the same residual graph.
-    Each state's moves are read from a table built once per call.  Returns
-    the exact minimum and one witness trace achieving it, read back from the
-    memo: at each state, the first move in canonical order whose successor
-    is worth one less.
+    deduplicates permuted choice orders reaching the same residual graph; a
+    state's moves come from a table built once per call.  Returns the exact
+    minimum and one witness trace achieving it: from each state, the first
+    move in canonical order whose successor is worth one less.
     """
     if algo not in RULES:
         raise PolicyError(f"worst-case search unsupported for '{algo}'")
@@ -542,14 +541,19 @@ def worst_case_size(
     m = g.m
     if m == 0:
         return 0, RunTrace(g, (), Matching.from_pairs(()))
-    inc = [sum(1 << i for i in ids) for ids in g.incident]
+    inc = [0] * g.n
+    for i, (u, v) in enumerate(g.edges):
+        inc[u] |= 1 << i
+        inc[v] |= 1 << i
     # A move is (edge bit, the edges it kills, selected, partner).  Under
     # ANY_NODE a pick (v, u) with v > u reaches the same successor as (u, v),
     # so free kinds list each alive edge once, from its smaller end.  A
     # node's moves are in ascending edge id, which is ascending partner id.
     edge_moves = [(1 << i, inc[u] | inc[v], u, v) for i, (u, v) in enumerate(g.edges)]
-    node_moves = [[(1 << i, inc[u] | inc[w], u, w) for i, w in zip(g.incident[u], g.adjacency[u])]
-                  for u in range(g.n)]
+    node_moves: list[list[tuple[int, int, int, int]]] = [[] for _ in inc]
+    for bit, kill, u, v in edge_moves:
+        node_moves[u].append((bit, kill, u, v))
+        node_moves[v].append((bit, kill, v, u))
     free = [d > 0 and rule(d) in (ANY_EDGE, ANY_NODE) for d in range(g.delta + 1)]
     full = (1 << m) - 1
     memo = {0: 0}
@@ -585,8 +589,8 @@ def worst_case_size(
     try:
         size = rec(full)
     except SearchBudgetExceededError:
-        # The bound reads the first moves whose successors are done; a move
-        # that kills every edge is left out.
+        # The bound reads the first moves whose successors were expanded; the
+        # empty successor never is, so a move that kills every edge is left out.
         done = [1 + memo[nxt] for nxt in (full & ~mv[1] for mv in moves_of(full))
                 if nxt and nxt in memo]
         raise SearchBudgetExceededError(min(done) if done else None, budget) from None
