@@ -1,7 +1,8 @@
 """Byte-level golden digests of every reproducible output.
 
-Each section renders one family of outputs (traces, choice enumerations,
-worst-case witnesses, sweep CSVs, game transcripts, and optima and
+Each section renders one family of outputs (traces, choice enumerations
+sorted and in the order they are yielded, worst-case witnesses, sweep
+CSVs, game transcripts, and optima and
 free-step runs on benchmark-size graphs, and the constructor games) for
 fixed seeds and compares the
 sha256 of the rendering with a pinned digest.  The ledger
@@ -104,6 +105,15 @@ def _choices(algo: str) -> str:
         for picks in seqs:
             choices = script_from_picks(g, picks, algo).choices
             out.append(f"{picks} -> {list(choices)}\n")
+    return "".join(out)
+
+
+def _choice_order(algo: str) -> str:
+    """The runs in the order the enumeration yields them, unsorted."""
+    out = []
+    for gi, g in enumerate(_small_graphs(6, 6, 500)):
+        out.append(f"# graph {gi}\n")
+        out += [f"{picks}\n" for picks in iter_all_pick_sequences(g, algo, limit=5000)]
     return "".join(out)
 
 
@@ -242,6 +252,7 @@ def _bench_free_traces() -> str:
 SECTIONS = {
     **{f"trace:{a}": (lambda a=a: _traces(a)) for a in ALGORITHMS},
     **{f"choices:{a}": (lambda a=a: _choices(a)) for a in RULE_ALGOS},
+    **{f"choice_order:{a}": (lambda a=a: _choice_order(a)) for a in RULE_ALGOS},
     **{f"worst:{a}": (lambda a=a: _worst(a)) for a in RULE_ALGOS},
     **{f"ledger:{a}": (lambda a=a: _ledgers(a)) for a in LEDGER_ALGOS},
     "ledger:witnesses": _witness_ledgers,
@@ -254,6 +265,11 @@ SECTIONS = {
 }
 
 GOLDEN = {
+    "choice_order:greedy": "24cd073bf2b34d23012bc08c15d7f01f42c44595fabfdd2c2464cbdd22e411c5",
+    "choice_order:karpsipser": "a103712eb480a4bfcf54c1dbe1c91d206f89a16ceb7d885cb21f2a2426141e89",
+    "choice_order:mingreedy": "732edcfffd140b825229d6ca9337dece465aa76fea62676e7d606044429b4435",
+    "choice_order:mrg": "1dad8015d4e69c0c4ba53aeea717ad069e3fbd4507be1b480d978042494f74e8",
+    "choice_order:one_two_mingreedy": "44eae197dba0de8181609261bea805a7f5f83ecd94746ff97b1abceb2bc9796d",
     "choices:greedy": "d6b817bb87ac5688f30323802e8f9f99283acf848bb14c0206346b8ca01f9b14",
     "choices:karpsipser": "64b2e500ef7a4586e9cb9c5abdb398a56bf0499eba56395be3a0ccea42deec9a",
     "choices:mingreedy": "795ecddcbf132bd70278745a3f9b325caa562310a8a35db62df8904dbce52c83",

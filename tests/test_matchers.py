@@ -62,6 +62,14 @@ class TestMinGreedy:
         sizes = {len(p) for p in iter_all_pick_sequences(C6(), "mingreedy")}
         assert sizes == {3}
 
+    def test_enumeration_yields_limit_runs_then_stops(self):
+        runs = []
+        with pytest.raises(SearchBudgetExceededError) as info:
+            for picks in iter_all_pick_sequences(C6(), "mingreedy", limit=3):
+                runs.append(picks)
+        assert len(runs) == 3 and info.value.budget == 3
+        assert len(list(iter_all_pick_sequences(C6(), "mingreedy"))) > 3
+
     def test_trace_records_degrees_and_mode(self):
         t = run_algorithm("mingreedy", P3(), FirstPolicy())
         (step,) = t.steps
