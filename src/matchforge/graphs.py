@@ -3,7 +3,8 @@
 Graphs are simple undirected graphs on dense integer node ids 0..n-1.  A
 ``Graph`` is immutable after construction and safe to share; a
 ``ResidualView`` is the mutable deletion view a single heuristic run owns
-exclusively (each run or replay builds its own from the graph).
+exclusively (each run or replay builds its own from the graph).  A view
+only ever loses edges.
 """
 
 from __future__ import annotations
@@ -35,6 +36,11 @@ class SearchBudgetExceededError(RuntimeError):
         super().__init__(f"search budget of {budget} {unit} exceeded")
         self.bound = bound
         self.budget = budget
+        self.unit = unit
+
+    def __reduce__(self):
+        # Rebuilt from its fields, so that a sweep worker can send it back.
+        return type(self), (self.bound, self.budget, self.unit)
 
 
 def norm_edge(u: int, v: int) -> Edge:
@@ -155,16 +161,15 @@ class Matching:
 class AliveEdges(Sequence):
     """The alive edges of one ResidualView, ascending in canonical order.
 
-    A live, read-only sequence: the view's removals and restores show in it
-    at once.  A Fenwick tree (Fenwick, 1994) over the graph's edge ids
-    counts the alive ones, so ``len`` is O(1), ``in`` is O(1), ``[k]`` and
-    ``index`` are O(log m), and iteration walks the ids in order.  The tree
-    catches up with the removals and restores only when ``[k]`` or ``index``
-    reads it, so a run that never asks for an edge by position never pays
-    for it.
+    A live, read-only sequence: the view's removals show in it at once.  A
+    Fenwick tree (Fenwick, 1994) over the graph's edge ids counts the alive
+    ones, so ``len`` is O(1), ``in`` is O(1), ``[k]`` and ``index`` are
+    O(log m), and iteration walks the ids in order.  The tree catches up
+    with the removals only when ``[k]`` or ``index`` reads it, so a run that
+    never asks for an edge by position never pays for it.
     """
 
-    __slots__ = ("_edges", "_ids", "_flags", "_tree", "_killed", "_revived", "_len")
+    __slots__ = ("_edges", "_ids", "_flags", "_tree", "_killed", "_len")
 
     def __init__(self, graph: Graph):
         m = graph.m
@@ -173,7 +178,6 @@ class AliveEdges(Sequence):
         self._flags = bytearray(b"\x01") * m   # 1 where the edge id is alive
         self._tree = [i & -i for i in range(m + 1)]   # Fenwick tree of an all-ones row
         self._killed: list[int] = []    # edge ids killed since the tree was last read
-        self._revived: list[int] = []   # edge ids revived since then
         self._len = m
 
     def __len__(self) -> int:
@@ -218,29 +222,22 @@ class AliveEdges(Sequence):
             j &= j - 1
         return pos
 
-    def _revive(self, i: int) -> None:
-        """Mark the dead edge id i alive."""
-        self._flags[i] = 1
-        self._len += 1
-        self._revived.append(i)
-
     def _synced(self) -> list[int]:
-        """The tree with every kill and revival applied: one O(log m) update
-        each, or one O(m) rebuild from the flags when that is cheaper."""
-        if self._killed or self._revived:
+        """The tree with every kill applied: one O(log m) update each, or one
+        O(m) rebuild from the flags when that is cheaper."""
+        killed = self._killed
+        if killed:
             tree = self._tree
             m = len(tree) - 1
-            if (len(self._killed) + len(self._revived)) * m.bit_length() > m:
+            if len(killed) * m.bit_length() > m:
                 self._tree = _fenwick(self._flags)
             else:
-                for ids, delta in ((self._killed, -1), (self._revived, 1)):
-                    for i in ids:
-                        j = i + 1
-                        while j <= m:
-                            tree[j] += delta
-                            j += j & -j
-            self._killed.clear()
-            self._revived.clear()
+                for i in killed:
+                    j = i + 1
+                    while j <= m:
+                        tree[j] -= 1
+                        j += j & -j
+            killed.clear()
         return self._tree
 
     def _drift(self) -> bool:
@@ -341,23 +338,6 @@ class ResidualView:
         alive._len -= len(removed)
         alive._killed += removed
         return list(map(graph.edges.__getitem__, removed))
-
-    def restore_edges(self, removed: Iterable[Edge]) -> None:
-        """Exact inverse of remove_pair, used by exhaustive searches."""
-        deg = self.deg
-        buckets = self._buckets
-        for e in removed:
-            i = self.graph.edge_id.get(e)
-            if i is None:
-                raise ValueError(f"{e} is not an edge of the graph")
-            if self._alive._flags[i]:
-                raise ValueError(f"edge {e} is already alive")
-            self._alive._revive(i)
-            for x in e:
-                d = deg[x]
-                buckets[d].discard(x)
-                deg[x] = d + 1
-                buckets[d + 1].add(x)
 
     def check_consistency(self) -> None:
         """Recompute the alive-edge index, degrees and buckets from the alive

@@ -3,10 +3,11 @@
 Each rule heuristic is one entry of ``RULES``, which maps the current minimum
 nonzero degree to the selection kind the policy resolves at that step.  Three
 pieces of code interpret the kinds: ``_select`` on a ``ResidualView`` (used by
-every runner, ``iter_all_pick_sequences`` and ``script_from_picks``), the
-bitmask search of ``worst_case_size``, which reads each state's moves from a
-move table built once per graph, and ``adversary.RuleEncoding``, which turns
-a rule into a game's ranked query.  A new heuristic is one table entry,
+``_drive``, which makes every run: the runners, each run of
+``iter_all_pick_sequences`` and the pick scripts), the bitmask search of
+``worst_case_size``, which reads each state's moves from a move table built
+once per graph, and ``adversary.RuleEncoding``, which turns a rule into a
+game's ranked query.  A new heuristic is one table entry,
 e.g. ``"mingreedy4": lambda mind: ANY_EDGE if mind >= 4 else MIN_NODE``; runs,
 choice enumeration, pick scripts, exhaustive search, game encodings and the
 CLI follow.
@@ -402,12 +403,12 @@ def run_shuffle(g: Graph, permutation: Sequence[int]) -> RunTrace:
 
 
 class _Odometer(Chooser):
-    """Takes every combination of slot choices at one step in turn, in
-    canonical order with the last slot varying fastest."""
+    """Takes every path of slot choices through a run in turn, one run per
+    path, in canonical order with the last slot of the run varying fastest."""
 
     def __init__(self):
-        self.path: list[int] = []    # candidate index per slot
-        self.sizes: list[int] = []   # candidate count per slot in this pass
+        self.path: list[int] = []    # candidate index per slot of the run
+        self.sizes: list[int] = []   # candidate count per slot in this run
 
     def choose(self, step, slot, candidates):
         k = len(self.sizes)
@@ -431,34 +432,21 @@ def iter_all_pick_sequences(g: Graph, algo: str, limit: int | None = None) -> It
     """Yield the picked-edge sequence of every complete choice path.
 
     Exhaustive over the heuristic's nondeterminism; intended for small
-    graphs in tests.  Stops with an error if limit leaves are exceeded.
+    graphs in tests.  Each path is one run of the heuristic under an
+    odometer chooser, so the paths come in canonical order, first slot
+    slowest.  Stops with an error if limit leaves are exceeded.
     """
     if algo not in RULES:
         raise PolicyError(f"choice enumeration unsupported for '{algo}'")
-    rule = RULES[algo]
-    view = ResidualView(g)
+    odometer = _Odometer()
     count = 0
-
-    def rec(prefix: list[Edge]) -> Iterator[list[Edge]]:
-        nonlocal count
-        if not view.has_alive():
-            count += 1
-            if limit is not None and count > limit:
-                raise SearchBudgetExceededError(None, limit, "leaves")
-            yield list(prefix)
+    while True:
+        count += 1
+        if limit is not None and count > limit:
+            raise SearchBudgetExceededError(None, limit, "leaves")
+        yield [st.edge for st in _drive(g, odometer, RULES[algo]).steps]
+        if not odometer.advance():
             return
-        odometer = _Odometer()
-        moves = [_select(view, odometer, 0, rule)[:2]]
-        while odometer.advance():
-            moves.append(_select(view, odometer, 0, rule)[:2])
-        for u, v in moves:
-            removed = view.remove_pair(u, v)
-            prefix.append(norm_edge(u, v))
-            yield from rec(prefix)
-            prefix.pop()
-            view.restore_edges(removed)
-
-    yield from rec([])
 
 
 class _PickChooser(Chooser):
@@ -521,6 +509,12 @@ def trace_from_picks(g: Graph, picks: Sequence[tuple[int, int]], algo: str) -> R
 # Exhaustive worst-case search
 # ---------------------------------------------------------------------------
 
+# The most steps a run may have for worst_case_size to search it.  The
+# search recurses once per step, and Python stops a recursion at 1000 frames
+# by default, the callers' frames included; a graph whose runs could be
+# longer is refused up front rather than ending in RecursionError.
+_MAX_SEARCH_STEPS = 500
+
 
 def worst_case_size(
     g: Graph,
@@ -533,7 +527,9 @@ def worst_case_size(
     deduplicates permuted choice orders reaching the same residual graph; a
     state's moves come from a table built once per call.  Returns the exact
     minimum and one witness trace achieving it: from each state, the first
-    move in canonical order whose successor is worth one less.
+    move in canonical order whose successor is worth one less.  Raises
+    SearchBudgetExceededError after budget states, or before searching when
+    a run could have more than ``_MAX_SEARCH_STEPS`` steps.
     """
     if algo not in RULES:
         raise PolicyError(f"worst-case search unsupported for '{algo}'")
@@ -541,6 +537,8 @@ def worst_case_size(
     m = g.m
     if m == 0:
         return 0, RunTrace(g, (), Matching.from_pairs(()))
+    if g.n // 2 > _MAX_SEARCH_STEPS:  # a run has at most n // 2 steps
+        raise SearchBudgetExceededError(None, _MAX_SEARCH_STEPS, "steps")
     inc = [0] * g.n
     for i, (u, v) in enumerate(g.edges):
         inc[u] |= 1 << i

@@ -3,7 +3,7 @@ from pathlib import Path
 
 from matchforge import cli
 from matchforge.cli import main
-from matchforge.graphs import MAX_NODES, load_graph
+from matchforge.graphs import MAX_NODES, Graph, load_graph, save_graph
 
 
 def run_cli(*argv):
@@ -98,6 +98,28 @@ def test_worstcase_and_budget(tmp_path: Path, capsys):
     out = capsys.readouterr().out
     assert "ratio" in out
     assert run_cli("worstcase", "--in", str(g), "--budget", "1") == 3
+
+
+def test_worst_case_refuses_runs_longer_than_the_search_recurses(tmp_path: Path, capsys):
+    # The search recurses once per step; a 3000-node path has runs of 1500.
+    g = tmp_path / "path.graph"
+    g.write_text(save_graph(Graph.from_edges(3000, [(i, i + 1) for i in range(2999)])))
+    assert run_cli("worstcase", "--in", str(g), "--algo", "mingreedy") == 3
+    assert capsys.readouterr().out == "budget exceeded; best bound so far: unknown (incomplete)\n"
+    out = tmp_path / "s.csv"
+    assert run_cli("sweep", "--deltas", "3", "--source", "regular", "--n", "4000",
+                   "--mode", "worst", "--out", str(out)) == 3
+    assert capsys.readouterr().err == "error: search budget of 500 steps exceeded\n"
+    assert not out.exists()
+
+
+def test_sweep_budget_overrun_in_a_worker_exits_3(tmp_path: Path, monkeypatch, capsys):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    out = tmp_path / "s.csv"
+    assert run_cli("sweep", "--deltas", "3", "--count", "2", "--n", "8", "--mode", "worst",
+                   "--budget", "1", "--jobs", "2", "--out", str(out)) == 3
+    assert capsys.readouterr().err == "error: search budget of 1 states exceeded\n"
+    assert not out.exists()
 
 
 def test_game_emit_and_reload(tmp_path: Path, capsys):

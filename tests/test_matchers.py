@@ -58,7 +58,7 @@ class TestMinGreedy:
         assert t.result.pairs == {(0, 1), (2, 3)}
 
     def test_c6_every_choice_path_yields_three(self):
-        # Exhaustive DFS over the whole policy tree.
+        # One run per path through the whole policy tree.
         sizes = {len(p) for p in iter_all_pick_sequences(C6(), "mingreedy")}
         assert sizes == {3}
 
@@ -69,6 +69,11 @@ class TestMinGreedy:
                 runs.append(picks)
         assert len(runs) == 3 and info.value.budget == 3
         assert len(list(iter_all_pick_sequences(C6(), "mingreedy"))) > 3
+
+    def test_enumeration_runs_a_long_path(self):
+        path = Graph.from_edges(3000, [(i, i + 1) for i in range(2999)])
+        first = next(iter_all_pick_sequences(path, "mingreedy"))
+        assert first == [(i, i + 1) for i in range(0, 3000, 2)]
 
     def test_trace_records_degrees_and_mode(self):
         t = run_algorithm("mingreedy", P3(), FirstPolicy())
