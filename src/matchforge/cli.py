@@ -1,9 +1,10 @@
 """The matchforge command.
 
 Subcommands: gen, run, opt, decompose, verify, worstcase, game, sweep.
-Exit codes: 0 success / all checks pass, 1 verification failure, 2 input
-error (unreadable or malformed input, an output that cannot be written, or
-generator parameters no graph can meet), 3 search budget exceeded.
+Exit codes: 0 success / all checks pass, 1 verification failure (a ledger
+check or the optimum's certificate fails), 2 input error (unreadable or
+malformed input, an output that cannot be written, or generator parameters
+no graph can meet), 3 search budget exceeded.
 
 All randomness flows from --seed through a documented per-run derivation
 (the run index is mixed into the seed), so repeating any invocation
@@ -79,11 +80,23 @@ def parse_policy(spec: str) -> matchers.Policy:
 # ---------------------------------------------------------------------------
 
 
+def _generate(kind: str, n: int, delta: int, p: float, seed: int):
+    """A regular graph of degree delta, or a random one of max degree delta."""
+    if kind == "regular":
+        return gen_regular(n, delta, seed)
+    return gen_random_bounded(n, delta, p, seed)
+
+
+def _decompose_traced(args):
+    """(graph, trace, decomposition of M ∪ M*) for the --in and --trace files."""
+    g = _load(args.input, load_graph)
+    trace = _load(args.trace, matchers.load_trace, g)
+    m_star = decomposition.canonicalize(g, trace.result, optimum.maximum_matching(g))
+    return g, trace, decomposition.decompose(g, trace.result, m_star)
+
+
 def cmd_gen(args) -> int:
-    if args.kind == "random":
-        g = gen_random_bounded(args.n, args.delta, args.p, args.seed)
-    else:
-        g = gen_regular(args.n, args.degree, args.seed)
+    g = _generate(args.kind, args.n, args.delta, args.p, args.seed)
     _write(args.out, save_graph(g))
     print(f"gen {args.kind} n={g.n} m={g.m} delta={g.delta} -> {args.out}")
     return EXIT_OK
@@ -114,10 +127,7 @@ def cmd_opt(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    g = _load(args.input, load_graph)
-    trace = _load(args.trace, matchers.load_trace, g)
-    m_star = decomposition.canonicalize(g, trace.result, optimum.maximum_matching(g))
-    dec = decomposition.decompose(g, trace.result, m_star)
+    _, _, dec = _decompose_traced(args)
     sys.stdout.write(decomposition.format_components(dec))
     ratio = dec.global_ratio
     print(f"ratio {ratio} = {float(ratio):.6f}")
@@ -125,16 +135,13 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    g = _load(args.input, load_graph)
-    trace = _load(args.trace, matchers.load_trace, g)
+    g, trace, dec = _decompose_traced(args)
     delta = args.delta if args.delta else max(3, g.delta)
-    m_star = decomposition.canonicalize(g, trace.result, optimum.maximum_matching(g))
-    dec = decomposition.decompose(g, trace.result, m_star)
     ledger = charging.build_ledger(trace, dec, delta)
     report = charging.verify_all(ledger)
     sys.stdout.write(report.csv() if args.csv else report.text())
     if dec.m_star:
-        ratio = Fraction(len(dec.matching), len(dec.m_star))
+        ratio = dec.global_ratio
         print(f"ratio {ratio} = {float(ratio):.6f}")
     return EXIT_OK if report.all_pass else EXIT_FAIL
 
@@ -175,54 +182,43 @@ def cmd_game(args) -> int:
 
 
 def _sweep_row(job) -> tuple:
-    idx, delta, source, seed, algo, n, p, t, mode, budget = job
+    delta, source, seed, algo, n, p, t, mode, budget = job
     if source in ("hard", "bprime"):
         adversary = adv_mod.make_adversary("B" if source == "hard" else "Bprime", delta, t)
         result = adv_mod.play_game(algo, adversary)
         g, m_size = result.graph, len(result.matching)
     else:
-        if source == "regular":
-            g = gen_regular(n, delta, seed)
-        else:
-            g = gen_random_bounded(n, delta, p, seed)
+        g = _generate(source, n, delta, p, seed)
         if mode == "worst":
             m_size, _ = matchers.worst_case_size(g, algo, budget=budget)
         else:
             m_size = len(matchers.run_algorithm(algo, g, matchers.FirstPolicy()).result)
     opt = len(optimum.maximum_matching(g))
-    return idx, delta, source, seed, algo, m_size, opt
+    return delta, source, seed, algo, m_size, opt
 
 
 def cmd_sweep(args) -> int:
     deltas = [int(d) for d in args.deltas.split(",")]
     algos = args.algos.split(",")
-    jobs = []
-    idx = 0
-    for delta in deltas:
-        for algo in algos:
-            for i in range(args.count):
-                # Per-run seed derivation: run index mixed into the base seed.
-                seed = args.seed * 1_000_003 + idx
-                jobs.append((idx, delta, args.source, seed, algo,
-                             args.n, args.p, args.t, args.mode, args.budget))
-                idx += 1
+    runs = [(delta, algo) for delta in deltas for algo in algos for _ in range(args.count)]
+    # Per-run seed derivation: run index mixed into the base seed.
+    jobs = [(delta, args.source, args.seed * 1_000_003 + idx, algo,
+             args.n, args.p, args.t, args.mode, args.budget)
+            for idx, (delta, algo) in enumerate(runs)]
     # The pool forks all its workers at the first submit, so it gets no more
-    # than there are rows or cores.
+    # than there are rows or cores; map yields the rows in job order.
     workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_row, jobs))
     else:
         rows = [_sweep_row(j) for j in jobs]
-    rows.sort(key=lambda r: r[0])
 
     lines = ["delta,source,seed,algo,m_size,opt_size,ratio,ratio_frac"]
     worst: dict[tuple[int, str], Fraction] = {}
-    for _, delta, source, seed, algo, m_size, opt in rows:
+    for delta, source, seed, algo, m_size, opt in rows:
         ratio = Fraction(m_size, opt) if opt else Fraction(1)
-        key = (delta, algo)
-        if key not in worst or ratio < worst[key]:
-            worst[key] = ratio
+        worst[delta, algo] = min(ratio, worst.get((delta, algo), ratio))
         lines.append(f"{delta},{source},{seed},{algo},{m_size},{opt},"
                      f"{float(ratio):.6f},{ratio.numerator}/{ratio.denominator}")
     for (delta, algo) in sorted(worst):
@@ -242,21 +238,14 @@ def cmd_sweep(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="matchforge", description=__doc__)
-    ap.add_argument("--seed", type=int, default=None, dest="global_seed",
-                    help="default seed for subcommands")
-    ap.add_argument("--jobs", type=int, default=None, dest="global_jobs",
-                    help="default worker count for subcommands")
-    ap.add_argument("--budget", type=int, default=None, dest="global_budget",
-                    help="default search budget for subcommands")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("gen", help="generate a graph file")
     p.add_argument("--kind", choices=["random", "regular"], default="random")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--delta", type=int, default=3)
-    p.add_argument("--degree", type=int, default=3, help="degree for regular graphs")
+    p.add_argument("--delta", type=int, default=3, help="max degree, or a regular graph's degree")
     p.add_argument("--p", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
@@ -289,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--algo", default="one_two_mingreedy",
                    choices=list(matchers.RULES))
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=matchers.SEARCH_BUDGET)
     p.add_argument("--trace", help="write the witness trace here")
     p.set_defaults(func=cmd_worstcase)
 
@@ -306,43 +295,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", choices=["random", "regular", "hard", "bprime"],
                    default="random")
     p.add_argument("--count", type=int, default=1)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--algos", default="mingreedy")
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--p", type=float, default=0.5)
     p.add_argument("--t", type=int, default=20)
     p.add_argument("--mode", choices=["run", "worst"], default="run")
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--budget", type=int, default=matchers.SEARCH_BUDGET)
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)
     return ap
 
 
-def _apply_global_defaults(args) -> None:
-    # Subcommand flags win; global flags fill the gaps; then hard defaults.
-    if getattr(args, "seed", None) is None:
-        args.seed = args.global_seed if args.global_seed is not None else 0
-    if getattr(args, "jobs", None) is None:
-        args.jobs = args.global_jobs if args.global_jobs is not None else 1
-    if getattr(args, "budget", None) is None:
-        args.budget = args.global_budget if args.global_budget is not None else 2_000_000
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _apply_global_defaults(args)
     try:
         return args.func(args)
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        error, code = exc, exc.code
     except SearchBudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (matchers.PolicyError, adv_mod.GameError, GenerationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        error, code = exc, EXIT_BUDGET
+    except optimum.CertificateError as exc:
+        error, code = exc, EXIT_FAIL
+    except (adv_mod.GameError, GenerationError, ValueError) as exc:
+        error, code = exc, EXIT_INPUT
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -515,11 +515,14 @@ def trace_from_picks(g: Graph, picks: Sequence[tuple[int, int]], algo: str) -> R
 # longer is refused up front rather than ending in RecursionError.
 _MAX_SEARCH_STEPS = 500
 
+# The default number of states worst_case_size may expand.
+SEARCH_BUDGET = 2_000_000
+
 
 def worst_case_size(
     g: Graph,
     algo: str,
-    budget: int = 2_000_000,
+    budget: int = SEARCH_BUDGET,
 ) -> tuple[int, RunTrace]:
     """Minimum matching size over ALL nondeterministic choice sequences.
 

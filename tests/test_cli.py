@@ -1,9 +1,15 @@
 import re
 from pathlib import Path
 
-from matchforge import cli
+import shlex
+
+import pytest
+
+from matchforge import cli, optimum
 from matchforge.cli import main
-from matchforge.graphs import MAX_NODES, Graph, load_graph, save_graph
+from matchforge.graphs import MAX_NODES, MAX_RANDOM_NODES, Graph, load_graph, save_graph
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(*argv):
@@ -56,7 +62,7 @@ def test_missing_file_is_input_error(tmp_path: Path):
 
 def test_unmeetable_regular_degree_is_input_error(tmp_path: Path, capsys):
     # K8 is the only 7-regular graph on 8 nodes; the pairing model never hits it.
-    assert run_cli("gen", "--kind", "regular", "--n", "8", "--degree", "7",
+    assert run_cli("gen", "--kind", "regular", "--n", "8", "--delta", "7",
                    "--out", str(tmp_path / "g.graph")) == 2
     assert capsys.readouterr().err.startswith("error: pairing model rejected")
 
@@ -184,11 +190,22 @@ def test_sweep_bprime_node_bound_is_input_error(tmp_path: Path, capsys):
 
 def test_gen_node_bound_is_input_error(tmp_path: Path, capsys):
     out = tmp_path / "big.graph"
-    assert run_cli("gen", "--kind", "regular", "--n", str(MAX_NODES + 2), "--degree", "0",
+    assert run_cli("gen", "--kind", "regular", "--n", str(MAX_NODES + 2), "--delta", "0",
                    "--seed", "1", "--out", str(out)) == 2
     assert capsys.readouterr().err == (f"error: {MAX_NODES + 2} nodes exceed "
                                        f"the bound of {MAX_NODES}\n")
     assert not out.exists()
+
+
+def test_random_node_bound_is_input_error(tmp_path: Path, capsys):
+    out = tmp_path / "out"
+    n = str(MAX_RANDOM_NODES + 1)
+    for argv in (["gen", "--kind", "random", "--n", n, "--delta", "3"],
+                 ["sweep", "--deltas", "1", "--source", "random", "--n", n]):
+        assert run_cli(*argv, "--out", str(out)) == 2
+        assert capsys.readouterr().err == (f"error: {n} nodes exceed the random generator's "
+                                           f"bound of {MAX_RANDOM_NODES}\n")
+        assert not out.exists()
 
 
 def test_sweep_node_bound_is_input_error(tmp_path: Path, capsys):
@@ -268,15 +285,6 @@ def test_sweep_worst_mode_floor(tmp_path: Path):
         assert Fraction(int(num), int(den)) >= Fraction(2, 3)
 
 
-def test_global_flags_feed_subcommands(tmp_path: Path):
-    a, b = tmp_path / "a.graph", tmp_path / "b.graph"
-    assert run_cli("--seed", "42", "gen", "--n", "8", "--delta", "3",
-                   "--p", "0.8", "--out", str(a)) == 0
-    assert run_cli("gen", "--n", "8", "--delta", "3", "--p", "0.8",
-                   "--seed", "42", "--out", str(b)) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_sweep_empty_count(tmp_path: Path):
     out = tmp_path / "s.csv"
     assert run_cli("sweep", "--deltas", "3", "--count", "0", "--out", str(out)) == 0
@@ -289,3 +297,41 @@ def test_run_shuffle(tmp_path: Path, capsys):
     assert run_cli("run", "--algo", "shuffle", "--perm", "1,0,2,3",
                    "--in", str(g)) == 0
     assert "|M|=2" in capsys.readouterr().out
+
+
+def test_gen_delta_is_the_degree_of_a_regular_graph(tmp_path: Path, capsys):
+    out = tmp_path / "g.graph"
+    assert run_cli("gen", "--kind", "regular", "--n", "10", "--delta", "4",
+                   "--out", str(out)) == 0
+    g = load_graph(out.read_text())
+    assert all(g.degree(v) == 4 for v in range(10))
+    assert "delta=4" in capsys.readouterr().out
+
+
+def test_each_setting_has_one_spelling(tmp_path: Path):
+    out = str(tmp_path / "g.graph")
+    for argv in (["gen", "--degree", "3", "--n", "8", "--out", out],
+                 ["--seed", "42", "gen", "--n", "8", "--out", out]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+    assert not Path(out).exists()
+
+
+def test_failed_optimality_certificate_is_verification_failure(tmp_path: Path, monkeypatch,
+                                                               capsys):
+    g = tmp_path / "p3.graph"
+    g.write_text("graph 3 2\ne 0 1\ne 1 2\n")
+    monkeypatch.setattr(optimum, "has_augmenting_path", lambda g, m: True)
+    assert run_cli("opt", "--in", str(g)) == 1
+    assert capsys.readouterr().err == ("error: augmenting path found after termination; "
+                                       "matching not maximum\n")
+
+
+def test_readme_command_lines_parse():
+    block = README.read_text().split("## Command line", 1)[1].split("```")[1]
+    commands = [shlex.split(ln.split("#", 1)[0]) for ln in block.splitlines()
+                if ln.startswith("matchforge ")]
+    assert commands
+    for argv in commands:
+        cli.build_parser().parse_args(argv[1:])

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from matchforge.graphs import (
     MAX_NODES,
+    MAX_RANDOM_NODES,
     Graph,
     GraphFormatError,
     GenerationError,
@@ -250,6 +251,11 @@ class TestGenerators:
             gen_regular(MAX_NODES + 1, 0, 1)
         with pytest.raises(ValueError, match=f"{MAX_NODES + 1} nodes exceed the bound"):
             gen_random_bounded(MAX_NODES + 1, 0, 0.5, 1)
+
+    def test_random_generator_refuses_more_than_its_bound(self):
+        n = MAX_RANDOM_NODES + 1
+        with pytest.raises(ValueError, match=f"{n} nodes exceed the random generator's bound"):
+            gen_random_bounded(n, 3, 0.5, 1)
 
 
 @st.composite
