@@ -92,7 +92,7 @@ class _PathInfo:
     classes: EndpointClasses | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Check:
     name: str
     subject: str
@@ -323,7 +323,10 @@ class ChargingLedger:
 
     def local_ratio(self, ci: int) -> Fraction:
         comp = self.dec.components[ci]
-        return (comp.m_count + self.theta * self.balance(ci)) / comp.opt_count
+        th = self.theta
+        # (m + θ·balance) / opt as one fraction of integers.
+        return Fraction(comp.m_count * th.denominator + th.numerator * self.balance(ci),
+                        th.denominator * comp.opt_count)
 
     def step_record(self, index: int) -> ReplayedStep:
         return self.steps[index - 1]

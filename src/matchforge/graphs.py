@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import operator
 import random
+from array import array
 from collections.abc import KeysView, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -498,10 +499,18 @@ def save_matching(m: Matching) -> str:
 
 
 # gen_random_bounded shuffles all n(n-1)/2 candidate pairs, so its time and
-# memory grow as n^2: measured in one process (Python 3.11, 2-core x86-64),
-# n = 1500 takes 2.0 s and 60 MB, n = 3000 6.1 s and 191 MB, n = 4096 16.9 s
-# and 341 MB, and n = 10^5 would need some 200 GB.
+# memory grow as n^2.  From _ARRAY_PAIRS_NODES nodes up each pair is a 4-byte
+# code in an array (_PAIR_TYPECODE), and every code stays below 2**32 while
+# n <= 4096.  Measured in one process (Python 3.11, 2-core x86-64), n = 4096
+# takes 7.4-9.5 s and 56 MB of peak RSS, and n = 10^5 would need some 20 GB.
 MAX_RANDOM_NODES = 4096
+_PAIR_TYPECODE = "I"
+# From this many nodes up the codes go in an array, not a list of ints: the
+# array shuffles faster once the list's int objects outgrow the caches
+# (measured crossover between n = 200 and 300), and below that a list is
+# faster, since the interpreter specialises list indexing but boxes each
+# array item it swaps.
+_ARRAY_PAIRS_NODES = 256
 
 
 def _check_node_count(n: int, bound: int = MAX_NODES) -> None:
@@ -522,9 +531,14 @@ def gen_random_bounded(n: int, delta: int, p: float, seed: int) -> Graph:
     if delta < 1:
         raise ValueError("delta must be >= 1")
     rng = random.Random(seed)
-    # Pairs are shuffled as ints u << 20 | v (MAX_NODES < 2**20): a shuffle's
-    # draws depend only on the list's length, so the order is as for tuples.
-    pairs = [u << 20 | v for u in range(n) for v in range(u + 1, n)]
+    # Pairs are shuffled as codes u << 20 | v (MAX_NODES < 2**20): a shuffle's
+    # draws depend only on the sequence's length, so the order is as for tuples.
+    if n < _ARRAY_PAIRS_NODES:
+        pairs = [u << 20 | v for u in range(n) for v in range(u + 1, n)]
+    else:
+        pairs = array(_PAIR_TYPECODE)
+        for u in range(n):
+            pairs.extend(range(u << 20 | u + 1, u << 20 | n))
     rng.shuffle(pairs)
     deg = [0] * n
     edges = []

@@ -595,6 +595,10 @@ def worst_case_size(
         done = [1 + memo[nxt] for nxt in (full & ~mv[1] for mv in moves_of(full))
                 if nxt and nxt in memo]
         raise SearchBudgetExceededError(min(done) if done else None, budget) from None
+    finally:
+        # rec reaches itself through its closure cell; emptying the cell
+        # frees the memo and the move tables without the cyclic collector.
+        del rec
 
     picks = []
     state = full

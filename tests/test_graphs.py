@@ -1,10 +1,13 @@
 import re
+import tracemalloc
+from array import array
 from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from matchforge.graphs import (
+    _PAIR_TYPECODE,
     MAX_NODES,
     MAX_RANDOM_NODES,
     Graph,
@@ -256,6 +259,20 @@ class TestGenerators:
         n = MAX_RANDOM_NODES + 1
         with pytest.raises(ValueError, match=f"{n} nodes exceed the random generator's bound"):
             gen_random_bounded(n, 3, 0.5, 1)
+
+    def test_largest_pair_code_fits_the_shuffled_array(self):
+        top = MAX_RANDOM_NODES - 1
+        assert (top << 20 | top).bit_length() <= 8 * array(_PAIR_TYPECODE).itemsize
+
+    def test_random_bounded_shuffles_a_compact_buffer(self):
+        # 79,800 pairs: 0.3 MB as 4-byte codes, over 3 MB as a list of ints.
+        tracemalloc.start()
+        try:
+            gen_random_bounded(400, 5, 0.6, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 @st.composite
