@@ -198,6 +198,9 @@ def _sweep_row(job) -> tuple:
 
 
 def cmd_sweep(args) -> int:
+    if args.mode == "worst" and args.source in ("hard", "bprime"):
+        raise CliError(f"--mode worst searches generated graphs; --source {args.source} "
+                       "plays adversary games")
     deltas = [int(d) for d in args.deltas.split(",")]
     algos = args.algos.split(",")
     runs = [(delta, algo) for delta in deltas for algo in algos for _ in range(args.count)]
@@ -300,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--p", type=float, default=0.5)
     p.add_argument("--t", type=int, default=20)
-    p.add_argument("--mode", choices=["run", "worst"], default="run")
+    p.add_argument("--mode", choices=["run", "worst"], default="run",
+                   help="worst: exhaustive search, for random and regular sources")
     p.add_argument("--budget", type=int, default=matchers.SEARCH_BUDGET)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")

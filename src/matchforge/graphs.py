@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import operator
 import random
+import sys
 from array import array
 from collections.abc import KeysView, Sequence
 from dataclasses import dataclass, field
@@ -502,7 +503,7 @@ def save_matching(m: Matching) -> str:
 # memory grow as n^2.  From _ARRAY_PAIRS_NODES nodes up each pair is a 4-byte
 # code in an array (_PAIR_TYPECODE), and every code stays below 2**32 while
 # n <= 4096.  Measured in one process (Python 3.11, 2-core x86-64), n = 4096
-# takes 7.4-9.5 s and 56 MB of peak RSS, and n = 10^5 would need some 20 GB.
+# takes 6.4-7.7 s and 56 MB of peak RSS, and n = 10^5 would need some 20 GB.
 MAX_RANDOM_NODES = 4096
 _PAIR_TYPECODE = "I"
 # From this many nodes up the codes go in an array, not a list of ints: the
@@ -511,6 +512,54 @@ _PAIR_TYPECODE = "I"
 # faster, since the interpreter specialises list indexing but boxes each
 # array item it swaps.
 _ARRAY_PAIRS_NODES = 256
+
+
+# _shuffle draws its words from the generator this many at a time: one big
+# getrandbits call per chunk instead of one Python-level call per position,
+# while the buffer stays at 16 KB (one draw of all 8.4 M words of n = 4096
+# took that generator's peak RSS from 53 to 116 MB).
+_SHUFFLE_CHUNK = 4096
+# Shorter sequences go to rng.shuffle itself, which gives the same bytes: the
+# cutoff is a speed choice, like _ARRAY_PAIRS_NODES.  Per call, rng.shuffle
+# was faster up to 48 elements and the bulk draw from 96 up, by 17% or more
+# (median of 4000 calls, lists and arrays, Python 3.11, 2-core x86-64).
+_SHUFFLE_CUTOFF = 100
+
+
+def _shuffle(rng: random.Random, seq) -> None:
+    """Shuffle a list or array in place exactly as ``rng.shuffle(seq)`` does.
+
+    ``random.shuffle`` fixes positions i = len-1 down to 1, each with
+    ``j = rng._randbelow(i + 1)``: one 32-bit Mersenne Twister word shifted
+    right by 32 - k, k = (i + 1).bit_length(), drawn again while j > i.
+    ``getrandbits(32 * c)`` returns the next c words with the first drawn in
+    the lowest 32 bits, so its little-endian bytes list them in draw order.
+    A chunk holds no more words than positions are left, and each position
+    takes at least one, so seq and the state of rng end up as after
+    ``rng.shuffle(seq)``.
+    """
+    if len(seq) < _SHUFFLE_CUTOFF:
+        rng.shuffle(seq)
+        return
+    i = len(seq) - 1
+    getrandbits = rng.getrandbits
+    k = (i + 1).bit_length()
+    shift = 32 - k
+    # Once i drops below low, (i + 1).bit_length() is one smaller.
+    low = (1 << (k - 1)) - 1
+    while i:
+        c = min(i, _SHUFFLE_CHUNK)
+        words = array("I", getrandbits(32 * c).to_bytes(4 * c, "little"))
+        if sys.byteorder == "big":
+            words.byteswap()
+        for w in words:
+            j = w >> shift
+            if j <= i:
+                seq[i], seq[j] = seq[j], seq[i]
+                i -= 1
+                if i < low:
+                    shift += 1
+                    low >>= 1
 
 
 def _check_node_count(n: int, bound: int = MAX_NODES) -> None:
@@ -539,7 +588,7 @@ def gen_random_bounded(n: int, delta: int, p: float, seed: int) -> Graph:
         pairs = array(_PAIR_TYPECODE)
         for u in range(n):
             pairs.extend(range(u << 20 | u + 1, u << 20 | n))
-    rng.shuffle(pairs)
+    _shuffle(rng, pairs)
     deg = [0] * n
     edges = []
     for code in pairs:
@@ -570,9 +619,10 @@ def gen_regular(n: int, d: int, seed: int) -> Graph:
     if not 0 <= d < n:
         raise ValueError("need 0 <= d < n")
     rng = random.Random(seed)
+    base = [v for v in range(n) for _ in range(d)]
     for _ in range(PAIRING_ATTEMPTS):
-        stubs = [v for v in range(n) for _ in range(d)]
-        rng.shuffle(stubs)
+        stubs = base.copy()
+        _shuffle(rng, stubs)
         edges: set[Edge] = set()
         ok = True
         for i in range(0, len(stubs), 2):

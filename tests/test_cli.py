@@ -188,6 +188,16 @@ def test_sweep_bprime_node_bound_is_input_error(tmp_path: Path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["hard", "bprime"])
+def test_sweep_refuses_worst_mode_on_adversary_sources(tmp_path: Path, capsys, source):
+    out = tmp_path / "s.csv"
+    assert run_cli("sweep", "--deltas", "3", "--source", source, "--mode", "worst",
+                   "--out", str(out)) == 2
+    assert capsys.readouterr().err == (f"error: --mode worst searches generated graphs; "
+                                       f"--source {source} plays adversary games\n")
+    assert not out.exists()
+
+
 def test_gen_node_bound_is_input_error(tmp_path: Path, capsys):
     out = tmp_path / "big.graph"
     assert run_cli("gen", "--kind", "regular", "--n", str(MAX_NODES + 2), "--delta", "0",

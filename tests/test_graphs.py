@@ -10,6 +10,7 @@ from matchforge.graphs import (
     _PAIR_TYPECODE,
     MAX_NODES,
     MAX_RANDOM_NODES,
+    PAIRING_ATTEMPTS,
     Graph,
     GraphFormatError,
     GenerationError,
@@ -225,6 +226,38 @@ class TestGenerators:
         with pytest.raises(GenerationError, match="rejected 1000 attempts for n=8, d=5"):
             gen_regular(8, 5, 9)
 
+    def test_regular_matches_a_reference_pairing_model(self):
+        import random
+
+        def paired(n, d, seed):
+            rng = random.Random(seed)
+            for _ in range(PAIRING_ATTEMPTS):
+                stubs = [v for v in range(n) for _ in range(d)]
+                rng.shuffle(stubs)
+                pairs = {(min(u, v), max(u, v)) for u, v in zip(stubs[::2], stubs[1::2])}
+                if len(pairs) == n * d // 2 and all(u != v for u, v in pairs):
+                    return tuple(sorted(pairs))
+            return f"pairing model rejected {PAIRING_ATTEMPTS} attempts for n={n}, d={d}"
+
+        def generated(n, d, seed):
+            try:
+                return gen_regular(n, d, seed).edges
+            except GenerationError as exc:
+                return str(exc)
+
+        # Rejection-heavy small dense cases (many exhaust every attempt),
+        # stub counts on both sides of 100 and some above 4096.
+        cases = [(8, 5, 9), (10, 5, 3), (12, 5, 1), (9, 4, 2), (7, 4, 5), (6, 5, 0),
+                 (32, 3, 4), (34, 3, 4), (25, 4, 8), (20, 5, 6), (1400, 3, 2), (1100, 4, 3)]
+        rng = random.Random(16)
+        while len(cases) < 200:
+            d = rng.randint(3, 5)
+            n = rng.randint(d + 1, 10 if d == 5 else 40)
+            if n * d % 2 == 0:
+                cases.append((n, d, rng.randrange(10**6)))
+        for n, d, seed in cases:
+            assert generated(n, d, seed) == paired(n, d, seed), (n, d, seed)
+
     def test_random_bounded_matches_a_shuffle_of_pair_tuples(self):
         import random
 
@@ -242,7 +275,10 @@ class TestGenerators:
             return tuple(sorted(edges))
 
         rng = random.Random(2024)
-        cases = [(n, 3, 0.7, n) for n in (0, 1, 2)] + [(300, 5, 0.6, 11)]
+        cases = [(n, 3, 0.7, n) for n in (0, 1, 2)]
+        # From 256 nodes up the pair codes are shuffled in an array.
+        cases += [(255, 4, 0.5, 3), (256, 3, 0.9, 1), (257, 6, 0.2, 2), (300, 5, 0.6, 11),
+                  (400, 3, 1.0, 7), (512, 5, 0.05, 12)]
         cases += [(rng.randint(0, 40), rng.randint(1, 6), rng.random(), rng.randrange(10**6))
                   for _ in range(500)]
         for n, delta, p, seed in cases:
