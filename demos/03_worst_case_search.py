@@ -7,6 +7,7 @@ confirms the worst ratios stay at or above (delta - 1) / (2 delta - 3).
 """
 
 import random
+import sys
 from fractions import Fraction
 
 from matchforge import gen_random_bounded, maximum_matching, worst_case_size
@@ -26,13 +27,17 @@ def main():
                 continue
             free, _ = worst_case_size(g, "one_two_mingreedy")
             plain, _ = worst_case_size(g, "mingreedy")
-            assert free <= plain, "free variant reaches every plain run"
+            if free > plain:
+                sys.exit(f"delta {delta}, seed {seed}: free variant worst case {free} "
+                         f"above the plain {plain}, but it reaches every plain run")
             opt = len(maximum_matching(g))
             ratio = Fraction(free, opt)
             worst = min(worst, ratio)
             if ratio == floor:
                 hits += 1
-            assert ratio >= floor, (seed, ratio)
+            if ratio < floor:
+                sys.exit(f"delta {delta}, seed {seed}: worst ratio {ratio} "
+                         f"below the floor {floor}")
         print(f"delta {delta}: worst observed ratio {worst} "
               f"(floor {floor}, met exactly on {hits} instances)")
 

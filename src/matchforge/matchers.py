@@ -18,7 +18,8 @@ node, its degree at selection, partner, removed edges, step mode).
 degree snapshots, which ``load_trace`` and the charging ledger share.
 ``worst_case_size`` exhausts all nondeterministic choice sequences of a
 heuristic and returns the minimum matching size with a witness trace, read
-back from its memo.
+back from its memo as picks; the trace itself is replayed from the picks on
+its first read, so a caller that only wants the size never builds it.
 
 Canonical orders: candidate nodes ascending by id, candidate neighbors
 ascending by id, candidate edges ascending as (u, v) pairs.  The first
@@ -505,6 +506,30 @@ def trace_from_picks(g: Graph, picks: Sequence[tuple[int, int]], algo: str) -> R
     return _run_picks(g, picks, algo)[0]
 
 
+class _PickedTrace(RunTrace):
+    """A run trace held as its picks and replayed by ``trace_from_picks`` on
+    the first read of its steps or result, so a caller that never reads it
+    pays nothing.  A pick sequence that is not a run raises PolicyError then."""
+
+    def __init__(self, graph: Graph, picks: list[tuple[int, int]], algo: str):
+        self.__dict__.update(graph=graph, picks=picks, algo=algo)
+
+    @cached_property
+    def _run(self) -> RunTrace:
+        return trace_from_picks(self.graph, self.picks, self.algo)
+
+    steps = property(lambda self: self._run.steps)
+    result = property(lambda self: self._run.result)
+
+    # Equal to the eager trace of the same run, as when the search built it.
+    def __eq__(self, other):
+        if not isinstance(other, RunTrace):
+            return NotImplemented
+        return (self.graph, self.steps, self.result) == (other.graph, other.steps, other.result)
+
+    __hash__ = RunTrace.__hash__
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive worst-case search
 # ---------------------------------------------------------------------------
@@ -530,7 +555,10 @@ def worst_case_size(
     deduplicates permuted choice orders reaching the same residual graph; a
     state's moves come from a table built once per call.  Returns the exact
     minimum and one witness trace achieving it: from each state, the first
-    move in canonical order whose successor is worth one less.  Raises
+    move in canonical order whose successor is worth one less.  The witness
+    holds only those picks until its steps or result are first read; that
+    read replays them once through ``trace_from_picks``, and a pick sequence
+    that is not a run of algo raises PolicyError there.  Raises
     SearchBudgetExceededError after budget states, or before searching when
     a run could have more than ``_MAX_SEARCH_STEPS`` steps.
     """
@@ -539,7 +567,7 @@ def worst_case_size(
     rule = RULES[algo]
     m = g.m
     if m == 0:
-        return 0, RunTrace(g, (), Matching.from_pairs(()))
+        return 0, _PickedTrace(g, [], algo)
     if g.n // 2 > _MAX_SEARCH_STEPS:  # a run has at most n // 2 steps
         raise SearchBudgetExceededError(None, _MAX_SEARCH_STEPS, "steps")
     inc = [0] * g.n
@@ -607,4 +635,4 @@ def worst_case_size(
         _, kill, u, v = next(mv for mv in moves_of(state) if memo[state & ~mv[1]] == want)
         picks.append((u, v))
         state &= ~kill
-    return size, trace_from_picks(g, picks, algo)
+    return size, _PickedTrace(g, picks, algo)

@@ -100,6 +100,19 @@ class TestAdversaryB:
         assert size <= len(result.matching)
         assert size == 2  # the core is tight even standalone
 
+    @pytest.mark.parametrize("delta", range(3, 9))
+    def test_search_meets_the_bound_on_the_final_graph(self, delta):
+        # The search and the adversary check each other: on the graph the
+        # game builds, no choice sequence does worse than delta - 1 pairs,
+        # against an optimum of 2 delta - 3.
+        g = play_game("mingreedy", AdversaryB(delta)).graph
+        assert len(maximum_matching(g)) == 2 * delta - 3
+        for algo in ("mingreedy", "one_two_mingreedy"):
+            size, witness = worst_case_size(g, algo)
+            assert size == delta - 1, algo
+            assert len(witness.result) == delta - 1, algo
+            witness.verify_replay()
+
     def test_type_invariant_during_regular_game(self):
         class Watcher(AdversaryB):
             def observe_match(self, u, v):

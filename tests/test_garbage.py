@@ -34,6 +34,12 @@ def _search_over_budget():
     raise AssertionError("the search finished within 3 states")
 
 
+def _read_witness():
+    _, witness = worst_case_size(G, "one_two_mingreedy")
+    witness.verify_replay()
+    return save_trace(witness)
+
+
 LAYERS = {
     "load_graph": lambda: load_graph(save_graph(G)),
     "run_algorithm": lambda: run_algorithm("mingreedy", G, RandomPolicy(5)),
@@ -44,6 +50,7 @@ LAYERS = {
     "build_ledger": lambda: build_ledger(TRACE, DEC, max(3, G.delta)),
     "verify_all": lambda: verify_all(LEDGER).text(),
     "worst_case_size": lambda: worst_case_size(G, "one_two_mingreedy"),
+    "worst_case_size, witness read": _read_witness,
     "worst_case_size over budget": _search_over_budget,
     "play_game truthful": lambda: play_game("mingreedy", TruthfulAdversary(G)),
     "play_game constructed": lambda: play_game("mingreedy", AdversaryBPrime(3, 8)),

@@ -3,12 +3,14 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from matchforge import matchers
 from matchforge.graphs import Graph, GraphFormatError, gen_random_bounded
 from matchforge.matchers import (
     RULES,
     FirstPolicy,
     PolicyError,
     RandomPolicy,
+    RunTrace,
     ScriptedPolicy,
     SearchBudgetExceededError,
     iter_all_pick_sequences,
@@ -396,6 +398,53 @@ def test_search_size_and_witness_match_the_enumeration(algo):
         size, witness = worst_case_size(g, algo)
         assert size == min(len(p) for p in runs)
         assert [st.edge for st in witness.steps] in runs
+
+
+def _counting_replays(monkeypatch):
+    """Count the calls into trace_from_picks, the witness's one replay."""
+    calls = []
+
+    def counting(g, picks, algo):
+        calls.append(algo)
+        return trace_from_picks(g, picks, algo)
+
+    monkeypatch.setattr(matchers, "trace_from_picks", counting)
+    return calls
+
+
+@pytest.mark.parametrize("algo", list(RULES))
+def test_unread_witness_is_never_replayed(algo, monkeypatch):
+    calls = _counting_replays(monkeypatch)
+    for seed in range(40):
+        size, witness = worst_case_size(search_graph(seed), algo)
+        assert isinstance(witness, RunTrace)
+    assert calls == []
+
+
+@pytest.mark.parametrize("algo", list(RULES))
+def test_read_witness_is_replayed_once(algo, monkeypatch):
+    calls = _counting_replays(monkeypatch)
+    for seed in range(40):
+        g = search_graph(seed)
+        size, witness = worst_case_size(g, algo)
+        calls.clear()
+        assert len(witness.result) == size
+        picks = [st.edge for st in witness.steps]
+        witness.verify_replay()
+        assert len(witness.replay) == size
+        text = save_trace(witness)
+        assert calls == [algo]
+        eager = trace_from_picks(g, picks, algo)
+        assert text == save_trace(eager)
+        assert witness == eager and eager == witness
+
+
+def test_witness_that_is_not_a_run_raises_on_first_read():
+    # A witness is only ever built from the search's own picks; one that is
+    # not a run of its rule raises when it is read, not when it is made.
+    witness = matchers._PickedTrace(P4(), [(1, 2)], "mingreedy")
+    with pytest.raises(PolicyError):
+        witness.steps
 
 
 @settings(max_examples=50, deadline=None)
