@@ -3,7 +3,7 @@
 Graphs are simple undirected graphs on dense integer node ids 0..n-1.  A
 ``Graph`` is immutable after construction and safe to share; a
 ``ResidualView`` is the mutable deletion view a single heuristic run owns
-exclusively (each run or replay builds its own from the graph).  A view
+exclusively (each run builds its own from the graph).  A view
 only ever loses edges.
 """
 
@@ -364,8 +364,11 @@ class ResidualView:
 # File formats.
 #
 # Every document (graph, matching, trace, move script) holds one record per
-# line (see read_records).  Graph file: a header "graph <n> <m>", then exactly
-# m lines "e <u> <v>" with 0 <= u < v < n.  Matching file: "m <u> <v>" lines.
+# line (see read_records, the grammar's reference reader).  Graph file: a
+# header "graph <n> <m>", then exactly m lines "e <u> <v>" with
+# 0 <= u < v < n.  Matching file: "m <u> <v>" lines.  Graphs and traces, the
+# large documents, are read in one tight pass each, and only a faulty one
+# is read again through read_records, whose error names the line.
 # ---------------------------------------------------------------------------
 
 # The largest node count a graph document may announce: ten times the
@@ -405,25 +408,45 @@ def read_records(text: str, forms: dict[str, str]) -> Iterator[tuple[int, str, l
         yield lineno, tag, fields
 
 
-def _scan_graph(text: str, seen: set[Edge] | None) -> tuple[int, int, list[Edge]]:
-    """Read a graph document as (n, announced m, (u, v) of each edge line).
+def _scan_graph(text: str) -> tuple[int, int, list[Edge]]:
+    """Read a graph document as (n, announced m, (u, v) of each edge line) in
+    one tight pass; raise a bare ValueError at the first fault of any kind.
+    Edges are left to ``Graph`` to check."""
+    n = None
+    edges: list[Edge] = []
+    for parts in map(str.split, text.splitlines()):
+        if not parts:
+            continue
+        tag = parts[0]
+        if tag == "e" and len(parts) == 3:
+            edges.append((int(parts[1]), int(parts[2])))
+        elif tag == "graph" and len(parts) == 3 and n is None and not edges:
+            n = int(parts[1])
+            m = int(parts[2])
+            if not (0 <= n <= MAX_NODES and m >= 0):
+                raise ValueError
+        elif tag[0] != "#":
+            raise ValueError
+    if n is None:
+        raise ValueError
+    return n, m, edges
 
-    With ``seen``, each edge is also checked on its own line, so that the
-    error names the first faulty one; without it, edges are left to
-    ``Graph`` to check.
-    """
+
+def _read_graph(text: str) -> tuple[int, int, list[Edge]]:
+    """``_scan_graph`` through ``read_records``, checking each edge on its
+    line, so that an error names the first faulty line."""
     n = m = None
+    seen: set[Edge] = set()
     edges: list[Edge] = []
     for lineno, tag, fields in read_records(text, {"graph": "graph <n> <m>", "e": "e <u> <v>"}):
         if tag == "e":
             if n is None:
                 raise GraphFormatError(f"line {lineno}: edge before header")
             u, v = fields
-            if seen is not None:
-                try:
-                    _check_edge(n, (u, v), seen)
-                except ValueError as exc:
-                    raise GraphFormatError(f"line {lineno}: {exc}") from None
+            try:
+                _check_edge(n, (u, v), seen)
+            except ValueError as exc:
+                raise GraphFormatError(f"line {lineno}: {exc}") from None
             edges.append((u, v))
             continue
         if n is not None:
@@ -441,28 +464,29 @@ def _scan_graph(text: str, seen: set[Edge] | None) -> tuple[int, int, list[Edge]
 def load_graph(text: str) -> Graph:
     """Parse the edge-list document format; report errors with line numbers.
 
-    Each edge is checked once, by the ``Graph`` it goes into.  Only a
-    faulty document is read a second time, checking each edge on its line,
-    so that the error names the first faulty line.
+    A valid document is read in one tight pass, and each edge is checked
+    once, by the ``Graph`` it goes into.  Only a faulty document is read a
+    second time, through ``read_records`` and checking each edge on its
+    line, so that the error names the first faulty line.
     """
-    fault = None
     try:
-        n, m_expect, edges = _scan_graph(text, None)
+        n, m_expect, edges = _scan_graph(text)
+    except ValueError:
+        n, m_expect, edges = _read_graph(text)
+    try:
         g = Graph(n, tuple(edges))
-    except ValueError as exc:
-        fault = exc
-    if fault is not None:
-        _scan_graph(text, set())
-        raise fault
+    except ValueError:
+        _read_graph(text)
+        raise
     if m_expect != len(edges):
         raise GraphFormatError(f"header announced {m_expect} edges, found {len(edges)}")
     return g
 
 
 def save_graph(g: Graph) -> str:
-    lines = [f"graph {g.n} {g.m}"]
-    lines.extend(f"e {u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
+    lines = [f"graph {g.n} {g.m}\n"]
+    lines.extend(f"e {u} {v}\n" for u, v in g.edges)
+    return "".join(lines)
 
 
 def load_matching(text: str, g: Graph | None = None) -> Matching:

@@ -14,8 +14,11 @@ CLI follow.
 
 Every run produces a ``RunTrace``: the full step-by-step record (selected
 node, its degree at selection, partner, removed edges, step mode).
-``RunTrace.replay`` checks it by re-running it once and keeps the per-step
-degree snapshots, which ``load_trace`` and the charging ledger share.
+``RunTrace.replay`` checks it once, step by step, on flat arrays of its own
+(a degree list, a node count per degree and an alive flag per edge id)
+rather than on the runner's ``ResidualView``, so the check does not rest on
+the code it checks; it keeps the per-step degree snapshots, which
+``load_trace`` and the charging ledger share.
 ``worst_case_size`` exhausts all nondeterministic choice sequences of a
 heuristic and returns the minimum matching size with a witness trace, read
 back from its memo as picks; the trace itself is replayed from the picks on
@@ -227,7 +230,7 @@ class RunTrace:
 
     @cached_property
     def replay(self) -> tuple[ReplayedStep, ...]:
-        """Re-run the steps once on a fresh view of the trace's graph.
+        """Check the steps once against the trace's graph, on flat arrays.
 
         Raises ValueError when a step's index is not its 1-based position, a
         picked edge is not alive, a recorded degree is stale, a removed list
@@ -235,9 +238,15 @@ class RunTrace:
         picked edges.  The degree snapshots are kept on the trace, so later
         readers do not replay it again.
         """
-        view = ResidualView(self.graph)
-        deg = view.deg
-        alive = view.alive_edges()
+        g = self.graph
+        eid = g.edge_id
+        deg = list(map(len, g.adjacency))
+        # count[d] nodes have alive degree d; count[0] is never read.
+        count = [0] * (g.delta + 1)
+        for d in deg:
+            count[d] += 1
+        alive = bytearray(b"\x01") * g.m
+        left = g.m
         picked = []
         out = []
         for position, st in enumerate(self.steps, 1):
@@ -246,29 +255,62 @@ class RunTrace:
             u = st.selected
             v = st.partner
             e = (u, v) if u < v else (v, u)
-            if e not in alive:
+            i = eid.get(e)
+            if i is None or not alive[i]:
                 raise ValueError(f"step {st.index}: picked edge not alive")
-            if deg[u] != st.sel_degree:
+            du = deg[u]
+            if du != st.sel_degree:
                 raise ValueError(f"step {st.index}: recorded selection degree is stale")
-            min_before = view.min_degree()
-            removed = view.remove_pair(u, v)
-            if tuple(removed) != st.removed:
+            min_before = 1
+            while not count[min_before]:
+                min_before += 1
+            # The alive edges at u or v number deg[u] + deg[v] - 1, {u, v}
+            # counted once; a strictly ascending list of that many alive
+            # edges, each touching u or v, is all of them in canonical order.
+            dv = deg[v]
+            removed = st.removed
+            ok = isinstance(removed, tuple) and len(removed) == du + dv - 1
+            # u and v lose every edge; any other end w, one degree per edge.
+            seen = {u: du, v: dv}   # touched node -> degree before the step
+            last = -1
+            try:
+                for r in removed if ok else ():
+                    j = eid.get(r)
+                    if j is None or j <= last or not alive[j]:
+                        ok = False
+                        break
+                    a, b = r
+                    if a == u or a == v:
+                        w = b
+                    elif b == u or b == v:
+                        w = a
+                    else:
+                        ok = False
+                        break
+                    alive[j] = 0
+                    last = j
+                    if w not in seen:
+                        seen[w] = deg[w]
+                    deg[w] -= 1
+            except TypeError:  # an unhashable entry is no edge
+                ok = False
+            if not ok:
                 raise ValueError(f"step {st.index}: removed-edge list mismatch")
-            # Each removed edge took one degree from each of its endpoints.
-            hits: dict[int, int] = {}
-            for a, b in removed:
-                hits[a] = hits.get(a, 0) + 1
-                hits[b] = hits.get(b, 0) + 1
+            left -= len(removed)
+            deg[u] = deg[v] = 0
             before = {}
             after = {}
-            for x in sorted(hits):
+            for x in sorted(seen):
+                d = seen[x]
+                before[x] = d
+                count[d] -= 1
                 d = deg[x]
                 after[x] = d
-                before[x] = d + hits[x]
+                count[d] += 1
             out.append(ReplayedStep(st.index, u, st.sel_degree, v,
-                                    st.removed, st.mode, min_before, before, after))
+                                    removed, st.mode, min_before, before, after))
             picked.append(e)
-        if view.has_alive():
+        if left:
             raise ValueError("alive edges remain after the last step")
         if self.result.pairs != frozenset(picked):
             raise ValueError("result does not equal the set of picked edges")
@@ -282,16 +324,45 @@ class RunTrace:
 def save_trace(trace: RunTrace) -> str:
     lines = []
     for st in trace.steps:
-        lines.append(f"s {st.index} {st.selected} {st.sel_degree} {st.partner} {st.mode}")
+        lines.append(f"s {st.index} {st.selected} {st.sel_degree} {st.partner} {st.mode}\n")
         for a, b in st.removed:
-            lines.append(f"r {a} {b}")
-    return "\n".join(lines) + "\n"
+            lines.append(f"r {a} {b}\n")
+    return "".join(lines) or "\n"  # a run of no steps is one empty line
 
 
-def load_trace(text: str, g: Graph) -> RunTrace:
-    """Parse and replay-check a trace file against its graph."""
-    records: list[tuple[list, list[Edge]]] = []  # step fields, removed edges
-    removed: list[Edge] | None = None            # the removed edges of the last step
+_MODES = (MODE_DEGREE, MODE_FREE)
+
+
+def _scan_trace(text: str) -> list[tuple[list, list[Edge]]]:
+    """Read a trace document as (step fields, removed edges) per step in one
+    tight pass; raise a bare ValueError at the first fault of any kind."""
+    records: list[tuple[list, list[Edge]]] = []
+    # The removed edges of the last step; before the first step they go to
+    # orphans, which must stay empty.
+    removed = orphans = []
+    for parts in map(str.split, text.splitlines()):
+        if not parts:
+            continue
+        tag = parts[0]
+        if tag == "r" and len(parts) == 3:
+            a = int(parts[1])
+            b = int(parts[2])
+            removed.append((a, b) if a < b else (b, a))
+        elif tag == "s" and len(parts) == 6 and parts[5] in _MODES:
+            removed = []
+            records.append(([int(parts[1]), int(parts[2]), int(parts[3]), int(parts[4]),
+                             parts[5]], removed))
+        elif tag[0] != "#":
+            raise ValueError
+    if orphans:
+        raise ValueError
+    return records
+
+
+def _read_trace(text: str) -> list[tuple[list, list[Edge]]]:
+    """``_scan_trace`` through ``read_records``, whose errors name the line."""
+    records: list[tuple[list, list[Edge]]] = []
+    removed: list[Edge] | None = None
     forms = {"s": "s <i> <u> <d> <v> <mode>", "r": "r <a> <b>"}
     for lineno, tag, fields in read_records(text, forms):
         if tag == "r":
@@ -299,11 +370,25 @@ def load_trace(text: str, g: Graph) -> RunTrace:
                 raise GraphFormatError(f"line {lineno}: removed edge before any step")
             a, b = fields
             removed.append((a, b) if a < b else (b, a))
-        elif fields[4] not in (MODE_DEGREE, MODE_FREE):
+        elif fields[4] not in _MODES:
             raise GraphFormatError(f"line {lineno}: unknown mode '{fields[4]}'")
         else:
             removed = []
             records.append((fields, removed))
+    return records
+
+
+def load_trace(text: str, g: Graph) -> RunTrace:
+    """Parse and replay-check a trace file against its graph.
+
+    A valid document is read in one tight pass; only a faulty one is read a
+    second time, through ``read_records``, so that the error names its
+    first faulty line.
+    """
+    try:
+        records = _scan_trace(text)
+    except ValueError:
+        records = _read_trace(text)
     steps = []
     pairs = []
     for (i, u, d, v, mode), killed in records:

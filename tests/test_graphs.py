@@ -23,7 +23,7 @@ from matchforge.graphs import (
     save_graph,
     save_matching,
 )
-from matchforge import matchers
+from matchforge import graphs as graphs_module, matchers
 from matchforge.matchers import MODE_DEGREE, MODE_FREE, RULES, load_trace
 
 
@@ -507,3 +507,97 @@ def test_readers_raise_only_format_errors(reader, text):
             assert found and int(found.group(1)) <= bad, str(exc)
     else:
         assert bad is None, f"line {bad} was accepted"
+
+
+# -- the tight readers against the read_records path ----------------------------
+
+
+def _refuse(text):
+    raise ValueError
+
+
+def _outcome(load, text):
+    try:
+        return "ok", load(text)
+    except GraphFormatError as exc:
+        return "error", str(exc)
+
+
+def _both_paths(load, owner, scan, text):
+    """What load makes of text, and what it makes of it when the tight pass
+    refuses every document, so that read_records reads it."""
+    tight = _outcome(load, text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(owner, scan, _refuse)
+        reference = _outcome(load, text)
+    return tight, reference
+
+
+def _spelled(field: str, rng) -> str:
+    """An integer field in another spelling that int() reads as the same value."""
+    if not re.fullmatch(r"\d+", field):
+        return field
+    return rng.choice([field, "+" + field, "0" + field, field[0] + "_" + field[1:] if len(field) > 1
+                       else field, "٠" + field])
+
+
+@st.composite
+def documents(draw, valid_texts):
+    """A document as a reader may meet it: a valid one or random records,
+    with blank lines, comments, other spellings of integers, other spacing
+    and mixed line endings, and at times one random record line."""
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        lines = draw(st.sampled_from(valid_texts)).splitlines()
+    else:
+        lines = draw(st.lists(record_lines(), max_size=8))
+    out = []
+    for line in lines:
+        parts = [_spelled(p, rng) for p in line.split()]
+        out.append(rng.choice([" ", " ", "\t", "  "]).join(parts))
+        if rng.random() < 0.1:
+            out.append(rng.choice(["", "   ", "# note", "#", "#e 0 1"]))
+    if draw(st.booleans()) and out:
+        out.insert(rng.randrange(len(out) + 1), draw(record_lines()))
+    ends = [rng.choice(["\n", "\r\n", "\n", "\r"]) for _ in out]
+    return "".join(line + end for line, end in zip(out, ends))
+
+
+def _graph_texts():
+    return [save_graph(gen_random_bounded(n, d, 0.7, seed))
+            for n, d, seed in [(2, 1, 0), (5, 2, 1), (7, 3, 2), (9, 4, 3), (4, 3, 4)]] + [
+        "graph 0 0\n", "graph 3 0\n", "graph 4 2\ne 0 1\ne 2 3\n"]
+
+
+def _trace_texts():
+    texts = []
+    for algo in RULES:
+        for seed in range(3):
+            texts.append(matchers.save_trace(
+                matchers.run_algorithm(algo, K4(), matchers.RandomPolicy(seed))))
+    return texts
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents(_graph_texts()))
+@example("graph 3 1\r\ne +0 1_0\r\n")
+@example("graph 3 1\n# c\n\ne 0 1\n")
+@example("e 0 1\ngraph 3 1\n")
+@example("graph 3 1\ngraph 3 1\ne 0 1\n")
+def test_tight_graph_reader_agrees_with_read_records(text):
+    tight, reference = _both_paths(load_graph, graphs_module, "_scan_graph", text)
+    assert tight == reference
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents(_trace_texts()))
+@example("r 0 1\ns 1 0 3 1 degree_rule\n")
+@example("s 1 0 3 1 degree_rule\r\n#x\r\nr 0 1\r\nr +0 0_2\r\nr 0 3\r\nr 1 2\r\nr 1 3\r\n"
+         "s 2 2 1 3 degree_rule\r\nr 2 3\r\n")
+@example("s 1 0 3 1 first\n")
+def test_tight_trace_reader_agrees_with_read_records(text):
+    load = lambda t: load_trace(t, K4())  # noqa: E731
+    tight, reference = _both_paths(load, matchers, "_scan_trace", text)
+    assert tight == reference
+    if tight[0] == "ok":
+        assert tight[1].replay == reference[1].replay
