@@ -271,7 +271,7 @@ class RunTrace:
             removed = st.removed
             ok = isinstance(removed, tuple) and len(removed) == du + dv - 1
             # u and v lose every edge; any other end w, one degree per edge.
-            seen = {u: du, v: dv}   # touched node -> degree before the step
+            touched = {u: du, v: dv}   # node -> its degree before the step
             last = -1
             try:
                 for r in removed if ok else ():
@@ -289,8 +289,8 @@ class RunTrace:
                         break
                     alive[j] = 0
                     last = j
-                    if w not in seen:
-                        seen[w] = deg[w]
+                    if w not in touched:
+                        touched[w] = deg[w]
                     deg[w] -= 1
             except TypeError:  # an unhashable entry is no edge
                 ok = False
@@ -300,8 +300,8 @@ class RunTrace:
             deg[u] = deg[v] = 0
             before = {}
             after = {}
-            for x in sorted(seen):
-                d = seen[x]
+            for x in sorted(touched):
+                d = touched[x]
                 before[x] = d
                 count[d] -= 1
                 d = deg[x]

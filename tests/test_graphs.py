@@ -537,8 +537,10 @@ def _spelled(field: str, rng) -> str:
     """An integer field in another spelling that int() reads as the same value."""
     if not re.fullmatch(r"\d+", field):
         return field
-    return rng.choice([field, "+" + field, "0" + field, field[0] + "_" + field[1:] if len(field) > 1
-                       else field, "٠" + field])
+    spellings = [field, "+" + field, "0" + field, "٠" + field]
+    if len(field) > 1:
+        spellings.append(field[0] + "_" + field[1:])
+    return rng.choice(spellings)
 
 
 @st.composite

@@ -8,7 +8,14 @@ import re
 import pytest
 
 from matchforge import matchers
-from matchforge.graphs import Graph, GraphFormatError, Matching, ResidualView, gen_random_bounded, gen_regular
+from matchforge.graphs import (
+    Graph,
+    GraphFormatError,
+    Matching,
+    ResidualView,
+    gen_random_bounded,
+    gen_regular,
+)
 from matchforge.matchers import (
     RULES,
     FirstPolicy,
@@ -160,8 +167,7 @@ def test_replay_and_load_trace_build_no_residual_view(monkeypatch):
     traces = [run_algorithm(algo, g, RandomPolicy(7)) for algo in RULES]
     monkeypatch.setattr(matchers, "ResidualView", refuse)
     for trace in traces:
-        fresh = RunTrace(g, trace.steps, trace.result)
-        assert outcome(RunTrace.replay.func, fresh)[0] == "ok"
+        RunTrace(g, trace.steps, trace.result).verify_replay()
         assert load_trace(save_trace(trace), g) == trace
 
 
