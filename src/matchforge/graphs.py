@@ -5,6 +5,11 @@ Graphs are simple undirected graphs on dense integer node ids 0..n-1.  A
 ``ResidualView`` is the mutable deletion view a single heuristic run owns
 exclusively (each run builds its own from the graph).  A view
 only ever loses edges.
+
+A ``Graph`` shares its objects rather than copying them: ``load_graph``
+takes every node id from one table of n ints, ``incident`` holds the edge-id
+ints of ``edge_id``, and readers of other documents (``load_trace``) point
+at the graph's own edge tuples.
 """
 
 from __future__ import annotations
@@ -106,7 +111,8 @@ class Graph:
         """incident[v][j] is the id of the edge from v to adjacency[v][j];
         built on first use."""
         inc: list[list[int]] = [[] for _ in range(self.n)]
-        for i, (u, v) in enumerate(self.edges):
+        # The ids are the ints edge_id holds, not a second set of them.
+        for (u, v), i in self.edge_id.items():
             inc[u].append(i)
             inc[v].append(i)
         return tuple(map(tuple, inc))
@@ -411,23 +417,33 @@ def read_records(text: str, forms: dict[str, str]) -> Iterator[tuple[int, str, l
 def _scan_graph(text: str) -> tuple[int, int, list[Edge]]:
     """Read a graph document as (n, announced m, (u, v) of each edge line) in
     one tight pass; raise a bare ValueError at the first fault of any kind.
-    Edges are left to ``Graph`` to check."""
-    n = None
+
+    Each node id is taken from one table of n ints, so the edges share one
+    int per node; an edge line is checked for 0 <= u < v < n before the
+    table is indexed, and the rest of the edge checks are left to ``Graph``.
+    """
+    n = -1   # no header yet, so every edge line fails the bound check
+    node: list[int] = []
     edges: list[Edge] = []
     for parts in map(str.split, text.splitlines()):
         if not parts:
             continue
         tag = parts[0]
         if tag == "e" and len(parts) == 3:
-            edges.append((int(parts[1]), int(parts[2])))
-        elif tag == "graph" and len(parts) == 3 and n is None and not edges:
+            u = int(parts[1])
+            v = int(parts[2])
+            if not 0 <= u < v < n:
+                raise ValueError
+            edges.append((node[u], node[v]))
+        elif tag == "graph" and len(parts) == 3 and n < 0:
             n = int(parts[1])
             m = int(parts[2])
             if not (0 <= n <= MAX_NODES and m >= 0):
                 raise ValueError
+            node = list(range(n))
         elif tag[0] != "#":
             raise ValueError
-    if n is None:
+    if n < 0:
         raise ValueError
     return n, m, edges
 
@@ -483,10 +499,17 @@ def load_graph(text: str) -> Graph:
     return g
 
 
+# save_graph joins this many edge lines at a time, so that only one chunk's
+# line strings are alive at once next to the joined chunks.
+_SAVE_CHUNK = 4096
+
+
 def save_graph(g: Graph) -> str:
-    lines = [f"graph {g.n} {g.m}\n"]
-    lines.extend(f"e {u} {v}\n" for u, v in g.edges)
-    return "".join(lines)
+    edges = g.edges
+    chunks = [f"graph {g.n} {g.m}\n"]
+    for k in range(0, len(edges), _SAVE_CHUNK):
+        chunks.append("".join([f"e {u} {v}\n" for u, v in edges[k:k + _SAVE_CHUNK]]))
+    return "".join(chunks)
 
 
 def load_matching(text: str, g: Graph | None = None) -> Matching:

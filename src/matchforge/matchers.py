@@ -13,7 +13,10 @@ choice enumeration, pick scripts, exhaustive search, game encodings and the
 CLI follow.
 
 Every run produces a ``RunTrace``: the full step-by-step record (selected
-node, its degree at selection, partner, removed edges, step mode).
+node, its degree at selection, partner, removed edges, step mode).  Its
+records are slotted frozen dataclasses that hold no per-instance dict, and
+the edges they name are the graph's own tuples: a run takes them from the
+graph, and ``load_trace`` resolves each parsed edge through ``edge_id``.
 ``RunTrace.replay`` checks it once, step by step, on flat arrays of its own
 (a degree list, a node count per degree and an alive flag per edge id)
 rather than on the runner's ``ResidualView``, so the check does not rest on
@@ -179,12 +182,13 @@ class ScriptedPolicy(Policy):
 # ---------------------------------------------------------------------------
 
 
-# Trace records are frozen dataclasses that set their fields in one
-# ``__dict__`` update: a run, a read and a replay each build one record per
-# step, and the generated frozen ``__init__`` sets each field on its own.
+# Trace records are slotted frozen dataclasses, so a record carries no
+# per-instance ``__dict__``: a run, a read and a replay each build one record
+# per step.  ``slots=True`` re-creates each class, so no method of theirs may
+# use a zero-argument ``super()``.
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, slots=True)
 class TraceStep:
     """One picked edge: who was selected, at what degree, and what died."""
 
@@ -195,31 +199,18 @@ class TraceStep:
     removed: tuple[Edge, ...]
     mode: str
 
-    def __init__(self, index: int, selected: int, sel_degree: int, partner: int,
-                 removed: tuple[Edge, ...], mode: str):
-        self.__dict__.update(index=index, selected=selected, sel_degree=sel_degree,
-                             partner=partner, removed=removed, mode=mode)
-
     @property
     def edge(self) -> Edge:
         return norm_edge(self.selected, self.partner)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, slots=True)
 class ReplayedStep(TraceStep):
     """A trace step with the degrees its replay observed."""
 
     min_before: int                # minimum nonzero degree before the step
     deg_before: dict[int, int]     # touched node -> degree before the step
     deg_after: dict[int, int]      # touched node -> degree after the step
-
-    def __init__(self, index: int, selected: int, sel_degree: int, partner: int,
-                 removed: tuple[Edge, ...], mode: str, min_before: int,
-                 deg_before: dict[int, int], deg_after: dict[int, int]):
-        self.__dict__.update(index=index, selected=selected, sel_degree=sel_degree,
-                             partner=partner, removed=removed, mode=mode,
-                             min_before=min_before, deg_before=deg_before,
-                             deg_after=deg_after)
 
 
 @dataclass(frozen=True)
@@ -330,7 +321,8 @@ def save_trace(trace: RunTrace) -> str:
     return "".join(lines) or "\n"  # a run of no steps is one empty line
 
 
-_MODES = (MODE_DEGREE, MODE_FREE)
+# Each step mode maps to its constant, which every read record shares.
+_MODES = {MODE_DEGREE: MODE_DEGREE, MODE_FREE: MODE_FREE}
 
 
 def _scan_trace(text: str) -> list[tuple[list, list[Edge]]]:
@@ -351,7 +343,7 @@ def _scan_trace(text: str) -> list[tuple[list, list[Edge]]]:
         elif tag == "s" and len(parts) == 6 and parts[5] in _MODES:
             removed = []
             records.append(([int(parts[1]), int(parts[2]), int(parts[3]), int(parts[4]),
-                             parts[5]], removed))
+                             _MODES[parts[5]]], removed))
         elif tag[0] != "#":
             raise ValueError
     if orphans:
@@ -389,11 +381,22 @@ def load_trace(text: str, g: Graph) -> RunTrace:
         records = _scan_trace(text)
     except ValueError:
         records = _read_trace(text)
+    # Every edge of g a record names is g's own tuple, and a picked edge's
+    # ends are its ints; an entry that is no edge of g stays as parsed, for
+    # the replay to reject.
+    edges = g.edges
+    eid = g.edge_id
     steps = []
     pairs = []
     for (i, u, d, v, mode), killed in records:
-        steps.append(TraceStep(i, u, d, v, tuple(killed), mode))
-        pairs.append((u, v) if u < v else (v, u))
+        e = (u, v) if u < v else (v, u)
+        j = eid.get(e)
+        if j is not None:
+            e = edges[j]
+            u, v = e if u < v else (e[1], e[0])
+        removed = tuple([edges[j] if (j := eid.get(r)) is not None else r for r in killed])
+        steps.append(TraceStep(i, u, d, v, removed, mode))
+        pairs.append(e)
     try:
         trace = RunTrace(g, tuple(steps), Matching(frozenset(pairs)))
         trace.verify_replay()

@@ -1,7 +1,9 @@
 """Exact maximum-cardinality matching oracles.
 
 ``maximum_matching`` runs Edmonds' blossom search (1965) from each node
-still unmatched, in ascending id; it is deterministic and self-certifying:
+still unmatched, in ascending id, and matches a node with an unmatched
+neighbor to the first one without a search, as the search would; it is
+deterministic and self-certifying:
 a final failed search from every unmatched node witnesses optimality.  Each
 search keeps state only for the nodes it reaches and relabels only the
 members of the blossoms it contracts, so it costs what it visits, not O(n)
@@ -21,11 +23,28 @@ class CertificateError(RuntimeError):
 
 
 def _find_augmenting_path(g: Graph, match: list[int], root: int) -> bool:
-    """One BFS phase with blossom contraction; augments match in place.
+    """Augment match in place along a path from the unmatched root.
 
     Returns True if an augmenting path from root was found and applied; a
-    failed search leaves match untouched.  ``parent`` and ``used`` hold only
-    reached nodes, and a node missing from ``base`` or ``members`` is a
+    failed search leaves match untouched.  A root with an unmatched neighbor
+    is matched to the first one without a search: ``_blossom_search`` scans
+    the root's neighbors in order, and a matched one leads it to no
+    unmatched node before that neighbor does, so it would augment exactly
+    this edge.
+    """
+    for w in g.adjacency[root]:
+        if match[w] == -1:
+            match[root] = w
+            match[w] = root
+            return True
+    return _blossom_search(g, match, root)
+
+
+def _blossom_search(g: Graph, match: list[int], root: int) -> bool:
+    """One BFS phase with blossom contraction; augments match in place.
+
+    Returns as ``_find_augmenting_path`` does.  ``parent`` and ``used`` hold
+    only reached nodes, and a node missing from ``base`` or ``members`` is a
     blossom of its own.
     """
     parent: dict[int, int] = {}

@@ -1,7 +1,7 @@
 import re
 import tracemalloc
 from array import array
-from itertools import islice
+from itertools import chain, islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -101,6 +101,34 @@ class TestLoadGraph:
         text = f"graph 4 3\ne 0 1\n# a comment\n{line}\ne 1 2\n{later}\n"
         with pytest.raises(GraphFormatError, match=rf"^line 4: {message}$"):
             load_graph(text)
+
+    # The reader takes node ids from a table of n ints only after checking
+    # 0 <= u < v < n, so a negative id cannot alias node n - 1 and each of
+    # these lines still fails with the constructor's wording.
+    @pytest.mark.parametrize("text, message", [
+        ("graph 4 2\ne 0 1\ne -1 2\n", "line 3: edge (-1, 2) has node id outside 0..3"),
+        ("graph 4 2\ne 0 1\ne 2 -1\n", "line 3: edge (2, -1) has node id outside 0..3"),
+        ("graph 4 2\ne 0 1\ne 2 4\n", "line 3: edge (2, 4) has node id outside 0..3"),
+        ("graph 4 2\ne 0 1\ne 3 2\n", "line 3: edge (3, 2) not in canonical (min, max) order"),
+        ("graph 0 1\ne 0 1\n", "line 2: edge (0, 1) has node id outside 0..-1"),
+        ("# c\ne 0 1\ngraph 4 1\n", "line 2: edge before header"),
+    ])
+    def test_node_table_faults_keep_their_message(self, text, message):
+        with pytest.raises(GraphFormatError) as exc:
+            load_graph(text)
+        assert str(exc.value) == message
+
+    def test_loaded_graph_holds_one_int_per_node(self):
+        g = load_graph(save_graph(gen_regular(3000, 3, 1)))
+        held: dict[int, int] = {}
+        ids = [*chain.from_iterable(g.edges), *chain.from_iterable(g.adjacency)]
+        assert all(held.setdefault(x, x) is x for x in ids)
+        assert len(held) == 3000
+
+    def test_incident_reuses_the_edge_id_ints(self):
+        g = load_graph(save_graph(gen_regular(3000, 3, 1)))
+        held = {i: i for i in g.edge_id.values()}
+        assert all(held[i] is i for row in g.incident for i in row)
 
     def test_comments_and_roundtrip(self):
         g = load_graph("# a comment\ngraph 4 2\ne 0 2\ne 1 3\n")

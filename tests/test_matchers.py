@@ -1,11 +1,21 @@
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from matchforge import matchers
-from matchforge.graphs import Graph, GraphFormatError, gen_random_bounded
+from matchforge.graphs import (
+    Graph,
+    GraphFormatError,
+    gen_random_bounded,
+    gen_regular,
+    load_graph,
+    save_graph,
+)
 from matchforge.matchers import (
+    MODE_DEGREE,
+    MODE_FREE,
     RULES,
     FirstPolicy,
     PolicyError,
@@ -211,6 +221,33 @@ class TestTraceIO:
         assert loaded.replay is loaded.replay
         assert [st.min_before for st in loaded.replay][0] == min(
             g.degree(v) for v in range(g.n) if g.degree(v))
+
+    def test_loaded_trace_shares_the_graphs_objects(self):
+        g = load_graph(save_graph(gen_regular(3000, 3, 1)))
+        t = load_trace(save_trace(run_algorithm("one_two_mingreedy", g, RandomPolicy(1))), g)
+
+        def own(e):
+            return g.edges[g.edge_id[e]]
+
+        assert all(r is own(r) for st in t.steps for r in st.removed)
+        assert all(e is own(e) for e in t.result.pairs)
+        for st in t.steps:
+            a, b = own(st.edge)
+            assert (st.selected, st.partner) in ((a, b), (b, a))
+            assert st.selected is a or st.selected is b
+            assert st.partner is a or st.partner is b
+            assert st.mode is MODE_DEGREE or st.mode is MODE_FREE
+        assert all(rec.removed is st.removed for rec, st in zip(t.replay, t.steps))
+
+    def test_trace_records_carry_no_instance_dict(self):
+        g = random_graph(3)
+        t = run_algorithm("mingreedy", g, FirstPolicy())
+        loaded = load_trace(save_trace(t), g)
+        for rec in (*t.steps, *loaded.steps, *loaded.replay):
+            assert not hasattr(rec, "__dict__")
+        st = loaded.steps[0]
+        assert replace(st) == st and hash(replace(st)) == hash(st)
+        assert replace(loaded.replay[0], min_before=9).min_before == 9
 
     def test_corrupted_removed_edges_rejected(self):
         g = P3()

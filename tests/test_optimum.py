@@ -70,6 +70,29 @@ def test_agreement_on_random_graphs():
         assert len(m) == max_matching_bruteforce(g)
 
 
+def _maximum_matching_by_search(g: Graph) -> Matching:
+    """maximum_matching's loop without the free-neighbor shortcut: a blossom
+    search from every node still unmatched, in ascending id."""
+    match = [-1] * g.n
+    for v in range(g.n):
+        if match[v] == -1:
+            optimum._blossom_search(g, match, v)
+    return Matching.from_pairs((v, match[v]) for v in range(g.n) if v < match[v])
+
+
+def test_free_neighbor_shortcut_keeps_the_searched_optimum():
+    # Random graphs of 3 to 40 nodes, each with a triangle, so that searches
+    # contract blossoms; the edge sets must agree, not only the sizes.
+    for seed in range(600):
+        rng = random.Random(seed)
+        n = rng.randint(3, 40)
+        a, b, c = rng.sample(range(n), 3)
+        pairs = [(a, b), (b, c), (a, c)]
+        pairs += ((rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n)))
+        g = Graph.from_edges(n, {(u, v) for u, v in pairs if u != v})
+        assert maximum_matching(g) == _maximum_matching_by_search(g), seed
+
+
 def test_no_augmenting_path_certificate():
     for seed in range(100):
         g = gen_random_bounded(10, 3, 0.7, seed)
