@@ -519,26 +519,6 @@ class AdversaryB(_CenterMixin):
             return self._serve_endgame(center, "4c", frontier)
         return None
 
-    def check_type_invariant(self) -> None:
-        """During construction every non-isolated node's list is one of:
-        all-unknown of degree 3..delta, all-unknown of degree 2, or length 3
-        with exactly one known (matched) neighbor."""
-        if self.sealed:
-            return
-        for v in self.adj:
-            if v in self.matched:
-                continue
-            total, unmatched, known = self._count_key(v)
-            if not unmatched:
-                continue
-            own_known = v in self.known
-            type1 = not own_known and known == 0 and 3 <= total == unmatched <= self.delta
-            type2 = not own_known and known == 0 and total == unmatched == 2
-            type3 = not own_known and total == 3 and unmatched == 2 and known == 1
-            if not (type1 or type2 or type3):
-                raise GameError(f"node {v} with counts {(total, unmatched, known)} "
-                                f"matches no list type")
-
 
 class AdversaryBPrime(_CenterMixin):
     """Node-count-announcing constructor: many expensive components.

@@ -1,11 +1,13 @@
 """Coin accounting over a traced run and its decomposition.
 
-Reads the trace's one cached replay (``RunTrace.replay``), checks that
-every step is a min-greedy or free-variant step, derives every transfer (with
-cancellations) and donation, tallies per-component credit/debit coins, and
-checks the balance bounds plus the auxiliary structural predicates on the
-concrete execution.  Any violation is reported as a counterexample, not
-raised, so a failing run can be inspected.
+Reads the trace's steps and its one cached replay (``RunTrace.replay``):
+the minimum degree before each step, and two degree queries for a node
+around a step.  Checks that every step is a min-greedy or free-variant
+step, derives every transfer (with cancellations) and donation, tallies
+per-component credit/debit coins, and checks the balance bounds plus the
+auxiliary structural predicates on the concrete execution.  Any violation
+is reported as a counterexample, not raised, so a failing run can be
+inspected.
 
 All coin arithmetic is exact: counts are integers and the coin value
 theta = 1/(2(2*delta-3)) is a Fraction.
@@ -20,7 +22,7 @@ from fractions import Fraction
 
 from .decomposition import Component, Decomposition, PATH, SINGLETON
 from .graphs import Edge, norm_edge
-from .matchers import MODE_DEGREE, MODE_FREE, ReplayedStep, RunTrace
+from .matchers import MODE_DEGREE, MODE_FREE, Replay, RunTrace, TraceStep
 
 
 class TraceMismatchError(ValueError):
@@ -140,8 +142,10 @@ class Report:
 class ChargingLedger:
     """Full coin accounting of one traced run against one decomposition.
 
-    One pass over the replayed steps checks each step's rule and derives its
-    transfers; alongside it tallies, per node, the coins paid (``paid``,
+    One pass over the trace's steps checks each step's rule against the
+    replay's minimum degree before it and derives its transfers, reading the
+    degrees of a step's touched nodes from the replay (``deg_before`` and
+    ``deg_after``); alongside it tallies, per node, the coins paid (``paid``,
     donations included) and the raw debits (``raw_debits``, cancelled
     transfers included), per endpoint the net and raw credits
     (``credits``/``raw_credits``), and per step the net and raw debits of its
@@ -160,9 +164,10 @@ class ChargingLedger:
         self.delta = delta
         self.theta = theta(delta)
         try:
-            self.steps: tuple[ReplayedStep, ...] = trace.replay
+            self.replay: Replay = trace.replay
         except ValueError as exc:
             raise TraceMismatchError(str(exc)) from None
+        self.steps: tuple[TraceStep, ...] = trace.steps
         self.comp_of = dec.component_of
         self.endpoints = dec.endpoints
         self.step_of_node: dict[int, int] = {}
@@ -173,15 +178,16 @@ class ChargingLedger:
         self.raw_credits: Counter[int] = Counter()
         self.step_debits: Counter[int] = Counter()
         self.step_raw_debits: Counter[int] = Counter()
-        for rec in self.steps:
-            self._check_rule(rec)
+        deg_before = self.replay.deg_before
+        for rec, min_before in zip(self.steps, self.replay.min_before):
+            self._check_rule(rec, min_before)
             self.step_of_node[rec.selected] = rec.index
             self.step_of_node[rec.partner] = rec.index
             for source, w in self._step_transfers(rec):
                 # A third credit arriving on an endpoint's 1 -> 0 drop is
                 # cancelled.  Such an endpoint loses one edge in this step,
                 # so its credits so far all come from earlier steps.
-                cancel = rec.deg_before[w] == 1 and self.credits[w] >= 2
+                cancel = deg_before(rec.index, w) == 1 and self.credits[w] >= 2
                 if cancel and self.raw_credits[w] != self.credits[w]:
                     raise TraceMismatchError(f"second cancellation at endpoint {w}")
                 self.transfers.append(Transfer(source, w, rec.index, cancel))
@@ -212,22 +218,22 @@ class ChargingLedger:
     # -- construction -------------------------------------------------------
 
     @staticmethod
-    def _check_rule(rec: ReplayedStep) -> None:
+    def _check_rule(rec: TraceStep, min_before: int) -> None:
         if rec.mode == MODE_DEGREE:
-            if rec.sel_degree != rec.min_before:
+            if rec.sel_degree != min_before:
                 raise TraceMismatchError(
                     f"step {rec.index}: degree-rule step selected degree "
-                    f"{rec.sel_degree}, minimum is {rec.min_before}"
+                    f"{rec.sel_degree}, minimum is {min_before}"
                 )
         elif rec.mode == MODE_FREE:
-            if rec.min_before < 3:
+            if min_before < 3:
                 raise TraceMismatchError(
-                    f"step {rec.index}: free step taken at minimum degree {rec.min_before}"
+                    f"step {rec.index}: free step taken at minimum degree {min_before}"
                 )
         else:
             raise TraceMismatchError(f"step {rec.index}: unknown mode {rec.mode}")
 
-    def _step_transfers(self, rec: ReplayedStep) -> list[tuple[int, int]]:
+    def _step_transfers(self, rec: TraceStep) -> list[tuple[int, int]]:
         """(source, endpoint) of every coin moved in one step, sorted: an
         F-edge from the matched pair to an endpoint left at degree <= 1."""
         out = []
@@ -237,7 +243,7 @@ class ChargingLedger:
             if e not in self.dec.f_edges:
                 continue
             source, w = e if e[0] in (rec.selected, rec.partner) else e[::-1]
-            if w in self.endpoints and rec.deg_after[w] <= 1:
+            if w in self.endpoints and self.replay.deg_after(rec.index, w) <= 1:
                 out.append((source, w))
         return sorted(out)
 
@@ -247,8 +253,9 @@ class ChargingLedger:
         # finishes.  Every node has degree >= 2 when the step starts (the
         # selected node realizes the minimum), so any such endpoint lost an
         # edge to the matched pair and was touched.
+        deg_after = self.replay.deg_after
         deg1_after = any(
-            w in self.endpoints and d_after == 1 for w, d_after in rec.deg_after.items()
+            w in self.endpoints and deg_after(rec.index, w) == 1 for e in rec.removed for w in e
         )
         info = _PathInfo(rec.index, rec.selected, rec.partner, rec.sel_degree,
                          self.step_debits[rec.index], self.step_raw_debits[rec.index],
@@ -266,7 +273,7 @@ class ChargingLedger:
             info.classes = self._endpoint_classes(rec)
         return info
 
-    def _donation(self, ci: int, info: _PathInfo, rec: ReplayedStep) -> Donation | None:
+    def _donation(self, ci: int, info: _PathInfo, rec: TraceStep) -> Donation | None:
         """The coins the node selected right after the creation step gives
         back to the path, if that node lies in another component."""
         if rec.index == len(self.steps):
@@ -294,15 +301,16 @@ class ChargingLedger:
             )
         return Donation(u2, info.partner, rec.index + 1, rec.index, "static", self.delta - 3)
 
-    def _endpoint_classes(self, rec: ReplayedStep) -> EndpointClasses:
+    def _endpoint_classes(self, rec: TraceStep) -> EndpointClasses:
         deg1_two_f, deg1_one_f, deg2, edges_to_adjacent = [], [], [], []
+        s = rec.index
         for w in sorted(self.endpoints):
             links = [norm_edge(x, w) for x in (rec.selected, rec.partner)
                      if norm_edge(x, w) in rec.removed]
-            if not links or rec.deg_before.get(w, 0) < 3:
+            if not links or self.replay.deg_before(s, w, 0) < 3:
                 continue
             edges_to_adjacent.extend(links)
-            after = rec.deg_after[w]
+            after = self.replay.deg_after(s, w)
             if after == 1:
                 f_count = sum(1 for e in links if e in self.dec.f_edges)
                 (deg1_two_f if f_count == 2 else deg1_one_f).append(w)
@@ -328,7 +336,7 @@ class ChargingLedger:
         return Fraction(comp.m_count * th.denominator + th.numerator * self.balance(ci),
                         th.denominator * comp.opt_count)
 
-    def step_record(self, index: int) -> ReplayedStep:
+    def step_record(self, index: int) -> TraceStep:
         return self.steps[index - 1]
 
 
@@ -451,13 +459,12 @@ def _triple_credit_shape(ledger: ChargingLedger, w: int) -> bool:
     first, second, third = ts
     if first.step != second.step or second.step == third.step:
         return False
-    rec1 = ledger.step_record(first.step)
-    rec2 = ledger.step_record(third.step)
+    replay = ledger.replay
     return (
-        rec1.deg_before[w] == 3
-        and rec1.deg_after[w] == 1
-        and rec2.deg_before[w] == 1
-        and rec2.deg_after[w] == 0
+        replay.deg_before(first.step, w) == 3
+        and replay.deg_after(first.step, w) == 1
+        and replay.deg_before(third.step, w) == 1
+        and replay.deg_after(third.step, w) == 0
     )
 
 
@@ -513,7 +520,7 @@ def _creation_step_checks(ledger: ChargingLedger, rep: Report) -> None:
 
 
 def _paired_step_checks(ledger: ChargingLedger, ci: int, info: _PathInfo,
-                        nxt: ReplayedStep, rep: Report) -> None:
+                        nxt: TraceStep, rep: Report) -> None:
     """Combined coin caps across a creation step and the following step nxt."""
     if ledger.delta < 4:
         return
@@ -556,19 +563,21 @@ def _deg2_exception_shape(ledger: ChargingLedger, info: _PathInfo) -> bool:
     """The only way a degree-2 creation step that pays a debit leaves no
     degree-1 endpoint: a unique recipient isolated by the step, reached over
     the partner's single debit, with the selected node clean."""
-    rec = ledger.step_record(info.creation_step)
+    s = info.creation_step
+    rec = ledger.step_record(s)
+    replay = ledger.replay
     u, v = info.selected, info.partner
     # A node pays only in the step that matches it, so v's one transfer is
     # the creation step's only one.
     if ledger.raw_debits[u] != 0 or ledger.raw_debits[v] != 1:
         return False
     (w,) = [t.endpoint for t in ledger.transfers if t.source == v]
-    if rec.deg_after[w] != 0 or rec.deg_before[w] != 2:
+    if replay.deg_after(s, w) != 0 or replay.deg_before(s, w) != 2:
         return False
     if norm_edge(u, w) not in ledger.dec.m_star.pairs:
         return False
     return not any(
-        norm_edge(v, w2) in rec.removed and rec.deg_before.get(w2, 0) < 3
+        norm_edge(v, w2) in rec.removed and replay.deg_before(s, w2, 0) < 3
         for w2 in ledger.endpoints if w2 != w
     )
 
@@ -628,7 +637,7 @@ def _transfer_recheck(ledger: ChargingLedger, rep: Report) -> None:
             e in ledger.dec.f_edges
             and t.source in (rec.selected, rec.partner)
             and e in rec.removed
-            and rec.deg_after.get(t.endpoint, 99) <= 1
+            and ledger.replay.deg_after(t.step, t.endpoint, 99) <= 1
             and t.endpoint in ledger.endpoints
         )
 

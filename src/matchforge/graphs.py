@@ -248,10 +248,6 @@ class AliveEdges(Sequence):
             killed.clear()
         return self._tree
 
-    def _drift(self) -> bool:
-        """True when the count or the tree no longer matches the flags."""
-        return self._synced() != _fenwick(self._flags) or self._len != sum(self._flags)
-
 
 def _fenwick(flags: bytearray) -> list[int]:
     """The Fenwick tree (1-based, tree[0] unused) over a row of 0/1 flags."""
@@ -346,24 +342,6 @@ class ResidualView:
         alive._len -= len(removed)
         alive._killed += removed
         return list(map(graph.edges.__getitem__, removed))
-
-    def check_consistency(self) -> None:
-        """Recompute the alive-edge index, degrees and buckets from the alive
-        edges; raise on drift."""
-        if self._alive._drift():
-            raise ValueError("alive-edge index drifted from alive edges")
-        deg = [0] * self.graph.n
-        for u, v in self._alive:
-            deg[u] += 1
-            deg[v] += 1
-        if deg != self.deg:
-            raise ValueError("maintained degrees drifted from alive edges")
-        positive = {v for v in range(self.graph.n) if deg[v] > 0}
-        bucketed = {v for s in self._buckets for v in s}
-        if positive != bucketed:
-            raise ValueError("buckets do not partition nodes of positive degree")
-        if any(deg[v] != d for d, s in enumerate(self._buckets) for v in s):
-            raise ValueError("a node sits in the bucket of another degree")
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,15 @@ CLI follow.
 Every run produces a ``RunTrace``: the full step-by-step record (selected
 node, its degree at selection, partner, removed edges, step mode).  Its
 records are slotted frozen dataclasses that hold no per-instance dict, and
-the edges they name are the graph's own tuples: a run takes them from the
-graph, and ``load_trace`` resolves each parsed edge through ``edge_id``.
-``RunTrace.replay`` checks it once, step by step, on flat arrays of its own
-(a degree list, a node count per degree and an alive flag per edge id)
-rather than on the runner's ``ResidualView``, so the check does not rest on
-the code it checks; it keeps the per-step degree snapshots, which
-``load_trace`` and the charging ledger share.
+the edges they name are the graph's own tuples.  ``RunTrace.replay`` checks
+it once, step by step, on flat arrays of its own (a degree list, a node
+count per degree and each edge's death step) rather than on the runner's
+``ResidualView``, so the check does not rest on the code it checks.  It
+keeps a ``Replay``: the step at which each edge died and the minimum degree
+before each step, from which a node's degree around any step is counted.
+``load_trace`` builds its steps in that same pass, from the removed edges
+the replay derives, so a parsed edge is never looked up; the charging
+ledger reads the replay it keeps.
 ``worst_case_size`` exhausts all nondeterministic choice sequences of a
 heuristic and returns the minimum matching size with a witness trace, read
 back from its memo as picks; the trace itself is replayed from the picks on
@@ -35,9 +37,11 @@ policy always takes the first candidate, which makes runs reproducible.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .graphs import (
     Edge,
@@ -183,9 +187,9 @@ class ScriptedPolicy(Policy):
 
 
 # Trace records are slotted frozen dataclasses, so a record carries no
-# per-instance ``__dict__``: a run, a read and a replay each build one record
-# per step.  ``slots=True`` re-creates each class, so no method of theirs may
-# use a zero-argument ``super()``.
+# per-instance ``__dict__``: a run and a read each build one record per step.
+# ``slots=True`` re-creates the class, so no method of its may use a
+# zero-argument ``super()``.
 
 
 @dataclass(frozen=True, slots=True)
@@ -204,13 +208,41 @@ class TraceStep:
         return norm_edge(self.selected, self.partner)
 
 
-@dataclass(frozen=True, slots=True)
-class ReplayedStep(TraceStep):
-    """A trace step with the degrees its replay observed."""
+class Replay:
+    """What a trace's replay keeps: the step at which each edge died and the
+    minimum nonzero degree before each step.  A node's degree around a step
+    is counted from the death steps of its edges, in O(delta)."""
 
-    min_before: int                # minimum nonzero degree before the step
-    deg_before: dict[int, int]     # touched node -> degree before the step
-    deg_after: dict[int, int]      # touched node -> degree after the step
+    __slots__ = ("died", "min_before", "_incident")
+
+    def __init__(self, died: array, min_before: list[int], incident: list[list[int]]):
+        self.died = died              # edge id -> the 1-based step that removed it
+        self.min_before = min_before  # [s - 1] -> minimum nonzero degree before step s
+        self._incident = incident     # the graph's edge ids per node
+
+    def _around(self, s: int, w: int) -> tuple[int, int]:
+        """How many edges at w died at step s, and how many died later."""
+        died = self.died
+        now = later = 0
+        for j in self._incident[w]:
+            d = died[j]
+            if d > s:
+                later += 1
+            elif d == s:
+                now += 1
+        return now, later
+
+    def deg_before(self, s: int, w: int, default=None):
+        """The degree of w just before step s, or default when step s
+        removed no edge at w."""
+        now, later = self._around(s, w)
+        return now + later if now else default
+
+    def deg_after(self, s: int, w: int, default=None):
+        """The degree of w just after step s, or default when step s
+        removed no edge at w."""
+        now, later = self._around(s, w)
+        return later if now else default
 
 
 @dataclass(frozen=True)
@@ -220,96 +252,95 @@ class RunTrace:
     result: Matching
 
     @cached_property
-    def replay(self) -> tuple[ReplayedStep, ...]:
-        """Check the steps once against the trace's graph, on flat arrays.
-
-        Raises ValueError when a step's index is not its 1-based position, a
-        picked edge is not alive, a recorded degree is stale, a removed list
-        differs, edges outlive the last step, or the result is not the set of
-        picked edges.  The degree snapshots are kept on the trace, so later
-        readers do not replay it again.
-        """
-        g = self.graph
-        eid = g.edge_id
-        deg = list(map(len, g.adjacency))
-        # count[d] nodes have alive degree d; count[0] is never read.
-        count = [0] * (g.delta + 1)
-        for d in deg:
-            count[d] += 1
-        alive = bytearray(b"\x01") * g.m
-        left = g.m
-        picked = []
-        out = []
-        for position, st in enumerate(self.steps, 1):
-            if st.index != position:
-                raise ValueError(f"step {st.index}: index is not its position {position}")
-            u = st.selected
-            v = st.partner
-            e = (u, v) if u < v else (v, u)
-            i = eid.get(e)
-            if i is None or not alive[i]:
-                raise ValueError(f"step {st.index}: picked edge not alive")
-            du = deg[u]
-            if du != st.sel_degree:
-                raise ValueError(f"step {st.index}: recorded selection degree is stale")
-            min_before = 1
-            while not count[min_before]:
-                min_before += 1
-            # The alive edges at u or v number deg[u] + deg[v] - 1, {u, v}
-            # counted once; a strictly ascending list of that many alive
-            # edges, each touching u or v, is all of them in canonical order.
-            dv = deg[v]
-            removed = st.removed
-            ok = isinstance(removed, tuple) and len(removed) == du + dv - 1
-            # u and v lose every edge; any other end w, one degree per edge.
-            touched = {u: du, v: dv}   # node -> its degree before the step
-            last = -1
-            try:
-                for r in removed if ok else ():
-                    j = eid.get(r)
-                    if j is None or j <= last or not alive[j]:
-                        ok = False
-                        break
-                    a, b = r
-                    if a == u or a == v:
-                        w = b
-                    elif b == u or b == v:
-                        w = a
-                    else:
-                        ok = False
-                        break
-                    alive[j] = 0
-                    last = j
-                    if w not in touched:
-                        touched[w] = deg[w]
-                    deg[w] -= 1
-            except TypeError:  # an unhashable entry is no edge
-                ok = False
-            if not ok:
-                raise ValueError(f"step {st.index}: removed-edge list mismatch")
-            left -= len(removed)
-            deg[u] = deg[v] = 0
-            before = {}
-            after = {}
-            for x in sorted(touched):
-                d = touched[x]
-                before[x] = d
-                count[d] -= 1
-                d = deg[x]
-                after[x] = d
-                count[d] += 1
-            out.append(ReplayedStep(st.index, u, st.sel_degree, v,
-                                    removed, st.mode, min_before, before, after))
-            picked.append(e)
-        if left:
-            raise ValueError("alive edges remain after the last step")
+    def replay(self) -> Replay:
+        """Check the steps once against the trace's graph (see ``_replay``)
+        and that the result is the set of picked edges; raises ValueError at
+        the first mismatch.  The replay is kept on the trace, so later
+        readers do not replay it again."""
+        rep, _, picked = _replay(self.graph, map(_FIELDS, self.steps), False)
         if self.result.pairs != frozenset(picked):
             raise ValueError("result does not equal the set of picked edges")
-        return tuple(out)
+        return rep
 
     def verify_replay(self) -> None:
         """Check the trace by its replay; raises ValueError on any mismatch."""
         self.replay  # computed for its checks, then kept on the trace
+
+
+# A step's fields in the order of a parsed record.
+_FIELDS = attrgetter("index", "selected", "sel_degree", "partner", "removed", "mode")
+
+
+def _replay(g: Graph, records: Iterable[tuple], build: bool
+            ) -> tuple[Replay, list[TraceStep], list[Edge]]:
+    """Replay (index, selected, sel_degree, partner, removed, mode) records
+    on g, on flat arrays of its own: a degree list, a node count per degree
+    and each edge's death step.  Returns the replay, the steps (built from
+    each record, with the graph's own edges and ends, only when build is
+    set) and the picked edges.
+
+    Raises ValueError when a step's index is not its 1-based position, a
+    picked edge is not alive, a recorded degree is stale, a removed list is
+    not the alive edges at u or v in ascending id (as a tuple, unless the
+    records were parsed, whose lists are read as tuples), or edges outlive
+    the last step.
+    """
+    edges = g.edges
+    eid = g.edge_id
+    adjacency = g.adjacency
+    incident = g.incident
+    deg = list(map(len, adjacency))
+    # count[d] nodes have alive degree d; count[0] is never read.
+    count = [0] * (g.delta + 1)
+    for d in deg:
+        count[d] += 1
+    died = [0] * g.m   # 0 while the edge is alive
+    left = g.m
+    min_before = []
+    steps = []
+    picked = []
+    for s, (index, u, d, v, recorded, mode) in enumerate(records, 1):
+        if index != s:
+            raise ValueError(f"step {index}: index is not its position {s}")
+        i = eid.get((u, v) if u < v else (v, u))
+        if i is None or died[i]:
+            raise ValueError(f"step {index}: picked edge not alive")
+        du = deg[u]
+        if du != d:
+            raise ValueError(f"step {index}: recorded selection degree is stale")
+        low = 1
+        while not count[low]:
+            low += 1
+        min_before.append(low)
+        # With {u, v} dead first, neither end meets the other below: u and
+        # v drop to degree 0, and every other end w, one degree per edge.
+        died[i] = s
+        ids = [i]
+        for x in (u, v):
+            for w, j in zip(adjacency[x], incident[x]):
+                if not died[j]:
+                    died[j] = s
+                    ids.append(j)
+                    dw = deg[w]
+                    count[dw] -= 1
+                    count[dw - 1] += 1
+                    deg[w] = dw - 1
+        count[du] -= 1
+        count[deg[v]] -= 1
+        deg[u] = deg[v] = 0
+        ids.sort()
+        removed = tuple(map(edges.__getitem__, ids))
+        if removed != (tuple(recorded) if build else recorded):
+            raise ValueError(f"step {index}: removed-edge list mismatch")
+        left -= len(ids)
+        e = edges[i]
+        picked.append(e)
+        if build:
+            u, v = e if u < v else (e[1], e[0])
+            steps.append(TraceStep(s, u, d, v, removed, mode))
+    if left:
+        raise ValueError("alive edges remain after the last step")
+    return Replay(array("i", died), min_before, incident), steps, picked
 
 
 def save_trace(trace: RunTrace) -> str:
@@ -325,10 +356,15 @@ def save_trace(trace: RunTrace) -> str:
 _MODES = {MODE_DEGREE: MODE_DEGREE, MODE_FREE: MODE_FREE}
 
 
-def _scan_trace(text: str) -> list[tuple[list, list[Edge]]]:
-    """Read a trace document as (step fields, removed edges) per step in one
-    tight pass; raise a bare ValueError at the first fault of any kind."""
-    records: list[tuple[list, list[Edge]]] = []
+# A parsed step: (index, selected, sel_degree, partner, removed edges, mode),
+# the fields of a TraceStep, with the removed edges as parsed into a list.
+_Record = tuple[int, int, int, int, list[Edge], str]
+
+
+def _scan_trace(text: str) -> list[_Record]:
+    """Read a trace document as one record per step in one tight pass;
+    raise a bare ValueError at the first fault of any kind."""
+    records: list[_Record] = []
     # The removed edges of the last step; before the first step they go to
     # orphans, which must stay empty.
     removed = orphans = []
@@ -342,8 +378,8 @@ def _scan_trace(text: str) -> list[tuple[list, list[Edge]]]:
             removed.append((a, b) if a < b else (b, a))
         elif tag == "s" and len(parts) == 6 and parts[5] in _MODES:
             removed = []
-            records.append(([int(parts[1]), int(parts[2]), int(parts[3]), int(parts[4]),
-                             _MODES[parts[5]]], removed))
+            records.append((int(parts[1]), int(parts[2]), int(parts[3]), int(parts[4]),
+                            removed, _MODES[parts[5]]))
         elif tag[0] != "#":
             raise ValueError
     if orphans:
@@ -351,9 +387,9 @@ def _scan_trace(text: str) -> list[tuple[list, list[Edge]]]:
     return records
 
 
-def _read_trace(text: str) -> list[tuple[list, list[Edge]]]:
+def _read_trace(text: str) -> list[_Record]:
     """``_scan_trace`` through ``read_records``, whose errors name the line."""
-    records: list[tuple[list, list[Edge]]] = []
+    records: list[_Record] = []
     removed: list[Edge] | None = None
     forms = {"s": "s <i> <u> <d> <v> <mode>", "r": "r <a> <b>"}
     for lineno, tag, fields in read_records(text, forms):
@@ -366,7 +402,8 @@ def _read_trace(text: str) -> list[tuple[list, list[Edge]]]:
             raise GraphFormatError(f"line {lineno}: unknown mode '{fields[4]}'")
         else:
             removed = []
-            records.append((fields, removed))
+            i, u, d, v, mode = fields
+            records.append((i, u, d, v, removed, mode))
     return records
 
 
@@ -375,33 +412,24 @@ def load_trace(text: str, g: Graph) -> RunTrace:
 
     A valid document is read in one tight pass; only a faulty one is read a
     second time, through ``read_records``, so that the error names its
-    first faulty line.
+    first faulty line.  The replay builds the steps from the graph's own
+    edges and is kept on the trace.
     """
     try:
         records = _scan_trace(text)
     except ValueError:
         records = _read_trace(text)
-    # Every edge of g a record names is g's own tuple, and a picked edge's
-    # ends are its ints; an entry that is no edge of g stays as parsed, for
-    # the replay to reject.
-    edges = g.edges
-    eid = g.edge_id
-    steps = []
-    pairs = []
-    for (i, u, d, v, mode), killed in records:
-        e = (u, v) if u < v else (v, u)
-        j = eid.get(e)
-        if j is not None:
-            e = edges[j]
-            u, v = e if u < v else (e[1], e[0])
-        removed = tuple([edges[j] if (j := eid.get(r)) is not None else r for r in killed])
-        steps.append(TraceStep(i, u, d, v, removed, mode))
-        pairs.append(e)
     try:
-        trace = RunTrace(g, tuple(steps), Matching(frozenset(pairs)))
-        trace.verify_replay()
+        rep, steps, picked = _replay(g, records, True)
     except ValueError as exc:
+        # Picks that share a node are reported before any step's fault.
+        try:
+            Matching.from_pairs((u, v) for _, u, _, v, _, _ in records)
+        except ValueError as clash:
+            exc = clash
         raise GraphFormatError(f"trace does not replay: {exc}") from None
+    trace = RunTrace(g, tuple(steps), Matching(frozenset(picked)))
+    trace.__dict__["replay"] = rep
     return trace
 
 

@@ -38,6 +38,27 @@ from matchforge.matchers import (
 from matchforge.optimum import maximum_matching
 
 
+def check_type_invariant(adv: AdversaryB) -> None:
+    """During construction every non-isolated node's list is one of:
+    all-unknown of degree 3..delta, all-unknown of degree 2, or length 3
+    with exactly one known (matched) neighbor."""
+    if adv.sealed:
+        return
+    for v in adv.adj:
+        if v in adv.matched:
+            continue
+        total, unmatched, known = adv._count_key(v)
+        if not unmatched:
+            continue
+        own_known = v in adv.known
+        type1 = not own_known and known == 0 and 3 <= total == unmatched <= adv.delta
+        type2 = not own_known and known == 0 and total == unmatched == 2
+        type3 = not own_known and total == 3 and unmatched == 2 and known == 1
+        if not (type1 or type2 or type3):
+            raise GameError(f"node {v} with counts {(total, unmatched, known)} "
+                            f"matches no list type")
+
+
 def game_ratio(algo, adversary):
     result = play_game(algo, adversary)
     opt = len(maximum_matching(result.graph))
@@ -117,7 +138,7 @@ class TestAdversaryB:
         class Watcher(AdversaryB):
             def observe_match(self, u, v):
                 super().observe_match(u, v)
-                self.check_type_invariant()
+                check_type_invariant(self)
 
         for delta in (4, 5, 6):
             adv = Watcher(delta)

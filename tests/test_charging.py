@@ -259,7 +259,8 @@ class TestInputValidation:
         g = gen_random_bounded(12, 4, 0.6, 5)
         trace = load_trace(save_trace(run_algorithm("one_two_mingreedy", g, RandomPolicy(5))), g)
         led = ledger_for(g, trace)
-        assert led.steps is trace.replay
+        assert led.replay is trace.replay
+        assert led.steps is trace.steps
 
     def test_delta_below_graph_degree_rejected(self):
         g = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
@@ -281,4 +282,5 @@ def test_transfers_recheck_from_trace_alone():
             rec = led.step_record(t.step)
             assert t.source in (rec.selected, rec.partner)
             assert e in rec.removed
-            assert rec.deg_after[t.endpoint] <= 1
+            after = led.replay.deg_after(t.step, t.endpoint)
+            assert after is not None and after <= 1

@@ -218,8 +218,10 @@ class TestTraceIO:
         t = run_algorithm("mingreedy", g, FirstPolicy())
         assert "replay" not in vars(t)
         loaded = load_trace(save_trace(t), g)
+        assert "replay" in vars(loaded)
         assert loaded.replay is loaded.replay
-        assert [st.min_before for st in loaded.replay][0] == min(
+        assert len(loaded.replay.min_before) == len(loaded.steps)
+        assert loaded.replay.min_before[0] == min(
             g.degree(v) for v in range(g.n) if g.degree(v))
 
     def test_loaded_trace_shares_the_graphs_objects(self):
@@ -237,17 +239,18 @@ class TestTraceIO:
             assert st.selected is a or st.selected is b
             assert st.partner is a or st.partner is b
             assert st.mode is MODE_DEGREE or st.mode is MODE_FREE
-        assert all(rec.removed is st.removed for rec, st in zip(t.replay, t.steps))
+        # The replay keeps no edges of its own: each edge's death step.
+        assert all(t.replay.died[g.edge_id[r]] == st.index for st in t.steps for r in st.removed)
 
     def test_trace_records_carry_no_instance_dict(self):
         g = random_graph(3)
         t = run_algorithm("mingreedy", g, FirstPolicy())
         loaded = load_trace(save_trace(t), g)
-        for rec in (*t.steps, *loaded.steps, *loaded.replay):
+        for rec in (*t.steps, *loaded.steps, loaded.replay):
             assert not hasattr(rec, "__dict__")
         st = loaded.steps[0]
         assert replace(st) == st and hash(replace(st)) == hash(st)
-        assert replace(loaded.replay[0], min_before=9).min_before == 9
+        assert replace(st, sel_degree=9).sel_degree == 9
 
     def test_corrupted_removed_edges_rejected(self):
         g = P3()
@@ -293,17 +296,23 @@ def test_replayed_degrees_match_a_recount(algo):
         g = random_graph(seed, n_max=14, delta=5)
         for policy in (FirstPolicy(), RandomPolicy(seed)):
             trace = load_trace(save_trace(run_algorithm(algo, g, policy)), g)
+            rep = trace.replay
             alive = set(g.edges)
-            for rec in trace.replay:
+            for rec in trace.steps:
+                s = rec.index
                 before = degrees(alive, g.n)
                 killed = {e for e in alive if rec.selected in e or rec.partner in e}
                 assert set(rec.removed) == killed
                 alive -= killed
                 after = degrees(alive, g.n)
-                touched = sorted({x for e in killed for x in e})
-                assert rec.min_before == min(d for d in before if d)
-                assert list(rec.deg_before.items()) == [(x, before[x]) for x in touched]
-                assert list(rec.deg_after.items()) == [(x, after[x]) for x in touched]
+                touched = {x for e in killed for x in e}
+                assert rep.min_before[s - 1] == min(d for d in before if d)
+                # A node the step did not touch answers the default.
+                assert [rep.deg_before(s, x, "-") for x in range(g.n)] == [
+                    before[x] if x in touched else "-" for x in range(g.n)]
+                assert [rep.deg_after(s, x, "-") for x in range(g.n)] == [
+                    after[x] if x in touched else "-" for x in range(g.n)]
+            assert len(rep.min_before) == len(trace.steps)
             assert not alive
 
 
@@ -468,7 +477,7 @@ def test_read_witness_is_replayed_once(algo, monkeypatch):
         assert len(witness.result) == size
         picks = [st.edge for st in witness.steps]
         witness.verify_replay()
-        assert len(witness.replay) == size
+        assert len(witness.replay.min_before) == size
         text = save_trace(witness)
         assert calls == [algo]
         eager = trace_from_picks(g, picks, algo)

@@ -22,9 +22,6 @@ KEPT = {
     "load_matching",
     # The reference enumerator the goldens and the search tests compare against.
     "iter_all_pick_sequences",
-    # Invariant checks that the tests run after each change of state.
-    "ResidualView.check_consistency",
-    "AdversaryB.check_type_invariant",
 }
 
 

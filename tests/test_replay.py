@@ -1,6 +1,7 @@
 """RunTrace.replay against corrupted traces and against the replay it
 replaced, which re-ran each step on a ResidualView and is kept below as the
-oracle."""
+oracle: every step's minimum degree, every edge's death step, and every
+node's degree around every step must be what the oracle's records say."""
 
 import random
 import re
@@ -20,7 +21,6 @@ from matchforge.matchers import (
     RULES,
     FirstPolicy,
     RandomPolicy,
-    ReplayedStep,
     RunTrace,
     TraceStep,
     load_trace,
@@ -29,8 +29,10 @@ from matchforge.matchers import (
 )
 
 
-def oracle_replay(trace: RunTrace) -> tuple[ReplayedStep, ...]:
-    """The replay as it was: each step re-run by ``ResidualView.remove_pair``."""
+def oracle_replay(trace: RunTrace) -> tuple[tuple[int, dict[int, int], dict[int, int]], ...]:
+    """The replay as it was: each step re-run by ``ResidualView.remove_pair``,
+    giving per step its minimum degree before it and each touched node's
+    degree before and after it."""
     view = ResidualView(trace.graph)
     deg = view.deg
     alive = view.alive_edges()
@@ -60,8 +62,7 @@ def oracle_replay(trace: RunTrace) -> tuple[ReplayedStep, ...]:
             d = deg[x]
             after[x] = d
             before[x] = d + hits[x]
-        out.append(ReplayedStep(st.index, u, st.sel_degree, v,
-                                st.removed, st.mode, min_before, before, after))
+        out.append((min_before, before, after))
         picked.append(e)
     if view.has_alive():
         raise ValueError("alive edges remain after the last step")
@@ -70,14 +71,48 @@ def oracle_replay(trace: RunTrace) -> tuple[ReplayedStep, ...]:
     return tuple(out)
 
 
-def outcome(replay, trace):
-    """What a replay makes of a trace: its records with the order of their
-    degree maps, or the message it raises."""
+# The default a degree query answers for a node its step did not touch.
+UNTOUCHED = object()
+
+
+def replay_view(replay, trace):
+    """Each edge's death step, then per step its minimum degree before it and
+    every node's degree before and after it, as ``replay`` answers them."""
+    nodes = range(trace.graph.n)
+    return list(replay.died), [
+        (replay.min_before[s - 1],
+         [replay.deg_before(s, w, UNTOUCHED) for w in nodes],
+         [replay.deg_after(s, w, UNTOUCHED) for w in nodes])
+        for s in range(1, len(trace.steps) + 1)]
+
+
+def new_view(trace):
+    rep = RunTrace.replay.func(trace)
+    assert len(rep.min_before) == len(trace.steps)
+    return replay_view(rep, trace)
+
+
+def oracle_view(trace):
+    """``replay_view`` read from the oracle's records and the trace's steps."""
+    records = oracle_replay(trace)
+    g = trace.graph
+    died = [0] * g.m
+    for st in trace.steps:
+        for e in st.removed:
+            died[g.edge_id[e]] = st.index
+    nodes = range(g.n)
+    return died, [
+        (min_before, [before.get(w, UNTOUCHED) for w in nodes],
+         [after.get(w, UNTOUCHED) for w in nodes])
+        for min_before, before, after in records]
+
+
+def outcome(view, trace):
+    """What a replay makes of a trace: its degrees, or the message it raises."""
     try:
-        out = replay(trace)
+        return "ok", view(trace)
     except ValueError as exc:
         return "error", str(exc)
-    return "ok", out, [(list(r.deg_before.items()), list(r.deg_after.items())) for r in out]
 
 
 def with_step(steps, k, **fields):
@@ -143,7 +178,7 @@ def test_corruption_cases_are_what_they_name():
 def test_corrupted_step_is_rejected_with_its_message(case):
     fields, message = _corruptions()[case]
     bad = RunTrace(GRAPH, with_step(TRACE.steps, K, **fields), TRACE.result)
-    assert outcome(oracle_replay, bad) == ("error", message)
+    assert outcome(oracle_view, bad) == ("error", message)
     # Built by hand: the result is the true one, and the step fails first.
     with pytest.raises(ValueError) as err:
         bad.replay
@@ -155,8 +190,12 @@ def test_corrupted_step_is_rejected_with_its_message(case):
 
 
 def test_uncorrupted_trace_replays_as_the_oracle_does():
-    assert outcome(RunTrace.replay.func, TRACE) == outcome(oracle_replay, TRACE)
-    assert load_trace(save_trace(TRACE), GRAPH) == TRACE
+    expect = outcome(oracle_view, TRACE)
+    assert expect[0] == "ok"
+    assert outcome(new_view, TRACE) == expect
+    loaded = load_trace(save_trace(TRACE), GRAPH)
+    assert loaded == TRACE
+    assert ("ok", replay_view(loaded.replay, loaded)) == expect
 
 
 def test_replay_and_load_trace_build_no_residual_view(monkeypatch):
@@ -169,6 +208,48 @@ def test_replay_and_load_trace_build_no_residual_view(monkeypatch):
     for trace in traces:
         RunTrace(g, trace.steps, trace.result).verify_replay()
         assert load_trace(save_trace(trace), g) == trace
+
+
+# -- which fault a trace document reports ---------------------------------------
+
+K4 = Graph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
+# The first step of mingreedy on K4, and the second, which removes the rest.
+STEP_1 = "s 1 0 3 1 degree_rule\nr 0 1\nr 0 2\nr 0 3\nr 1 2\nr 1 3\n"
+STEP_2 = "s 2 2 1 3 degree_rule\nr 2 3\n"
+
+# One document per level, most binding first.  Each also holds faults of
+# every later level that it can: a level is reported before all of them.
+PRECEDENCE = {
+    # A bad line after a bad removed list and picks that share node 0.
+    "parse": ("s 1 0 3 1 degree_rule\nr 0 4\ns 2 0 1 2 degree_rule\nbogus 1\n",
+              "line 4: unknown record 'bogus'"),
+    # Step 1's degree is stale and its removed list short; both picks hold 1.
+    "disjoint": ("s 1 0 9 1 degree_rule\nr 0 1\ns 2 1 1 2 degree_rule\n",
+                 "trace does not replay: matching pairs are not node-disjoint"),
+    # Step 1's removed list is short, step 2's degree stale, and edges remain.
+    "first_step": ("s 1 0 3 1 degree_rule\nr 0 1\ns 2 2 9 3 degree_rule\nr 2 3\n",
+                   "trace does not replay: step 1: removed-edge list mismatch"),
+    "alive_edges": (STEP_1, "trace does not replay: alive edges remain after the last step"),
+}
+
+
+@pytest.mark.parametrize("level", sorted(PRECEDENCE))
+def test_a_trace_document_reports_its_most_binding_fault(level):
+    text, message = PRECEDENCE[level]
+    with pytest.raises(GraphFormatError) as err:
+        load_trace(text, K4)
+    assert str(err.value) == message
+
+
+def test_a_wrong_result_is_reported_last():
+    steps = load_trace(STEP_1 + STEP_2, K4).steps
+    with pytest.raises(ValueError) as err:
+        RunTrace(K4, steps, Matching(frozenset({(0, 1)}))).replay
+    assert str(err.value) == "result does not equal the set of picked edges"
+    # Edges left alive outrank the result.
+    with pytest.raises(ValueError) as err:
+        RunTrace(K4, steps[:1], Matching(frozenset())).replay
+    assert str(err.value) == "alive edges remain after the last step"
 
 
 # -- random single-field corruptions against the oracle --------------------------
@@ -259,8 +340,8 @@ def test_replay_agrees_with_the_oracle_on_random_corruptions():
         algo = rng.choice(list(RULES))
         policy = rng.choice([FirstPolicy(), RandomPolicy(rng.randrange(10**6))])
         trace = _corrupt(rng, run_algorithm(algo, g, policy))
-        expect = outcome(oracle_replay, trace)
-        assert outcome(RunTrace.replay.func, trace) == expect, (case, algo)
+        expect = outcome(oracle_view, trace)
+        assert outcome(new_view, trace) == expect, (case, algo)
         verdicts.add("ok" if expect[0] == "ok" else re.sub(r"-?\d+", "N", expect[1]))
     # Every check of the replay was reached, and so was acceptance.
     assert verdicts == {
