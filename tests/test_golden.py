@@ -2,8 +2,8 @@
 
 Each section renders one family of outputs (traces, choice enumerations
 sorted and in the order they are yielded, worst-case witnesses, sweep
-CSVs, game transcripts, and optima and
-free-step runs on benchmark-size graphs, and the constructor games) for
+CSVs, game transcripts, optima, every rule's runs and free-step runs on
+benchmark-size graphs, and the constructor games) for
 fixed seeds and compares the
 sha256 of the rendering with a pinned digest.  The ledger
 sections render the decomposition, the verification report and every
@@ -249,6 +249,17 @@ def _bench_free_traces() -> str:
     return "".join(out)
 
 
+def _bench_traces() -> str:
+    """Every rule under the first policy and RandomPolicy(1) on the seed-1
+    benchmark-size graphs."""
+    out = []
+    for gi, g in enumerate(_bench_graphs()[:4]):
+        for algo in RULE_ALGOS:
+            for pol in (FirstPolicy(), RandomPolicy(1)):
+                out.append(f"# graph {gi} {algo} {pol!r}\n{save_trace(run_algorithm(algo, g, pol))}")
+    return "".join(out)
+
+
 SECTIONS = {
     **{f"trace:{a}": (lambda a=a: _traces(a)) for a in ALGORITHMS},
     **{f"choices:{a}": (lambda a=a: _choices(a)) for a in RULE_ALGOS},
@@ -261,6 +272,7 @@ SECTIONS = {
     "games:Bprime": _games_bprime,
     "games:explorer": _games_explorer,
     "optimum:bench": _bench_optima,
+    "trace:bench": _bench_traces,
     "trace:bench_free": _bench_free_traces,
 }
 
@@ -286,6 +298,7 @@ GOLDEN = {
     "optimum:bench": "622641732ae47fabf708a2297874c6679ca1c91a339848778b1aab1576a0723b",
     "sweep:run": "dc95fdbdee0231efc711cf71e24c8bbb2ba044809e3fc68db6277afdd9de77b3",
     "sweep:worst": "7226cabe54d060773b19a06ba2a309106d9ebcef5739182c058a67aed50bd30a",
+    "trace:bench": "09110b4a3e60470e52574432abb94d39cfae92e1f8acd21607d44e6079bc1064",
     "trace:bench_free": "ec90f49db769121e544291c1ee820c0332b390df1d1b94fc2b2d378ce11b14d5",
     "trace:greedy": "54394de455fa63c2bd59261e8fbe396a5636ab1165d9a61942bd20a6bed804aa",
     "trace:karpsipser": "f1ee2f42496dafba79382af1554fffe9875b970f38a415711a40ef2cf4506008",

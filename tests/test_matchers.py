@@ -177,6 +177,28 @@ class TestPolicies:
         with pytest.raises(PolicyError, match="exhausted"):
             run_algorithm("mingreedy", C4(), ScriptedPolicy([0, 0]))
 
+    def test_a_free_pick_that_is_not_alive_is_rejected(self):
+        class Fixed(matchers.Policy):
+            """Answers every free step with the same pair."""
+
+            def __init__(self, pair):
+                self.pair = pair
+
+            def fresh(self):
+                pair = self.pair
+
+                class C(matchers.Chooser):
+                    def choose(self, step, slot, candidates):
+                        return pair
+
+                return C()
+
+        # Step 1 kills (0, 1), so step 2's answer is a dead edge.
+        with pytest.raises(ValueError, match=r"^edge \(0, 1\) is not alive$"):
+            run_algorithm("greedy", P4(), Fixed((0, 1)))
+        with pytest.raises(ValueError, match=r"^edge \(0, 2\) is not alive$"):
+            run_algorithm("greedy", P4(), Fixed((2, 0)))
+
 
 class TestPicks:
     def test_trace_from_picks_matches_scripted_run(self):
