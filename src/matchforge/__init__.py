@@ -2,8 +2,9 @@
 
 Library layout:
 
-- ``graphs``: immutable graphs, residual deletion views, generators, file I/O
-- ``matchers``: the heuristics, policies, traces, and exhaustive worst-case search
+- ``graphs``: immutable graphs, generators, file I/O
+- ``matchers``: the heuristics (one runner loop), policies, traces, and
+  exhaustive worst-case search
 - ``optimum``: exact maximum matching (augmenting search with blossom
   contraction) plus an independent brute-force oracle
 - ``decomposition``: matching-graph components and canonicalization
@@ -16,7 +17,6 @@ Library layout:
 from .graphs import (
     Graph,
     Matching,
-    ResidualView,
     gen_random_bounded,
     gen_regular,
     load_graph,

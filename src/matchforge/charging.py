@@ -307,7 +307,7 @@ class ChargingLedger:
         for w in sorted(self.endpoints):
             links = [norm_edge(x, w) for x in (rec.selected, rec.partner)
                      if norm_edge(x, w) in rec.removed]
-            if not links or self.replay.deg_before(s, w, 0) < 3:
+            if not links or self.replay.deg_before(s, w) < 3:
                 continue
             edges_to_adjacent.extend(links)
             after = self.replay.deg_after(s, w)
@@ -577,7 +577,7 @@ def _deg2_exception_shape(ledger: ChargingLedger, info: _PathInfo) -> bool:
     if norm_edge(u, w) not in ledger.dec.m_star.pairs:
         return False
     return not any(
-        norm_edge(v, w2) in rec.removed and replay.deg_before(s, w2, 0) < 3
+        norm_edge(v, w2) in rec.removed and replay.deg_before(s, w2) < 3
         for w2 in ledger.endpoints if w2 != w
     )
 
@@ -637,7 +637,7 @@ def _transfer_recheck(ledger: ChargingLedger, rep: Report) -> None:
             e in ledger.dec.f_edges
             and t.source in (rec.selected, rec.partner)
             and e in rec.removed
-            and ledger.replay.deg_after(t.step, t.endpoint, 99) <= 1
+            and ledger.replay.deg_after(t.step, t.endpoint) <= 1
             and t.endpoint in ledger.endpoints
         )
 

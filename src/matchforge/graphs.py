@@ -1,10 +1,9 @@
-"""Graph representation, mutable residual views, generators, and file I/O.
+"""Graph representation, generators, and file I/O.
 
 Graphs are simple undirected graphs on dense integer node ids 0..n-1.  A
-``Graph`` is immutable after construction and safe to share; a
-``ResidualView`` is the mutable deletion view a single heuristic run owns
-exclusively (each run builds its own from the graph).  A view
-only ever loses edges.
+``Graph`` is immutable after construction and safe to share: a heuristic
+run keeps its alive edges and degrees to itself (``matchers._drive``) and
+never changes the graph.
 
 A ``Graph`` shares its objects rather than copying them: ``load_graph``
 takes every node id from one table of n ints, ``incident`` holds the edge-id
@@ -14,14 +13,12 @@ at the graph's own edge tuples.
 
 from __future__ import annotations
 
-import operator
 import random
 import sys
 from array import array
-from collections.abc import KeysView, Sequence
+from collections.abc import KeysView
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
 from typing import Iterable, Iterator
 
 Edge = tuple[int, int]
@@ -164,184 +161,6 @@ class Matching:
         bad = [e for e in self.pairs if e not in g.edge_id]
         if bad:
             raise ValueError(f"matching pair {min(bad)} is not an edge of the graph")
-
-
-class AliveEdges(Sequence):
-    """The alive edges of one ResidualView, ascending in canonical order.
-
-    A live, read-only sequence: the view's removals show in it at once.  A
-    Fenwick tree (Fenwick, 1994) over the graph's edge ids counts the alive
-    ones, so ``len`` is O(1), ``in`` is O(1), ``[k]`` and ``index`` are
-    O(log m), and iteration walks the ids in order.  The tree catches up
-    with the removals only when ``[k]`` or ``index`` reads it, so a run that
-    never asks for an edge by position never pays for it.
-    """
-
-    __slots__ = ("_edges", "_ids", "_flags", "_tree", "_killed", "_len")
-
-    def __init__(self, graph: Graph):
-        m = graph.m
-        self._edges = graph.edges
-        self._ids = graph.edge_id
-        self._flags = bytearray(b"\x01") * m   # 1 where the edge id is alive
-        self._tree = [i & -i for i in range(m + 1)]   # Fenwick tree of an all-ones row
-        self._killed: list[int] = []    # edge ids killed since the tree was last read
-        self._len = m
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __getitem__(self, k: int) -> Edge:
-        k = operator.index(k)
-        if k < 0:
-            k += self._len
-        if not 0 <= k < self._len:
-            raise IndexError("alive edge index out of range")
-        # Descend the tree to the longest id prefix holding exactly k alive
-        # ids; the next id is the k-th alive edge.
-        tree = self._synced()
-        m = len(tree) - 1
-        pos = 0
-        step = 1 << (m.bit_length() - 1)
-        while step:
-            nxt = pos + step
-            if nxt <= m and tree[nxt] <= k:
-                pos = nxt
-                k -= tree[nxt]
-            step >>= 1
-        return self._edges[pos]
-
-    def __contains__(self, edge: object) -> bool:
-        i = self._ids.get(edge)
-        return i is not None and self._flags[i] == 1
-
-    def __iter__(self) -> Iterator[Edge]:
-        return compress(self._edges, self._flags)
-
-    def index(self, edge: Edge) -> int:
-        """Position of an alive edge in the sequence."""
-        if edge not in self:
-            raise ValueError(f"{edge} is not an alive edge")
-        tree = self._synced()
-        pos = 0
-        j = self._ids[edge]
-        while j:
-            pos += tree[j]
-            j &= j - 1
-        return pos
-
-    def _synced(self) -> list[int]:
-        """The tree with every kill applied: one O(log m) update each, or one
-        O(m) rebuild from the flags when that is cheaper."""
-        killed = self._killed
-        if killed:
-            tree = self._tree
-            m = len(tree) - 1
-            if len(killed) * m.bit_length() > m:
-                self._tree = _fenwick(self._flags)
-            else:
-                for i in killed:
-                    j = i + 1
-                    while j <= m:
-                        tree[j] -= 1
-                        j += j & -j
-            killed.clear()
-        return self._tree
-
-
-def _fenwick(flags: bytearray) -> list[int]:
-    """The Fenwick tree (1-based, tree[0] unused) over a row of 0/1 flags."""
-    tree = [0, *flags]
-    m = len(flags)
-    for j in range(1, m + 1):
-        up = j + (j & -j)
-        if up <= m:
-            tree[up] += tree[j]
-    return tree
-
-
-class ResidualView:
-    """Mutable deletion view of a graph with degree buckets.
-
-    Tracks which edges are still alive (an ``AliveEdges`` index over the
-    graph's edge ids), per-node alive degrees, and the nodes of each alive
-    degree: ``_buckets[d]`` is the set of nodes of degree d, for d in
-    1..graph.delta (``_buckets[0]`` stays empty), so minimum-degree queries
-    stay cheap and a step touches only the buckets of the nodes it changes.
-    """
-
-    __slots__ = ("graph", "_alive", "deg", "_buckets")
-
-    def __init__(self, graph: Graph):
-        self.graph = graph
-        self._alive = AliveEdges(graph)
-        self.deg: list[int] = list(map(len, graph.adjacency))
-        self._buckets: list[set[int]] = [set() for _ in range(graph.delta + 1)]
-        for v, d in enumerate(self.deg):
-            if d:
-                self._buckets[d].add(v)
-
-    def has_alive(self) -> bool:
-        return self._alive._len > 0
-
-    def alive_edges(self) -> AliveEdges:
-        """The alive edges in ascending order, as a live read-only sequence."""
-        return self._alive
-
-    def alive_neighbors(self, v: int) -> list[int]:
-        flags = self._alive._flags
-        return [w for w, i in zip(self.graph.adjacency[v], self.graph.incident[v]) if flags[i]]
-
-    def min_degree(self) -> int:
-        """Minimum nonzero alive degree, or 0 if no edges remain."""
-        buckets = self._buckets
-        for d in range(1, len(buckets)):
-            if buckets[d]:
-                return d
-        return 0
-
-    def nodes_of_degree(self, d: int) -> list[int]:
-        """All nodes of alive degree d > 0, ascending id."""
-        return sorted(self._buckets[d]) if 0 < d < len(self._buckets) else []
-
-    def remove_pair(self, u: int, v: int) -> list[Edge]:
-        """Kill every alive edge incident to u or v; return them in ascending order.
-
-        The edge {u, v} itself must be alive.
-        """
-        graph = self.graph
-        alive = self._alive
-        flags = alive._flags
-        i = graph.edge_id.get((u, v) if u < v else (v, u))
-        if i is None or not flags[i]:
-            raise ValueError(f"edge {norm_edge(u, v)} is not alive")
-        adjacency = graph.adjacency
-        incident = graph.incident
-        deg = self.deg
-        buckets = self._buckets
-        # With {u, v} dead first, neither end meets the other below: u and
-        # v drop to degree 0, and every other end of a killed edge drops by
-        # one per edge, moving one bucket down each time.
-        flags[i] = 0
-        removed = [i]
-        for x in (u, v):
-            buckets[deg[x]].discard(x)
-            deg[x] = 0
-            for w, j in zip(adjacency[x], incident[x]):
-                if flags[j]:
-                    flags[j] = 0
-                    removed.append(j)
-                    d = deg[w]
-                    buckets[d].discard(w)
-                    d -= 1
-                    deg[w] = d
-                    if d:
-                        buckets[d].add(w)
-        removed.sort()
-        # The flags are cleared above; the Fenwick tree catches up later.
-        alive._len -= len(removed)
-        alive._killed += removed
-        return list(map(graph.edges.__getitem__, removed))
 
 
 # ---------------------------------------------------------------------------

@@ -2,25 +2,24 @@
 
 Each rule heuristic is one entry of ``RULES``, which maps the current minimum
 nonzero degree to the selection kind the policy resolves at that step.  Three
-pieces of code interpret the kinds: ``_select`` on a ``ResidualView`` (used by
-``_drive``, which makes every run: the runners, each run of
-``iter_all_pick_sequences`` and the pick scripts), the bitmask search of
+pieces of code interpret the kinds: ``_drive``, the one loop that makes every
+run (the runners and the pick scripts), which keeps the run's alive edges,
+degrees and degree buckets in its own locals; the bitmask search of
 ``worst_case_size``, which reads each state's moves from a move table built
-once per graph, and ``adversary.RuleEncoding``, which turns a rule into a
+once per graph; and ``adversary.RuleEncoding``, which turns a rule into a
 game's ranked query.  A new heuristic is one table entry,
 e.g. ``"mingreedy4": lambda mind: ANY_EDGE if mind >= 4 else MIN_NODE``; runs,
-choice enumeration, pick scripts, exhaustive search, game encodings and the
-CLI follow.
+pick scripts, exhaustive search, game encodings and the CLI follow.
 
 Every run produces a ``RunTrace``: the full step-by-step record (selected
 node, its degree at selection, partner, removed edges, step mode).  Its
 records are slotted frozen dataclasses that hold no per-instance dict, and
 the edges they name are the graph's own tuples.  ``RunTrace.replay`` checks
 it once, step by step, on flat arrays of its own (a degree list, a node
-count per degree and each edge's death step) rather than on the runner's
-``ResidualView``, so the check does not rest on the code it checks.  It
+count per degree and each edge's death step) and never calls ``_drive``,
+so the check does not rest on the code it checks.  It
 keeps a ``Replay``: the step at which each edge died and the minimum degree
-before each step, from which a node's degree around any step is counted.
+before each step, from which any node's degree around any step is counted.
 ``load_trace`` builds its steps in that same pass, from the removed edges
 the replay derives, so a parsed edge is never looked up; the charging
 ledger reads the replay it keeps.
@@ -36,19 +35,19 @@ policy always takes the first candidate, which makes runs reproducible.
 
 from __future__ import annotations
 
+import operator
 import random
 from array import array
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import compress
 
 from .graphs import (
     Edge,
     Graph,
     GraphFormatError,
     Matching,
-    ResidualView,
     SearchBudgetExceededError,
     norm_edge,
     read_records,
@@ -220,29 +219,19 @@ class Replay:
         self.min_before = min_before  # [s - 1] -> minimum nonzero degree before step s
         self._incident = incident     # the graph's edge ids per node
 
-    def _around(self, s: int, w: int) -> tuple[int, int]:
-        """How many edges at w died at step s, and how many died later."""
+    def _alive_after(self, s: int, w: int) -> int:
+        """How many edges at w died after step s."""
         died = self.died
-        now = later = 0
-        for j in self._incident[w]:
-            d = died[j]
-            if d > s:
-                later += 1
-            elif d == s:
-                now += 1
-        return now, later
+        return sum(1 for j in self._incident[w] if died[j] > s)
 
-    def deg_before(self, s: int, w: int, default=None):
-        """The degree of w just before step s, or default when step s
-        removed no edge at w."""
-        now, later = self._around(s, w)
-        return now + later if now else default
+    def deg_before(self, s: int, w: int) -> int:
+        """The degree of w just before step s: its edges that died at step s
+        or later."""
+        return self._alive_after(s - 1, w)
 
-    def deg_after(self, s: int, w: int, default=None):
-        """The degree of w just after step s, or default when step s
-        removed no edge at w."""
-        now, later = self._around(s, w)
-        return later if now else default
+    def deg_after(self, s: int, w: int) -> int:
+        """The degree of w just after step s: its edges that died later."""
+        return self._alive_after(s, w)
 
 
 @dataclass(frozen=True)
@@ -268,9 +257,11 @@ class RunTrace:
 
 
 # A step's fields in the order of a parsed record.
-_FIELDS = attrgetter("index", "selected", "sel_degree", "partner", "removed", "mode")
+_FIELDS = operator.attrgetter("index", "selected", "sel_degree", "partner", "removed", "mode")
 
 
+# This loop is the check on the runner: it keeps its own kill loop, and it
+# neither calls _drive nor builds an AliveEdges, so the two stay apart.
 def _replay(g: Graph, records: Iterable[tuple], build: bool
             ) -> tuple[Replay, list[TraceStep], list[Edge]]:
     """Replay (index, selected, sel_degree, partner, removed, mode) records
@@ -438,54 +429,185 @@ def load_trace(text: str, g: Graph) -> RunTrace:
 # ---------------------------------------------------------------------------
 
 
-def _freemode_orientation(view: ResidualView, u: int, v: int) -> tuple[int, int]:
-    # Record the endpoint of smaller current degree as the selected node
-    # (ties by id); the charging analysis cases on the selected degree.
-    deg = view.deg
-    if (deg[u], u) <= (deg[v], v):
-        return u, v
-    return v, u
+class AliveEdges(Sequence):
+    """The alive edges of one run, ascending in canonical order.
 
-
-def _select(view: ResidualView, chooser: Chooser, idx: int, rule: Callable[[int], str]):
-    """Resolve step idx of a rule heuristic as (selected, partner, mode).
-
-    The chooser fills the slots of the rule's selection kind in canonical
-    order.  A forced neighbor is taken without asking it, so a random
-    policy draws nothing for it.
+    A live, read-only sequence: the run's kills show in it at once.  A
+    Fenwick tree (Fenwick, 1994) over the graph's edge ids counts the alive
+    ones, so ``len`` is O(1), ``in`` is O(1), ``[k]`` and ``index`` are
+    O(log m), and iteration walks the ids in order.  The tree catches up
+    with the kills only when ``[k]`` or ``index`` reads it, so a run that
+    never asks for an edge by position never pays for it.  ``flags[i]`` is 1
+    while edge id i is alive; it is read-only, and ``kill`` is the one way to
+    change it.
     """
-    mind = view.min_degree()
-    kind = rule(mind)
-    if kind == ANY_EDGE:
-        u, v = chooser.choose(idx, "edge", view.alive_edges())
-        u, v = _freemode_orientation(view, u, v)
-        return u, v, MODE_FREE
-    if kind == ANY_NODE:
-        deg = view.deg
-        nodes = [x for x in range(view.graph.n) if deg[x]]
-    else:
-        nodes = view.nodes_of_degree(mind)
-    u = chooser.choose(idx, "node", nodes)
-    if kind == MIN_FORCED:
-        (v,) = view.alive_neighbors(u)
-    else:
-        v = chooser.choose(idx, "neighbor", view.alive_neighbors(u))
-    return u, v, MODE_DEGREE
+
+    __slots__ = ("_edges", "_ids", "_flags", "_tree", "_killed", "_len", "flags")
+
+    def __init__(self, graph: Graph):
+        m = graph.m
+        self._edges = graph.edges
+        self._ids = graph.edge_id
+        self._flags = bytearray(b"\x01") * m   # 1 where the edge id is alive
+        self.flags = memoryview(self._flags).toreadonly()
+        self._tree = [i & -i for i in range(m + 1)]   # Fenwick tree of an all-ones row
+        self._killed: list[int] = []    # edge ids killed since the tree was last read
+        self._len = m
+
+    def kill(self, ids: list[int]) -> None:
+        """Mark the alive edge ids dead; the tree takes them on its next read."""
+        flags = self._flags
+        for i in ids:
+            flags[i] = 0
+        self._len -= len(ids)
+        self._killed += ids
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, k: int) -> Edge:
+        k = operator.index(k)
+        if k < 0:
+            k += self._len
+        if not 0 <= k < self._len:
+            raise IndexError("alive edge index out of range")
+        # Descend the tree to the longest id prefix holding exactly k alive
+        # ids; the next id is the k-th alive edge.
+        tree = self._synced()
+        m = len(tree) - 1
+        pos = 0
+        step = 1 << (m.bit_length() - 1)
+        while step:
+            nxt = pos + step
+            if nxt <= m and tree[nxt] <= k:
+                pos = nxt
+                k -= tree[nxt]
+            step >>= 1
+        return self._edges[pos]
+
+    def __contains__(self, edge: object) -> bool:
+        i = self._ids.get(edge)
+        return i is not None and self._flags[i] == 1
+
+    def __iter__(self) -> Iterator[Edge]:
+        return compress(self._edges, self._flags)
+
+    def index(self, edge: Edge) -> int:
+        """Position of an alive edge in the sequence."""
+        if edge not in self:
+            raise ValueError(f"{edge} is not an alive edge")
+        tree = self._synced()
+        pos = 0
+        j = self._ids[edge]
+        while j:
+            pos += tree[j]
+            j &= j - 1
+        return pos
+
+    def _synced(self) -> list[int]:
+        """The tree with every kill applied: one O(log m) update each, or one
+        O(m) rebuild from the flags when that is cheaper."""
+        killed = self._killed
+        if killed:
+            tree = self._tree
+            m = len(tree) - 1
+            if len(killed) * m.bit_length() > m:
+                self._tree = _fenwick(self._flags)
+            else:
+                for i in killed:
+                    j = i + 1
+                    while j <= m:
+                        tree[j] -= 1
+                        j += j & -j
+            killed.clear()
+        return self._tree
+
+
+def _fenwick(flags: Sequence[int]) -> list[int]:
+    """The Fenwick tree (1-based, tree[0] unused) over a row of 0/1 flags."""
+    tree = [0, *flags]
+    m = len(flags)
+    for j in range(1, m + 1):
+        up = j + (j & -j)
+        if up <= m:
+            tree[up] += tree[j]
+    return tree
 
 
 def _drive(g: Graph, chooser: Chooser, rule: Callable[[int], str]) -> RunTrace:
-    view = ResidualView(g)
-    deg = view.deg
+    """Run a rule heuristic on g to the end; every run is made here.
+
+    The run keeps three things: the alive edges, each node's alive degree,
+    and the nodes of each alive degree (``buckets[d]`` for d in 1..delta;
+    ``buckets[0]`` stays empty).  Each step asks the rule for its selection
+    kind at the minimum degree, and the chooser fills the kind's slots from
+    candidate lists in canonical order.  The step then kills every alive
+    edge at u or v.  ``_replay`` checks runs on state of its own.
+    """
+    edges = g.edges
+    adjacency = g.adjacency
+    incident = g.incident
+    alive = AliveEdges(g)
+    flags = alive.flags
+    deg = list(map(len, adjacency))
+    buckets: list[set[int]] = [set() for _ in range(g.delta + 1)]
+    for x, d in enumerate(deg):
+        if d:
+            buckets[d].add(x)
     steps: list[TraceStep] = []
     pairs: list[Edge] = []
     idx = 0
-    while view.has_alive():
+    while alive:
         idx += 1
-        u, v, mode = _select(view, chooser, idx, rule)
+        mind = 1
+        while not buckets[mind]:
+            mind += 1
+        kind = rule(mind)
+        if kind == ANY_EDGE:
+            u, v = chooser.choose(idx, "edge", alive)
+            # Record the end of smaller current degree as the selected node
+            # (ties by id); the charging analysis cases on the selected degree.
+            if (deg[v], v) < (deg[u], u):
+                u, v = v, u
+            mode = MODE_FREE
+        else:
+            if kind == ANY_NODE:
+                nodes = [x for x in range(g.n) if deg[x]]
+            else:
+                nodes = sorted(buckets[mind])
+            u = chooser.choose(idx, "node", nodes)
+            neighbors = [w for w, j in zip(adjacency[u], incident[u]) if flags[j]]
+            if kind == MIN_FORCED:
+                # Taken without asking the chooser, so a random policy draws
+                # nothing for it.
+                (v,) = neighbors
+            else:
+                v = chooser.choose(idx, "neighbor", neighbors)
+            mode = MODE_DEGREE
+        i = g.edge_id.get((u, v) if u < v else (v, u))
+        if i is None or not flags[i]:
+            raise ValueError(f"edge {norm_edge(u, v)} is not alive")
         du = deg[u]
-        removed = tuple(view.remove_pair(u, v))
-        steps.append(TraceStep(idx, u, du, v, removed, mode))
-        pairs.append((u, v) if u < v else (v, u))
+        # {u, v} is counted first and skipped below, so neither end meets the
+        # other: u and v drop to degree 0, and every other end of a killed
+        # edge drops by one per edge, moving one bucket down each time.
+        ids = [i]
+        for x in (u, v):
+            buckets[deg[x]].discard(x)
+            deg[x] = 0
+            for w, j in zip(adjacency[x], incident[x]):
+                if flags[j] and j != i:
+                    ids.append(j)
+                    d = deg[w]
+                    buckets[d].discard(w)
+                    d -= 1
+                    deg[w] = d
+                    if d:
+                        buckets[d].add(w)
+        ids.sort()
+        alive.kill(ids)
+        steps.append(TraceStep(idx, u, du, v, tuple(map(edges.__getitem__, ids)), mode))
+        pairs.append(edges[i])
     chooser.finish()
     return RunTrace(g, tuple(steps), Matching(frozenset(pairs)))
 
@@ -515,55 +637,8 @@ def run_shuffle(g: Graph, permutation: Sequence[int]) -> RunTrace:
 
 
 # ---------------------------------------------------------------------------
-# Choice enumeration and scripted replays
+# Scripted replays
 # ---------------------------------------------------------------------------
-
-
-class _Odometer(Chooser):
-    """Takes every path of slot choices through a run in turn, one run per
-    path, in canonical order with the last slot of the run varying fastest."""
-
-    def __init__(self):
-        self.path: list[int] = []    # candidate index per slot of the run
-        self.sizes: list[int] = []   # candidate count per slot in this run
-
-    def choose(self, step, slot, candidates):
-        k = len(self.sizes)
-        if k == len(self.path):
-            self.path.append(0)
-        self.sizes.append(len(candidates))
-        return candidates[self.path[k]]
-
-    def advance(self) -> bool:
-        """Move to the next combination; False once every one was taken."""
-        path = self.path
-        while path and path[-1] + 1 == self.sizes[len(path) - 1]:
-            path.pop()
-        self.sizes = []
-        if path:
-            path[-1] += 1
-        return bool(path)
-
-
-def iter_all_pick_sequences(g: Graph, algo: str, limit: int | None = None) -> Iterator[list[Edge]]:
-    """Yield the picked-edge sequence of every complete choice path.
-
-    Exhaustive over the heuristic's nondeterminism; intended for small
-    graphs in tests.  Each path is one run of the heuristic under an
-    odometer chooser, so the paths come in canonical order, first slot
-    slowest.  Stops with an error if limit leaves are exceeded.
-    """
-    if algo not in RULES:
-        raise PolicyError(f"choice enumeration unsupported for '{algo}'")
-    odometer = _Odometer()
-    count = 0
-    while True:
-        count += 1
-        if limit is not None and count > limit:
-            raise SearchBudgetExceededError(None, limit, "leaves")
-        yield [st.edge for st in _drive(g, odometer, RULES[algo]).steps]
-        if not odometer.advance():
-            return
 
 
 class _PickChooser(Chooser):

@@ -42,7 +42,6 @@ from matchforge.matchers import (
     FirstPolicy,
     PolicyError,
     RandomPolicy,
-    iter_all_pick_sequences,
     run_algorithm,
     run_shuffle,
     save_trace,
@@ -50,6 +49,8 @@ from matchforge.matchers import (
     worst_case_size,
 )
 from matchforge.optimum import maximum_matching
+
+from reference_runs import iter_all_pick_sequences
 
 RULE_ALGOS = ("mingreedy", "one_two_mingreedy", "karpsipser", "greedy", "mrg")
 ENCODINGS = ("mingreedy", "karpsipser", "greedy", "mrg", "shuffle", "vertex_iterative")

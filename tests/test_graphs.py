@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from matchforge.graphs import (
     _PAIR_TYPECODE,
-    _fenwick,
     MAX_NODES,
     MAX_RANDOM_NODES,
     PAIRING_ATTEMPTS,
@@ -16,7 +15,6 @@ from matchforge.graphs import (
     GraphFormatError,
     GenerationError,
     Matching,
-    ResidualView,
     gen_random_bounded,
     gen_regular,
     load_graph,
@@ -25,7 +23,19 @@ from matchforge.graphs import (
     save_matching,
 )
 from matchforge import graphs as graphs_module, matchers
-from matchforge.matchers import MODE_DEGREE, MODE_FREE, RULES, load_trace
+from matchforge.matchers import (
+    MODE_DEGREE,
+    MODE_FREE,
+    RULES,
+    AliveEdges,
+    FirstPolicy,
+    RandomPolicy,
+    _fenwick,
+    load_trace,
+    run_algorithm,
+)
+
+from reference_runs import Recorded, check_against_oracle, iter_all_pick_sequences
 
 
 def P3():
@@ -38,26 +48,6 @@ def C4():
 
 def K4():
     return Graph.from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
-
-
-def check_consistency(view: ResidualView) -> None:
-    """Recompute the view's alive-edge index, degrees and buckets from its
-    alive-edge flags; raise on drift."""
-    alive = view.alive_edges()
-    if alive._synced() != _fenwick(alive._flags) or alive._len != sum(alive._flags):
-        raise ValueError("alive-edge index drifted from alive edges")
-    deg = [0] * view.graph.n
-    for u, v in alive:
-        deg[u] += 1
-        deg[v] += 1
-    if deg != view.deg:
-        raise ValueError("maintained degrees drifted from alive edges")
-    positive = {v for v in range(view.graph.n) if deg[v] > 0}
-    bucketed = {v for s in view._buckets for v in s}
-    if positive != bucketed:
-        raise ValueError("buckets do not partition nodes of positive degree")
-    if any(deg[v] != d for d, s in enumerate(view._buckets) for v in s):
-        raise ValueError("a node sits in the bucket of another degree")
 
 
 class TestLoadGraph:
@@ -180,64 +170,65 @@ class TestLoadGraph:
             m.validate(Graph.from_edges(8, [(4, 5)]))
 
 
+def first_steps(g, algo):
+    """The slots a first-policy run of algo on g offers, and its steps."""
+    recorded = Recorded(FirstPolicy())
+    trace = run_algorithm(algo, g, recorded)
+    return recorded.recorders[0].log, trace.steps
+
+
 class TestRemovePair:
+    """What one step of a run removes, and the degrees it leaves."""
+
     def test_c4(self):
-        view = ResidualView(C4())
-        removed = view.remove_pair(0, 1)
-        assert removed == [(0, 1), (0, 3), (1, 2)]
-        assert view.deg == [0, 0, 1, 1]
+        log, steps = first_steps(C4(), "mingreedy")
+        assert steps[0].removed == ((0, 1), (0, 3), (1, 2))
+        # Nodes 2 and 3 are left at degree 1, nodes 0 and 1 at 0.
+        assert log[2] == (2, "node", [2, 3], 2)
+        assert steps[1].sel_degree == 1
 
     def test_p3_isolates_tail(self):
-        view = ResidualView(P3())
-        assert view.remove_pair(0, 1) == [(0, 1), (1, 2)]
-        assert view.deg[2] == 0
+        log, steps = first_steps(P3(), "mingreedy")
+        assert [st.removed for st in steps] == [((0, 1), (1, 2))]
 
     def test_k4_leaves_opposite_edge(self):
-        view = ResidualView(K4())
-        removed = view.remove_pair(0, 1)
-        assert len(removed) == 5
-        assert list(view.alive_edges()) == [(2, 3)]
+        log, steps = first_steps(K4(), "greedy")
+        assert len(steps[0].removed) == 5
+        assert log[1] == (2, "edge", [(2, 3)], (2, 3))
 
     def test_dead_edge_rejected(self):
-        view = ResidualView(P3())
-        view.remove_pair(0, 1)
-        with pytest.raises(ValueError):
-            view.remove_pair(0, 1)
+        # At a degree step the chooser answers node 0 and neighbor 1 each
+        # time; at step 2 edge (0, 1) is dead.
+        class Stubborn(matchers.Policy, matchers.Chooser):
+            def fresh(self):
+                return self
 
-    def test_consistency_check_reports_drift(self):
-        view = ResidualView(K4())
-        view.deg[0] += 1
-        with pytest.raises(ValueError, match="degrees drifted"):
-            check_consistency(view)
+            def choose(self, step, slot, candidates):
+                return 0 if slot == "node" else 1
 
-    def test_consistency_check_reports_misplaced_bucket(self):
-        view = ResidualView(K4())
-        view._buckets[3].discard(0)
-        view._buckets[2].add(0)
-        with pytest.raises(ValueError, match="bucket of another degree"):
-            check_consistency(view)
+        p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(ValueError, match=r"^edge \(0, 1\) is not alive$"):
+            run_algorithm("mingreedy", p4, Stubborn())
 
     def test_consistency_check_reports_index_drift(self):
-        view = ResidualView(K4())
-        view.alive_edges()._tree[2] += 1
+        alive = AliveEdges(K4())
+        alive._tree[2] += 1
         with pytest.raises(ValueError, match="alive-edge index drifted"):
-            check_consistency(view)
-
-
-def min_degree_nodes(view):
-    return view.nodes_of_degree(view.min_degree())
+            check_alive_index(alive)
 
 
 class TestMinDegreeNodes:
+    """The nodes a min-degree step offers: every node of minimum degree."""
+
     def test_p3(self):
-        assert min_degree_nodes(ResidualView(P3())) == [0, 2]
+        assert first_steps(P3(), "mingreedy")[0][0][2] == [0, 2]
 
     def test_c4(self):
-        assert min_degree_nodes(ResidualView(C4())) == [0, 1, 2, 3]
+        assert first_steps(C4(), "mingreedy")[0][0][2] == [0, 1, 2, 3]
 
     def test_star(self):
         star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-        assert min_degree_nodes(ResidualView(star)) == [1, 2, 3]
+        assert first_steps(star, "mingreedy")[0][0][2] == [1, 2, 3]
 
 
 class TestGenerators:
@@ -370,23 +361,22 @@ def graphs(draw, max_n=10, max_delta=4):
 
 
 @settings(max_examples=60, deadline=None)
-@given(graphs(), st.randoms(use_true_random=False))
-def test_removal_sequences_keep_view_consistent(g, rng):
-    view = ResidualView(g)
-    while view.has_alive():
-        # Cross-check the bucket answer against a brute scan.
-        degs = view.deg
-        mind = min(d for d in degs if d > 0)
-        assert min_degree_nodes(view) == [v for v in range(g.n) if degs[v] == mind]
-        edges = view.alive_edges()
-        u, v = edges[rng.randrange(len(edges))]
-        view.remove_pair(u, v)
-        check_consistency(view)
+@given(graphs(), st.integers(min_value=0, max_value=10**6))
+def test_removal_sequences_keep_view_consistent(g, seed):
+    # Random runs of every rule offer, at every slot, what the oracle
+    # recomputes from a plain set of alive edges.
+    for algo in RULES:
+        check_against_oracle(g, algo, RandomPolicy(seed))
 
 
-def check_alive_sequence(view, alive: set) -> None:
-    """view.alive_edges() against sorted(alive), an independent model."""
-    seq = view.alive_edges()
+def check_alive_index(seq: AliveEdges) -> None:
+    """Rebuild the sequence's Fenwick tree and count from its flags; raise on drift."""
+    if seq._synced() != _fenwick(seq.flags) or len(seq) != sum(seq.flags):
+        raise ValueError("alive-edge index drifted from alive edges")
+
+
+def check_alive_sequence(seq: AliveEdges, alive: set, edges) -> None:
+    """seq against sorted(alive), an independent model; edges are the graph's."""
     expect = sorted(alive)
     size = len(expect)
     assert len(seq) == size
@@ -394,7 +384,7 @@ def check_alive_sequence(view, alive: set) -> None:
     assert [seq[k] for k in range(-size, 0)] == expect
     assert list(seq) == expect
     assert [seq.index(e) for e in expect] == list(range(size))
-    for e in view.graph.edges:
+    for e in edges:
         assert (e in seq) == (e in alive)
         if e not in alive:
             with pytest.raises(ValueError):
@@ -402,30 +392,30 @@ def check_alive_sequence(view, alive: set) -> None:
     for k in (size, -size - 1, size + 7):
         with pytest.raises(IndexError):
             seq[k]
-    check_consistency(view)
+    check_alive_index(seq)
 
 
-class ModelView(ResidualView):
-    """A ResidualView that keeps the alive edges as a plain set too and
-    checks its alive-edge sequence against that set after every change."""
+class ModelAlive(AliveEdges):
+    """AliveEdges that keeps the alive edges as a plain set too and checks
+    the sequence against that set after every kill."""
 
     def __init__(self, graph):
         super().__init__(graph)
+        self.edges = graph.edges
         self.model = set(graph.edges)
-        check_alive_sequence(self, self.model)
+        check_alive_sequence(self, self.model, self.edges)
 
-    def remove_pair(self, u, v):
-        removed = super().remove_pair(u, v)
-        self.model -= {e for e in self.model if u in e or v in e}
-        check_alive_sequence(self, self.model)
-        return removed
+    def kill(self, ids):
+        super().kill(ids)
+        self.model -= {self.edges[i] for i in ids}
+        check_alive_sequence(self, self.model, self.edges)
 
 
 @settings(max_examples=60, deadline=None)
 @given(graphs(max_n=14, max_delta=5), st.integers(min_value=0, max_value=10**6))
 def test_alive_sequence_follows_random_runs_of_every_rule(g, seed):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(matchers, "ResidualView", ModelView)
+        mp.setattr(matchers, "AliveEdges", ModelAlive)
         for algo in RULES:
             matchers.run_algorithm(algo, g, matchers.RandomPolicy(seed))
 
@@ -433,12 +423,12 @@ def test_alive_sequence_follows_random_runs_of_every_rule(g, seed):
 @settings(max_examples=30, deadline=None)
 @given(graphs(max_n=7, max_delta=4))
 def test_alive_sequence_follows_pick_enumeration(g):
-    # The enumeration runs the heuristic once per choice path, each run on
-    # a fresh view that only loses edges.
+    # The enumeration runs the heuristic once per choice path, each run with
+    # fresh alive edges that are only ever killed.
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(matchers, "ResidualView", ModelView)
+        mp.setattr(matchers, "AliveEdges", ModelAlive)
         for algo in RULES:
-            for _ in islice(matchers.iter_all_pick_sequences(g, algo), 100):
+            for _ in islice(iter_all_pick_sequences(g, algo), 100):
                 pass
 
 
@@ -446,16 +436,17 @@ def test_alive_sequence_follows_pick_enumeration(g):
 @given(graphs(max_n=40, max_delta=5), st.randoms(use_true_random=False))
 def test_alive_sequence_catches_up_after_unread_removals(g, rng):
     # Reads at random steps only, so the index catches up on several
-    # removals at once, flip by flip or by a rebuild.
-    view = ResidualView(g)
+    # kills at once, flip by flip or by a rebuild.
+    alive = AliveEdges(g)
     model = set(g.edges)
-    while view.has_alive():
+    while model:
         u, v = rng.choice(sorted(model))
-        view.remove_pair(u, v)
-        model -= {e for e in model if u in e or v in e}
+        ids = sorted(g.edge_id[e] for e in model if u in e or v in e)
+        alive.kill(ids)
+        model -= {g.edges[i] for i in ids}
         if rng.random() < 0.3:
-            check_alive_sequence(view, model)
-    check_alive_sequence(view, model)
+            check_alive_sequence(alive, model, g.edges)
+    check_alive_sequence(alive, model, g.edges)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,5 +1,7 @@
+import random
 import re
 from dataclasses import replace
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +25,6 @@ from matchforge.matchers import (
     RunTrace,
     ScriptedPolicy,
     SearchBudgetExceededError,
-    iter_all_pick_sequences,
     load_trace,
     run_algorithm,
     run_shuffle,
@@ -32,6 +33,8 @@ from matchforge.matchers import (
     trace_from_picks,
     worst_case_size,
 )
+
+from reference_runs import check_against_oracle, degrees, iter_all_pick_sequences, oracle_run
 
 
 def P3():
@@ -200,6 +203,65 @@ class TestPolicies:
             run_algorithm("greedy", P4(), Fixed((2, 0)))
 
 
+# -- the runner against an independent oracle ---------------------------------
+
+
+@lru_cache(maxsize=1)
+def oracle_graphs() -> tuple[Graph, ...]:
+    """500 seeded graphs with n <= 30 and max degree <= 5; every fifth is 3-
+    or 4-regular, so that free steps come at every degree."""
+    graphs = []
+    for seed in range(500):
+        rng = random.Random(seed)
+        if seed % 5 == 4:
+            graphs.append(gen_regular(rng.randrange(8, 31, 2), rng.randint(3, 4), seed))
+        else:
+            graphs.append(gen_random_bounded(rng.randint(2, 30), rng.randint(1, 5),
+                                             rng.uniform(0.1, 1.0), seed))
+    return tuple(graphs)
+
+
+def drawn_script(g, algo, seed) -> ScriptedPolicy:
+    """A (step, index) script drawn on an oracle run: per slot the first,
+    the last or a random candidate."""
+    rng = random.Random(seed)
+    script = []
+
+    class Draw(matchers.Chooser):
+        def choose(self, step, slot, candidates):
+            k = rng.choice((0, len(candidates) - 1, rng.randrange(len(candidates))))
+            script.append((step, k))
+            return candidates[k]
+
+    oracle_run(g, Draw(), RULES[algo])
+    return ScriptedPolicy(script)
+
+
+@pytest.mark.parametrize("algo", list(RULES))
+def test_runner_offers_what_an_independent_oracle_offers(algo):
+    # Every slot of every run: the same candidates, in the same order.
+    for seed, g in enumerate(oracle_graphs()):
+        for policy in (FirstPolicy(), RandomPolicy(seed), drawn_script(g, algo, seed)):
+            check_against_oracle(g, algo, policy)
+
+
+class PermutationFirst(matchers.Chooser):
+    """Takes the candidate that comes first in a node permutation."""
+
+    def __init__(self, perm):
+        self.rank = {v: i for i, v in enumerate(perm)}
+
+    def choose(self, step, slot, candidates):
+        return min(candidates, key=self.rank.__getitem__)
+
+
+def test_shuffle_runs_what_the_oracle_runs():
+    for seed, g in enumerate(oracle_graphs()):
+        perm = list(range(g.n))
+        random.Random(seed).shuffle(perm)
+        assert run_shuffle(g, perm) == oracle_run(g, PermutationFirst(perm), RULES["mrg"])
+
+
 class TestPicks:
     def test_trace_from_picks_matches_scripted_run(self):
         for seed in range(50):
@@ -302,14 +364,6 @@ class TestTraceIO:
             load_trace(shifted, g)
 
 
-def degrees(alive, n):
-    deg = [0] * n
-    for u, v in alive:
-        deg[u] += 1
-        deg[v] += 1
-    return deg
-
-
 @pytest.mark.parametrize("algo", ["mingreedy", "one_two_mingreedy", "karpsipser", "greedy", "mrg"])
 def test_replayed_degrees_match_a_recount(algo):
     # Every replayed step against degrees counted afresh from the alive
@@ -327,13 +381,10 @@ def test_replayed_degrees_match_a_recount(algo):
                 assert set(rec.removed) == killed
                 alive -= killed
                 after = degrees(alive, g.n)
-                touched = {x for e in killed for x in e}
                 assert rep.min_before[s - 1] == min(d for d in before if d)
-                # A node the step did not touch answers the default.
-                assert [rep.deg_before(s, x, "-") for x in range(g.n)] == [
-                    before[x] if x in touched else "-" for x in range(g.n)]
-                assert [rep.deg_after(s, x, "-") for x in range(g.n)] == [
-                    after[x] if x in touched else "-" for x in range(g.n)]
+                # Every node, touched by the step or not.
+                assert [rep.deg_before(s, x) for x in range(g.n)] == before
+                assert [rep.deg_after(s, x) for x in range(g.n)] == after
             assert len(rep.min_before) == len(trace.steps)
             assert not alive
 

@@ -20,8 +20,6 @@ ROOT = PACKAGE.parent.parent
 KEPT = {
     # Reads the documented matching format that ``matchforge opt --out`` writes.
     "load_matching",
-    # The reference enumerator the goldens and the search tests compare against.
-    "iter_all_pick_sequences",
 }
 
 

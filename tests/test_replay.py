@@ -1,7 +1,7 @@
-"""RunTrace.replay against corrupted traces and against the replay it
-replaced, which re-ran each step on a ResidualView and is kept below as the
-oracle: every step's minimum degree, every edge's death step, and every
-node's degree around every step must be what the oracle's records say."""
+"""RunTrace.replay against corrupted traces and against a naive replay,
+kept below as the oracle: every step's minimum degree, every edge's death
+step, and every node's degree around every step must be what the oracle
+recounts."""
 
 import random
 import re
@@ -13,7 +13,6 @@ from matchforge.graphs import (
     Graph,
     GraphFormatError,
     Matching,
-    ResidualView,
     gen_random_bounded,
     gen_regular,
 )
@@ -28,14 +27,16 @@ from matchforge.matchers import (
     save_trace,
 )
 
+from reference_runs import degrees
 
-def oracle_replay(trace: RunTrace) -> tuple[tuple[int, dict[int, int], dict[int, int]], ...]:
-    """The replay as it was: each step re-run by ``ResidualView.remove_pair``,
-    giving per step its minimum degree before it and each touched node's
-    degree before and after it."""
-    view = ResidualView(trace.graph)
-    deg = view.deg
-    alive = view.alive_edges()
+
+def oracle_replay(trace: RunTrace) -> tuple[tuple[int, list[int], list[int]], ...]:
+    """A naive replay: per step, the removed edges are the sorted alive edges
+    at u or v, and every degree is recounted from the alive edges.  Gives
+    per step its minimum degree before it and every node's degree before
+    and after it."""
+    g = trace.graph
+    alive = set(g.edges)
     picked = []
     out = []
     for position, st in enumerate(trace.steps, 1):
@@ -46,33 +47,20 @@ def oracle_replay(trace: RunTrace) -> tuple[tuple[int, dict[int, int], dict[int,
         e = (u, v) if u < v else (v, u)
         if e not in alive:
             raise ValueError(f"step {st.index}: picked edge not alive")
-        if deg[u] != st.sel_degree:
+        before = degrees(alive, g.n)
+        if before[u] != st.sel_degree:
             raise ValueError(f"step {st.index}: recorded selection degree is stale")
-        min_before = view.min_degree()
-        removed = view.remove_pair(u, v)
-        if tuple(removed) != st.removed:
+        removed = tuple(sorted(x for x in alive if u in x or v in x))
+        if removed != st.removed:
             raise ValueError(f"step {st.index}: removed-edge list mismatch")
-        hits: dict[int, int] = {}
-        for a, b in removed:
-            hits[a] = hits.get(a, 0) + 1
-            hits[b] = hits.get(b, 0) + 1
-        before = {}
-        after = {}
-        for x in sorted(hits):
-            d = deg[x]
-            after[x] = d
-            before[x] = d + hits[x]
-        out.append((min_before, before, after))
+        alive -= set(removed)
+        out.append((min(d for d in before if d), before, degrees(alive, g.n)))
         picked.append(e)
-    if view.has_alive():
+    if alive:
         raise ValueError("alive edges remain after the last step")
     if trace.result.pairs != frozenset(picked):
         raise ValueError("result does not equal the set of picked edges")
     return tuple(out)
-
-
-# The default a degree query answers for a node its step did not touch.
-UNTOUCHED = object()
 
 
 def replay_view(replay, trace):
@@ -81,8 +69,8 @@ def replay_view(replay, trace):
     nodes = range(trace.graph.n)
     return list(replay.died), [
         (replay.min_before[s - 1],
-         [replay.deg_before(s, w, UNTOUCHED) for w in nodes],
-         [replay.deg_after(s, w, UNTOUCHED) for w in nodes])
+         [replay.deg_before(s, w) for w in nodes],
+         [replay.deg_after(s, w) for w in nodes])
         for s in range(1, len(trace.steps) + 1)]
 
 
@@ -100,11 +88,7 @@ def oracle_view(trace):
     for st in trace.steps:
         for e in st.removed:
             died[g.edge_id[e]] = st.index
-    nodes = range(g.n)
-    return died, [
-        (min_before, [before.get(w, UNTOUCHED) for w in nodes],
-         [after.get(w, UNTOUCHED) for w in nodes])
-        for min_before, before, after in records]
+    return died, list(records)
 
 
 def outcome(view, trace):
@@ -198,13 +182,14 @@ def test_uncorrupted_trace_replays_as_the_oracle_does():
     assert ("ok", replay_view(loaded.replay, loaded)) == expect
 
 
-def test_replay_and_load_trace_build_no_residual_view(monkeypatch):
+def test_replay_and_load_trace_call_no_runner(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("ResidualView built")
+        raise AssertionError("runner called")
 
     g = gen_random_bounded(30, 4, 0.5, 3)
     traces = [run_algorithm(algo, g, RandomPolicy(7)) for algo in RULES]
-    monkeypatch.setattr(matchers, "ResidualView", refuse)
+    monkeypatch.setattr(matchers, "_drive", refuse)
+    monkeypatch.setattr(matchers, "AliveEdges", refuse)
     for trace in traces:
         RunTrace(g, trace.steps, trace.result).verify_replay()
         assert load_trace(save_trace(trace), g) == trace
