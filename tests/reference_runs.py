@@ -155,7 +155,7 @@ class Recorded(Policy):
         return self.recorders[-1]
 
 
-def check_against_oracle(g: Graph, algo: str, policy: Policy) -> RunTrace:
+def check_against_oracle(g: Graph, algo: str, policy: Policy) -> None:
     """Run policy on g through run_algorithm and through the oracle; require
     the same slots, candidate lists and answers, and equal traces."""
     recorded = Recorded(policy)
@@ -165,4 +165,3 @@ def check_against_oracle(g: Graph, algo: str, policy: Policy) -> RunTrace:
     (runner,) = recorded.recorders
     assert runner.log == oracle.log
     assert trace == expect
-    return trace
