@@ -12,10 +12,12 @@ node-count-announcing one that mass-produces such components so the ratio
 approaches the same bound from above.
 
 A round costs what it changes.  The adversary keeps every node's neighbor
-counts as edges, reveals and matches happen, and finds the lowest-id live
-node for a pattern among at most (delta + 1)^3 heaps keyed by those counts,
-not by rescanning the nodes.  An encoding builds its ranked list once per
-game, and the transcript's query line is built once per distinct list.
+counts as edges, reveals and matches happen, and files each live node in
+one min-heap per unmatched-neighbor count (at most delta heaps), so a
+pattern on that count reads the top of the heaps it admits instead of
+rescanning the nodes, and a reveal re-files nothing.  An encoding builds
+its ranked list once per game, and the transcript's query line is built
+once per distinct list.
 Served nodes, and so transcripts, are the ones a scan of every node in id
 order gives; tests/test_adversary.py keeps that scan as the oracle.
 """
@@ -208,12 +210,12 @@ class _AdversaryBase:
 
     Each node's unmatched-neighbor and known-neighbor counts are kept up to
     date where they change, and every live (unmatched, non-isolated) node
-    sits in a min-heap of node ids under its (total, unmatched, known)
-    triple.  A node's triple never returns to an earlier value (total and
-    known only grow, and unmatched only falls while they stay), and matching
-    a node lowers its own unmatched count, so a heap entry is current exactly
-    when its node's triple is still the heap's key.  Entries that are not
-    are dropped when they reach the top.
+    sits in the min-heap of node ids for its unmatched count, ``_live[k]``.
+    An entry v in ``_live[k]`` is current when v is unmatched and its
+    unmatched count is still k; the test reads only the present state, so a
+    count that returns to an earlier value is simply filed again, and a node
+    is pushed each time its count changes (at an edge or a match, never at a
+    reveal).  Stale entries are dropped when they reach the top.
     """
 
     sealed = False
@@ -231,7 +233,7 @@ class _AdversaryBase:
         self._pending = None
         self._n_unmatched: list[int] = []
         self._n_known: list[int] = []
-        self._live: dict[tuple[int, int, int], list[int]] = {}
+        self._live: list[list[int]] = [[] for _ in range(delta + 1)]
         self._query: tuple[Pattern, ...] | None = None
         self._query_line = ""
 
@@ -252,6 +254,7 @@ class _AdversaryBase:
     def _add_edges(self, edges: list[tuple[int, int]]) -> None:
         adj, matched, known = self.adj, self.matched, self.known
         n_unmatched, n_known = self._n_unmatched, self._n_known
+        changed = set()
         for u, v in edges:
             if u == v or v in adj[u]:
                 raise GameError(f"illegal edge {(u, v)}")
@@ -259,11 +262,15 @@ class _AdversaryBase:
             adj[v].add(u)
             if len(adj[u]) > self.delta or len(adj[v]) > self.delta:
                 raise GameError(f"edge {(u, v)} violates the degree bound")
-            n_unmatched[u] += v not in matched
-            n_unmatched[v] += u not in matched
+            if v not in matched:
+                n_unmatched[u] += 1
+                changed.add(u)
+            if u not in matched:
+                n_unmatched[v] += 1
+                changed.add(v)
             n_known[u] += v in known
             n_known[v] += u in known
-        self._refile({x for e in edges for x in e})
+        self._refile(changed)
         toks = " ".join(f"{min(u, v)}-{max(u, v)}" for u, v in edges)
         self.transcript.append(f"build {toks} {self.delta}")
 
@@ -271,14 +278,12 @@ class _AdversaryBase:
         if set(neighbors) != self.adj[node]:
             raise GameError(f"served list of node {node} is not its full final list")
         item = DataItem(node, tuple(neighbors))
-        changed = set()
+        # A reveal moves only known counts, which no heap is keyed by.
         for x in (node, *neighbors):
             if x not in self.known:
                 self.known.add(x)
                 for y in self.adj[x]:
                     self._n_known[y] += 1
-                    changed.add(y)
-        self._refile(changed)
         self.served.append(item)
         self.transcript.append(f"serve {node} {' '.join(map(str, neighbors))}")
         return item
@@ -290,10 +295,12 @@ class _AdversaryBase:
         return len(self.adj[v]), self._n_unmatched[v], self._n_known[v]
 
     def _refile(self, nodes) -> None:
-        """File each live node of nodes under its current count triple."""
+        """File each live node of nodes under its current unmatched count."""
+        live, n_unmatched, matched = self._live, self._n_unmatched, self.matched
         for v in nodes:
-            if self._n_unmatched[v] and v not in self.matched:
-                heappush(self._live.setdefault(self._count_key(v), []), v)
+            k = n_unmatched[v]
+            if k and v not in matched:
+                heappush(live[k], v)
 
     def _first_live(self, pat: Pattern) -> int | None:
         """The lowest-id live (unmatched, non-isolated) node matching pat."""
@@ -303,14 +310,27 @@ class _AdversaryBase:
                 return None
             key = self._count_key(v)
             return v if key[1] and pat.matches(*key, node=v) else None
+        lo, hi = max(pat.unmatched_min or 1, 1), self.delta
+        if pat.unmatched is not None:
+            lo, hi = max(lo, pat.unmatched), min(hi, pat.unmatched)
+        live, n_unmatched, matched = self._live, self._n_unmatched, self.matched
         best = None
-        for key, heap in self._live.items():
-            if not heap or (best is not None and heap[0] > best) or not pat.matches(*key):
-                continue
-            while heap and self._count_key(heap[0]) != key:
-                heappop(heap)
-            if heap and (best is None or heap[0] < best):
-                best = heap[0]
+        if pat.total is None and pat.known is None:
+            for k in range(lo, hi + 1):
+                heap = live[k]
+                while heap and (heap[0] in matched or n_unmatched[heap[0]] != k):
+                    heappop(heap)
+                if heap and (best is None or heap[0] < best):
+                    best = heap[0]
+            return best
+        # A pattern that also fixes total or known scans the current nodes of
+        # each heap it admits.
+        adj, n_known = self.adj, self._n_known
+        for k in range(lo, hi + 1):
+            for v in live[k]:
+                if (v not in matched and n_unmatched[v] == k and (best is None or v < best)
+                        and pat.matches(len(adj[v]), k, n_known[v])):
+                    best = v
         return best
 
     # -- game protocol -----------------------------------------------------------

@@ -15,6 +15,8 @@ theta = 1/(2(2*delta-3)) is a Fraction.
 
 from __future__ import annotations
 
+import csv
+import io
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
@@ -132,11 +134,15 @@ class Report:
         return "\n".join(out) + "\n"
 
     def csv(self) -> str:
-        rows = ["name,subject,lhs,rel,rhs,verdict"]
+        # The csv module quotes only a field that needs it, such as a list
+        # side "[3, 5]"; each value is written as str() gives it, as in text().
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(("name", "subject", "lhs", "rel", "rhs", "verdict"))
         for c in self.checks:
             verdict = "PASS" if c.ok else "FAIL"
-            rows.append(f"{c.name},{c.subject},{c.lhs},{c.rel},{c.rhs},{verdict}")
-        return "\n".join(rows) + "\n"
+            writer.writerow(map(str, (c.name, c.subject, c.lhs, c.rel, c.rhs, verdict)))
+        return out.getvalue()
 
 
 class ChargingLedger:

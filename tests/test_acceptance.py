@@ -62,6 +62,24 @@ def test_criterion_2_asymptotic_tightness():
             " ".join(f"{float(e):.4f}" for e in excesses))
 
 
+def test_criterion_2_sibling_higher_delta():
+    # Criterion 2's three checks at delta = 4, 5 and 6, against (d-1)/(2d-3).
+    t0 = time.time()
+    ok = True
+    detail = []
+    for delta in (4, 5, 6):
+        excesses = []
+        for t in (20, 50, 100, 200, 500):
+            result = play_game("mingreedy", AdversaryBPrime(delta, t))
+            opt = len(maximum_matching(result.graph))
+            excesses.append(Fraction(len(result.matching), opt) - target_ratio(delta))
+        ok = ok and all(e >= 0 for e in excesses)
+        ok = ok and all(a >= b for a, b in zip(excesses, excesses[1:]))
+        ok = ok and excesses[-1] <= Fraction(1, 100)
+        detail.append(f"d{delta}: " + " ".join(f"{float(e):.4f}" for e in excesses))
+    _report("2b", "announced-budget-convergence-delta456", ok, t0, "; ".join(detail))
+
+
 def _connected_bounded_graphs(n, maxdeg):
     """All labeled connected graphs on exactly n nodes with degrees <= maxdeg."""
     pairs = list(itertools.combinations(range(n), 2))

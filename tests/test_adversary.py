@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import matchforge
+from matchforge import adversary
 from matchforge.adversary import (
     CATCH_ALL,
     ENCODINGS,
@@ -23,6 +24,7 @@ from matchforge.adversary import (
     make_adversary,
     play_game,
     save_moves,
+    _AdversaryBase,
     _filler_parts,
 )
 from matchforge.graphs import MAX_NODES, Graph, gen_random_bounded
@@ -383,6 +385,41 @@ class TestLiveIndex:
         adv = _checked(AdversaryB)(5)
         result = play_game(Explorer("mingreedy"), adv)
         assert adv.rounds_checked == len(result.picks)
+
+
+class TestLiveFiling:
+    def test_reveal_pushes_no_heap_entry(self, monkeypatch):
+        # A reveal moves only known counts, and no heap is keyed by those.
+        adv = TruthfulAdversary(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]))
+        pushes = []
+        push = adversary.heappush
+        monkeypatch.setattr(adversary, "heappush",
+                            lambda heap, v: (pushes.append(v), push(heap, v)))
+        known_before = list(adv._n_known)
+        adv._serve(1, sorted(adv.adj[1]))
+        assert adv._n_known != known_before
+        assert pushes == []
+
+    def test_count_that_returns_is_filed_again(self):
+        # Node x's unmatched count goes 2 -> 1 (a neighbor is matched) -> 2
+        # (a new edge); each answer must agree with a scan of every node.
+        adv = _AdversaryBase(3)
+        x, a, b, c, d = adv._alloc(5)
+        adv._add_edges([(x, a), (x, b), (a, c)])
+        probes = (*PROBES, CATCH_ALL, Pattern(unmatched=1), Pattern(unmatched=2))
+
+        def agree():
+            for pat in probes:
+                assert adv._first_live(pat) == _scan_first_live(adv, pat), pat
+
+        agree()
+        adv.observe_match(a, c)
+        assert adv._n_unmatched[x] == 1
+        agree()
+        adv._add_edges([(x, d)])
+        assert adv._n_unmatched[x] == 2
+        agree()
+        assert adv._first_live(Pattern(unmatched=2)) == x
 
 
 def K3():

@@ -1,3 +1,5 @@
+import csv
+import io
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -5,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from matchforge.charging import (
+    Report,
     TraceMismatchError,
     build_ledger,
     target_ratio,
@@ -284,3 +287,15 @@ def test_transfers_recheck_from_trace_alone():
             assert e in rec.removed
             after = led.replay.deg_after(t.step, t.endpoint)
             assert after is not None and after <= 1
+
+
+def test_csv_keeps_a_list_side_in_one_field():
+    # A failing row's list-valued side holds commas; it must read back as
+    # one field, and a passing row stays plain comma-joined text.
+    rep = Report()
+    rep.require("donation_steps_disjoint", "global", [3, 5], "==", [])
+    rep.require("one_donation_per_step", "global", 2, "==", 2)
+    text = rep.csv()
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows[1] == ["donation_steps_disjoint", "global", "[3, 5]", "==", "[]", "FAIL"]
+    assert text.splitlines()[2] == "one_donation_per_step,global,2,==,2,PASS"
