@@ -25,7 +25,7 @@ Edge = tuple[int, int]
 
 
 class GraphFormatError(ValueError):
-    """Raised for malformed graph or matching documents (carries line info)."""
+    """Raised for malformed graph, matching or trace documents (carries line info)."""
 
 
 class GenerationError(RuntimeError):
@@ -52,18 +52,22 @@ def norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-def _check_edge(n: int, e: Edge, seen: set[Edge]) -> None:
-    """Add edge e of an n-node graph to seen; raise ValueError if it breaks a rule."""
-    u, v = e
-    if u == v:
-        raise ValueError(f"self-loop at node {u}")
-    if not (0 <= u < n and 0 <= v < n):
-        raise ValueError(f"edge {e} has node id outside 0..{n - 1}")
-    if u > v:
-        raise ValueError(f"edge {e} not in canonical (min, max) order")
-    if e in seen:
-        raise ValueError(f"duplicate edge {e}")
-    seen.add(e)
+def _first_edge_fault(n: int, edges: Iterable[Edge]) -> tuple[int, str] | None:
+    """The index of the first edge of an n-node graph, in the given order,
+    that breaks a rule, and the rule; None when every edge keeps them."""
+    seen: set[Edge] = set()
+    for k, (u, v) in enumerate(edges):
+        e = (u, v)
+        if u == v:
+            return k, f"self-loop at node {u}"
+        if not (0 <= u < n and 0 <= v < n):
+            return k, f"edge {e} has node id outside 0..{n - 1}"
+        if u > v:
+            return k, f"edge {e} not in canonical (min, max) order"
+        if e in seen:
+            return k, f"duplicate edge {e}"
+        seen.add(e)
+    return None
 
 
 @dataclass(frozen=True)
@@ -84,21 +88,23 @@ class Graph:
         n = self.n
         if n < 0:
             raise ValueError(f"node count {n} is negative")
-        seen: set[Edge] = set()
-        for u, v in self.edges:
-            e = (u, v)
-            if not 0 <= u < v < n or e in seen:
-                _check_edge(n, e, seen)  # raises, naming the rule e breaks
-            seen.add(e)
-        # The checked edges are the seen set; sorting them from the input
-        # order is cheap, since every generator and reader passes them sorted.
+        # Sorting is cheap, since every generator and reader passes the edges
+        # sorted.  Each edge is hashed once, into edge_id: a repeated one
+        # makes it shorter.  A faulty input is walked again to name its fault.
         edges = tuple(sorted(map(tuple, self.edges)))
+        edge_id = dict(zip(edges, range(len(edges))))
+        faulty = len(edge_id) < len(edges)
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
+            if not 0 <= u < v < n:
+                faulty = True
+                break
             adj[u].append(v)
             adj[v].append(u)
+        if faulty:
+            raise ValueError(_first_edge_fault(n, self.edges)[1])
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "edge_id", dict(zip(edges, range(len(edges)))))
+        object.__setattr__(self, "edge_id", edge_id)
         # In canonical order every node meets its neighbors in ascending id.
         object.__setattr__(self, "adjacency", tuple(map(tuple, adj)))
         object.__setattr__(self, "delta", max(map(len, adj), default=0))
@@ -167,11 +173,10 @@ class Matching:
 # File formats.
 #
 # Every document (graph, matching, trace, move script) holds one record per
-# line (see read_records, the grammar's reference reader).  Graph file: a
+# line: a tag, then a fixed number of fields (see _fields).  Graph file: a
 # header "graph <n> <m>", then exactly m lines "e <u> <v>" with
-# 0 <= u < v < n.  Matching file: "m <u> <v>" lines.  Graphs and traces, the
-# large documents, are read in one tight pass each, and only a faulty one
-# is read again through read_records, whose error names the line.
+# 0 <= u < v < n.  Matching file: "m <u> <v>" lines.  Each reader reads its
+# document in one pass and raises at the first faulty line, naming it.
 # ---------------------------------------------------------------------------
 
 # The largest node count a graph document may announce: ten times the
@@ -179,120 +184,98 @@ class Matching:
 # header cannot make load_graph allocate adjacency lists without bound.
 MAX_NODES = 10**6
 
-
-def read_records(text: str, forms: dict[str, str]) -> Iterator[tuple[int, str, list]]:
-    """Yield (line number, tag, fields) for each record of a document.
-
-    ``forms`` maps each allowed tag to its form, e.g. ``{"e": "e <u> <v>"}``,
-    which fixes the field count.  Fields are integers, except a trailing
-    ``<mode>``, which stays a string.  Any other line raises GraphFormatError.
-    """
-    shapes = {tag: (len(form.split()), form.endswith(" <mode>")) for tag, form in forms.items()}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split()
-        if not parts:
-            continue
-        tag = parts[0]
-        shape = shapes.get(tag)
-        if shape is None:
-            if tag.startswith("#"):
-                continue
-            raise GraphFormatError(f"line {lineno}: unknown record '{tag}'")
-        size, mode = shape
-        if len(parts) != size:
-            raise GraphFormatError(f"line {lineno}: record must be '{forms[tag]}'")
-        try:
-            if mode:
-                fields = [*map(int, parts[1:-1]), parts[-1]]
-            else:
-                fields = list(map(int, parts[1:]))
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: non-integer field in '{forms[tag]}'") from None
-        yield lineno, tag, fields
+_GRAPH_FORMS = {"graph": "graph <n> <m>", "e": "e <u> <v>"}
 
 
-def _scan_graph(text: str) -> tuple[int, int, list[Edge]]:
-    """Read a graph document as (n, announced m, (u, v) of each edge line) in
-    one tight pass; raise a bare ValueError at the first fault of any kind.
-
-    Each node id is taken from one table of n ints, so the edges share one
-    int per node; an edge line is checked for 0 <= u < v < n before the
-    table is indexed, and the rest of the edge checks are left to ``Graph``.
-    """
-    n = -1   # no header yet, so every edge line fails the bound check
-    node: list[int] = []
-    edges: list[Edge] = []
-    for parts in map(str.split, text.splitlines()):
-        if not parts:
-            continue
-        tag = parts[0]
-        if tag == "e" and len(parts) == 3:
-            u = int(parts[1])
-            v = int(parts[2])
-            if not 0 <= u < v < n:
-                raise ValueError
-            edges.append((node[u], node[v]))
-        elif tag == "graph" and len(parts) == 3 and n < 0:
-            n = int(parts[1])
-            m = int(parts[2])
-            if not (0 <= n <= MAX_NODES and m >= 0):
-                raise ValueError
-            node = list(range(n))
-        elif tag[0] != "#":
-            raise ValueError
-    if n < 0:
-        raise ValueError
-    return n, m, edges
+def _fields(lineno: int, parts: list[str], forms: dict[str, str]) -> list:
+    """The fields of line lineno, split into parts, as the form of its tag in
+    forms fixes them: integers, and a trailing ``<mode>`` as it stands.  An
+    unknown tag, a wrong field count or a non-integer field raises."""
+    form = forms.get(parts[0])
+    if form is None:
+        raise GraphFormatError(f"line {lineno}: unknown record '{parts[0]}'")
+    slots = form.split()
+    if len(parts) != len(slots):
+        raise GraphFormatError(f"line {lineno}: record must be '{form}'")
+    try:
+        return [p if slot == "<mode>" else int(p) for slot, p in zip(slots[1:], parts[1:])]
+    except ValueError:
+        raise GraphFormatError(f"line {lineno}: non-integer field in '{form}'") from None
 
 
-def _read_graph(text: str) -> tuple[int, int, list[Edge]]:
-    """``_scan_graph`` through ``read_records``, checking each edge on its
-    line, so that an error names the first faulty line."""
-    n = m = None
-    seen: set[Edge] = set()
-    edges: list[Edge] = []
-    for lineno, tag, fields in read_records(text, {"graph": "graph <n> <m>", "e": "e <u> <v>"}):
-        if tag == "e":
-            if n is None:
-                raise GraphFormatError(f"line {lineno}: edge before header")
-            u, v = fields
-            try:
-                _check_edge(n, (u, v), seen)
-            except ValueError as exc:
-                raise GraphFormatError(f"line {lineno}: {exc}") from None
-            edges.append((u, v))
-            continue
-        if n is not None:
-            raise GraphFormatError(f"line {lineno}: duplicate header")
-        n, m = fields
-        if n < 0 or m < 0:
-            raise GraphFormatError(f"line {lineno}: negative header field")
-        if n > MAX_NODES:
-            raise GraphFormatError(f"line {lineno}: {n} nodes exceed the bound of {MAX_NODES}")
-    if n is None:
-        raise GraphFormatError("missing 'graph <n> <m>' header")
-    return n, m, edges
+def _graph_error(lineno: int, parts: list[str], n: int, edges: list[Edge],
+                 other: list[int]) -> GraphFormatError:
+    """The error of a graph document whose line lineno, split into parts,
+    fails load_graph's checks.  A repeated edge on an earlier line is named
+    first: other holds, ascending, the numbers of the lines read that hold
+    no edge, so the k-th edge is on line k + 1 plus those before it."""
+    fault = _first_edge_fault(n, edges)
+    if fault is not None:
+        lineno, fault = fault
+        lineno += 1
+        for skipped in other:
+            if skipped > lineno:
+                break
+            lineno += 1
+    else:
+        a, b = _fields(lineno, parts, _GRAPH_FORMS)
+        if parts[0] == "e":
+            fault = "edge before header" if n < 0 else _first_edge_fault(n, [(a, b)])[1]
+        elif n >= 0:
+            fault = "duplicate header"
+        elif a < 0 or b < 0:
+            fault = "negative header field"
+        else:
+            fault = f"{a} nodes exceed the bound of {MAX_NODES}"
+    return GraphFormatError(f"line {lineno}: {fault}")
 
 
 def load_graph(text: str) -> Graph:
     """Parse the edge-list document format; report errors with line numbers.
 
-    A valid document is read in one tight pass, and each edge is checked
-    once, by the ``Graph`` it goes into.  Only a faulty document is read a
-    second time, through ``read_records`` and checking each edge on its
-    line, so that the error names the first faulty line.
+    The document is read in one pass, and the first faulty line raises.
+    Each node id is taken from one table of n ints, so the edges share one
+    int per node; an edge line is checked for 0 <= u < v < n before the
+    table is indexed, and repeated edges are left to ``Graph``.
     """
+    n = -1   # no header yet, so every edge line fails the bound check
+    node: list[int] = []
+    edges: list[Edge] = []
+    other: list[int] = []   # the numbers of the lines read that hold no edge
     try:
-        n, m_expect, edges = _scan_graph(text)
+        for lineno, parts in enumerate(map(str.split, text.splitlines()), start=1):
+            if not parts:
+                other.append(lineno)
+                continue
+            tag = parts[0]
+            if tag == "e" and len(parts) == 3:
+                u = int(parts[1])
+                v = int(parts[2])
+                if not 0 <= u < v < n:
+                    raise ValueError
+                edges.append((node[u], node[v]))
+            elif tag == "graph" and len(parts) == 3 and n < 0:
+                header = int(parts[1]), int(parts[2])
+                if not (0 <= header[0] <= MAX_NODES and header[1] >= 0):
+                    raise ValueError
+                n, m = header
+                node = list(range(n))
+                other.append(lineno)
+            elif tag[0] == "#":
+                other.append(lineno)
+            else:
+                raise ValueError
     except ValueError:
-        n, m_expect, edges = _read_graph(text)
+        raise _graph_error(lineno, parts, n, edges, other) from None
+    if n < 0:
+        raise GraphFormatError("missing 'graph <n> <m>' header")
     try:
         g = Graph(n, tuple(edges))
     except ValueError:
-        _read_graph(text)
-        raise
-    if m_expect != len(edges):
-        raise GraphFormatError(f"header announced {m_expect} edges, found {len(edges)}")
+        # Only a repeated edge is left to fail, and it is named first.
+        raise _graph_error(0, [], n, edges, other) from None
+    if m != len(edges):
+        raise GraphFormatError(f"header announced {m} edges, found {len(edges)}")
     return g
 
 
@@ -317,7 +300,10 @@ def load_matching(text: str, g: Graph | None = None) -> Matching:
     """
     pairs: list[Edge] = []
     covered: set[int] = set()
-    for lineno, _, (u, v) in read_records(text, {"m": "m <u> <v>"}):
+    for lineno, parts in enumerate(map(str.split, text.splitlines()), start=1):
+        if not parts or parts[0][0] == "#":
+            continue
+        u, v = _fields(lineno, parts, {"m": "m <u> <v>"})
         e = norm_edge(u, v)
         if u == v:
             fault = f"self-pair at node {u}"

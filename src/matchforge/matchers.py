@@ -49,8 +49,8 @@ from .graphs import (
     GraphFormatError,
     Matching,
     SearchBudgetExceededError,
+    _fields,
     norm_edge,
-    read_records,
 )
 
 # Selection kinds: what the policy chooses at one step.
@@ -352,64 +352,34 @@ _MODES = {MODE_DEGREE: MODE_DEGREE, MODE_FREE: MODE_FREE}
 _Record = tuple[int, int, int, int, list[Edge], str]
 
 
-def _scan_trace(text: str) -> list[_Record]:
-    """Read a trace document as one record per step in one tight pass;
-    raise a bare ValueError at the first fault of any kind."""
-    records: list[_Record] = []
-    # The removed edges of the last step; before the first step they go to
-    # orphans, which must stay empty.
-    removed = orphans = []
-    for parts in map(str.split, text.splitlines()):
-        if not parts:
-            continue
-        tag = parts[0]
-        if tag == "r" and len(parts) == 3:
-            a = int(parts[1])
-            b = int(parts[2])
-            removed.append((a, b) if a < b else (b, a))
-        elif tag == "s" and len(parts) == 6 and parts[5] in _MODES:
-            removed = []
-            records.append((int(parts[1]), int(parts[2]), int(parts[3]), int(parts[4]),
-                            removed, _MODES[parts[5]]))
-        elif tag[0] != "#":
-            raise ValueError
-    if orphans:
-        raise ValueError
-    return records
-
-
-def _read_trace(text: str) -> list[_Record]:
-    """``_scan_trace`` through ``read_records``, whose errors name the line."""
-    records: list[_Record] = []
-    removed: list[Edge] | None = None
-    forms = {"s": "s <i> <u> <d> <v> <mode>", "r": "r <a> <b>"}
-    for lineno, tag, fields in read_records(text, forms):
-        if tag == "r":
-            if removed is None:
-                raise GraphFormatError(f"line {lineno}: removed edge before any step")
-            a, b = fields
-            removed.append((a, b) if a < b else (b, a))
-        elif fields[4] not in _MODES:
-            raise GraphFormatError(f"line {lineno}: unknown mode '{fields[4]}'")
-        else:
-            removed = []
-            i, u, d, v, mode = fields
-            records.append((i, u, d, v, removed, mode))
-    return records
-
-
 def load_trace(text: str, g: Graph) -> RunTrace:
     """Parse and replay-check a trace file against its graph.
 
-    A valid document is read in one tight pass; only a faulty one is read a
-    second time, through ``read_records``, so that the error names its
-    first faulty line.  The replay builds the steps from the graph's own
-    edges and is kept on the trace.
+    The document is read in one pass, and the first faulty line raises.
+    The replay builds the steps from the graph's own edges and is kept on
+    the trace.
     """
+    records: list[_Record] = []
+    removed: list[Edge] = []   # the removed edges of the last step
     try:
-        records = _scan_trace(text)
+        for lineno, parts in enumerate(map(str.split, text.splitlines()), start=1):
+            if not parts:
+                continue
+            tag = parts[0]
+            if tag == "r" and len(parts) == 3 and records:
+                a = int(parts[1])
+                b = int(parts[2])
+                removed.append((a, b) if a < b else (b, a))
+            elif tag == "s" and len(parts) == 6 and parts[5] in _MODES:
+                removed = []
+                records.append((int(parts[1]), int(parts[2]), int(parts[3]), int(parts[4]),
+                                removed, _MODES[parts[5]]))
+            elif tag[0] != "#":
+                raise ValueError
     except ValueError:
-        records = _read_trace(text)
+        fields = _fields(lineno, parts, {"s": "s <i> <u> <d> <v> <mode>", "r": "r <a> <b>"})
+        fault = "removed edge before any step" if tag == "r" else f"unknown mode '{fields[4]}'"
+        raise GraphFormatError(f"line {lineno}: {fault}") from None
     try:
         rep, steps, picked = _replay(g, records, True)
     except ValueError as exc:

@@ -22,7 +22,7 @@ from matchforge.graphs import (
     save_graph,
     save_matching,
 )
-from matchforge import graphs as graphs_module, matchers
+from matchforge import matchers
 from matchforge.matchers import (
     MODE_DEGREE,
     MODE_FREE,
@@ -96,6 +96,18 @@ class TestLoadGraph:
             with pytest.raises(GraphFormatError) as loaded:
                 load_graph(text)
             assert str(loaded.value) == f"line {len(edges) + 1}: {direct.value}"
+
+    @pytest.mark.parametrize("edges, message", [
+        # In sorted order (0, 12) would come first.
+        (((2, 3), (2, 3), (0, 12)), "duplicate edge (2, 3)"),
+        (((4, 5), (0, 1), (4, 5), (3, 3)), "duplicate edge (4, 5)"),
+        (((5, 6), (1, 0), (5, 6)), "edge (1, 0) not in canonical (min, max) order"),
+        ([[0, 1], [0, 1]], "duplicate edge (0, 1)"),
+    ])
+    def test_constructor_names_the_first_faulty_edge_in_input_order(self, edges, message):
+        with pytest.raises(ValueError) as exc:
+            Graph(10, edges)
+        assert str(exc.value) == message
 
     # One faulty edge line per rule, as load_graph names it.
     EDGE_FAULTS = [
@@ -484,95 +496,6 @@ def record_lines(draw):
     return " ".join([tag, *fields])
 
 
-def first_bad_line(text: str, tags) -> int | None:
-    """The first line a reader of these tags must reject on its own: an
-    unknown tag, a wrong field count, a non-integer field or a bad mode."""
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        parts = raw.split()
-        if not parts or parts[0].startswith("#"):
-            continue
-        names = FORMS[parts[0]].split() if parts[0] in tags else []
-        if len(parts) != len(names) or any(
-                value not in MODES if name == "<mode>" else not re.fullmatch(r"-?\d+", value)
-                for name, value in zip(names[1:], parts[1:])):
-            return lineno
-    return None
-
-
-# The graph each matching reader checks its pairs against, if any.
-PAIR_GRAPHS = {"matching": None, "matching_on_K4": K4()}
-
-
-def first_bad_pair(text: str, g: Graph | None) -> int | None:
-    """The first line a matching reader must reject: a grammar fault, a
-    self-pair, a pair sharing a node with an earlier pair or, against g, a
-    pair that is not an edge of g."""
-    grammar = first_bad_line(text, ("m",))
-    covered: set[int] = set()
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        if lineno == grammar:
-            return lineno
-        parts = raw.split()
-        if not parts or parts[0].startswith("#"):
-            continue
-        u, v = sorted(map(int, parts[1:]))
-        if u == v or {u, v} & covered or (g is not None and (u, v) not in g.edge_set):
-            return lineno
-        covered |= {u, v}
-    return None
-
-
-@pytest.mark.parametrize("reader", READERS)
-@settings(max_examples=200, deadline=None)
-@given(st.lists(record_lines(), max_size=8).map("\n".join))
-@example("p 0 x")
-@example("s 0 1 3 1 degree_rule")  # a step whose pick is a self-pair
-@example("s 1 0 3 1 degree_rule\nr 0 4")  # a removed edge outside the graph
-@example("m 0 1\nm 2 2")  # a self-pair
-@example("m 0 1\n\nm 2 1")  # a pair sharing a node with an earlier one
-def test_readers_raise_only_format_errors(reader, text):
-    load, tags = READERS[reader]
-    bad = first_bad_line(text, tags)
-    if reader in PAIR_GRAPHS:
-        # A matching reader rejects the first faulty line, of any kind.
-        bad = first_bad_pair(text, PAIR_GRAPHS[reader])
-    try:
-        load(text)
-    except GraphFormatError as exc:
-        found = re.match(r"line (\d+): ", str(exc))
-        if reader in PAIR_GRAPHS:
-            assert found and int(found.group(1)) == bad, str(exc)
-        elif bad is not None:
-            # Lines are read in order, so no later line can be blamed.
-            assert found and int(found.group(1)) <= bad, str(exc)
-    else:
-        assert bad is None, f"line {bad} was accepted"
-
-
-# -- the tight readers against the read_records path ----------------------------
-
-
-def _refuse(text):
-    raise ValueError
-
-
-def _outcome(load, text):
-    try:
-        return "ok", load(text)
-    except GraphFormatError as exc:
-        return "error", str(exc)
-
-
-def _both_paths(load, owner, scan, text):
-    """What load makes of text, and what it makes of it when the tight pass
-    refuses every document, so that read_records reads it."""
-    tight = _outcome(load, text)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(owner, scan, _refuse)
-        reference = _outcome(load, text)
-    return tight, reference
-
-
 def _spelled(field: str, rng) -> str:
     """An integer field in another spelling that int() reads as the same value."""
     if not re.fullmatch(r"\d+", field):
@@ -605,43 +528,126 @@ def documents(draw, valid_texts):
     return "".join(line + end for line, end in zip(out, ends))
 
 
-def _graph_texts():
-    return [save_graph(gen_random_bounded(n, d, 0.7, seed))
-            for n, d, seed in [(2, 1, 0), (5, 2, 1), (7, 3, 2), (9, 4, 3), (4, 3, 4)]] + [
-        "graph 0 0\n", "graph 3 0\n", "graph 4 2\ne 0 1\ne 2 3\n"]
+def _valid_texts():
+    """Valid documents of every kind; each reader also meets the others'."""
+    graphs = [save_graph(gen_random_bounded(n, d, 0.7, seed))
+              for n, d, seed in [(2, 1, 0), (5, 2, 1), (7, 3, 2), (9, 4, 3), (4, 3, 4)]]
+    traces = [matchers.save_trace(matchers.run_algorithm(algo, K4(), matchers.RandomPolicy(seed)))
+              for algo in RULES for seed in range(3)]
+    pairings = [save_matching(Matching.from_pairs(pairs))
+                for pairs in ([(0, 1), (2, 3)], [(1, 3)], [(0, 2), (1, 3)], [(3, 2)])]
+    return [*graphs, "graph 0 0\n", "graph 3 0\n", "graph 4 2\ne 0 1\ne 2 3\n",
+            *traces, *pairings]
 
 
-def _trace_texts():
-    texts = []
-    for algo in RULES:
-        for seed in range(3):
-            texts.append(matchers.save_trace(
-                matchers.run_algorithm(algo, K4(), matchers.RandomPolicy(seed))))
-    return texts
+def _is_int(field: str) -> bool:
+    try:
+        int(field)
+    except ValueError:
+        return False
+    return True
 
 
+def first_bad_line(text: str, tags) -> int | None:
+    """The first line a reader of these tags must reject on its own: an
+    unknown tag, a wrong field count, a non-integer field or a bad mode."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        names = FORMS[parts[0]].split() if parts[0] in tags else []
+        if len(parts) != len(names) or any(
+                value not in MODES if name == "<mode>" else not _is_int(value)
+                for name, value in zip(names[1:], parts[1:])):
+            return lineno
+    return None
+
+
+# The graph each matching reader checks its pairs against, if any.
+PAIR_GRAPHS = {"matching": None, "matching_on_K4": K4()}
+
+
+def first_bad_pair(text: str, g: Graph | None) -> int | None:
+    """The first line a matching reader must reject: a grammar fault, a
+    self-pair, a pair sharing a node with an earlier pair or, against g, a
+    pair that is not an edge of g."""
+    grammar = first_bad_line(text, ("m",))
+    covered: set[int] = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if lineno == grammar:
+            return lineno
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        u, v = sorted(map(int, parts[1:]))
+        if u == v or {u, v} & covered or (g is not None and (u, v) not in g.edge_set):
+            return lineno
+        covered |= {u, v}
+    return None
+
+
+@pytest.mark.parametrize("reader", READERS)
 @settings(max_examples=300, deadline=None)
-@given(documents(_graph_texts()))
+@given(documents(_valid_texts()))
+@example("p 0 x")
+@example("s 0 1 3 1 degree_rule")  # a step whose pick is a self-pair
+@example("s 1 0 3 1 degree_rule\nr 0 4")  # a removed edge outside the graph
+@example("m 0 1\nm 2 2")  # a self-pair
+@example("m 0 1\n\nm 2 1")  # a pair sharing a node with an earlier one
 @example("graph 3 1\r\ne +0 1_0\r\n")
 @example("graph 3 1\n# c\n\ne 0 1\n")
 @example("e 0 1\ngraph 3 1\n")
 @example("graph 3 1\ngraph 3 1\ne 0 1\n")
-def test_tight_graph_reader_agrees_with_read_records(text):
-    tight, reference = _both_paths(load_graph, graphs_module, "_scan_graph", text)
-    assert tight == reference
-
-
-@settings(max_examples=300, deadline=None)
-@given(documents(_trace_texts()))
 @example("r 0 1\ns 1 0 3 1 degree_rule\n")
 @example("s 1 0 3 1 degree_rule\r\n#x\r\nr 0 1\r\nr +0 0_2\r\nr 0 3\r\nr 1 2\r\nr 1 3\r\n"
          "s 2 2 1 3 degree_rule\r\nr 2 3\r\n")
 @example("s 1 0 3 1 first\n")
-def test_tight_trace_reader_agrees_with_read_records(text):
-    load = lambda t: load_trace(t, K4())  # noqa: E731
-    tight, reference = _both_paths(load, matchers, "_scan_trace", text)
-    assert tight == reference
-    if tight[0] == "ok":
-        tight_replay, reference_replay = tight[1].replay, reference[1].replay
-        assert tight_replay.died == reference_replay.died
-        assert tight_replay.min_before == reference_replay.min_before
+def test_readers_raise_only_format_errors(reader, text):
+    load, tags = READERS[reader]
+    bad = first_bad_line(text, tags)
+    if reader in PAIR_GRAPHS:
+        # A matching reader rejects the first faulty line, of any kind.
+        bad = first_bad_pair(text, PAIR_GRAPHS[reader])
+    try:
+        load(text)
+    except GraphFormatError as exc:
+        found = re.match(r"line (\d+): ", str(exc))
+        if reader in PAIR_GRAPHS:
+            assert found and int(found.group(1)) == bad, str(exc)
+        elif bad is not None:
+            # Lines are read in order, so no later line can be blamed.
+            assert found and int(found.group(1)) <= bad, str(exc)
+    else:
+        assert bad is None, f"line {bad} was accepted"
+
+
+# Documents in other spellings, spacings and line endings, with what each
+# reader makes of them.
+@pytest.mark.parametrize("text, outcome", [
+    ("graph 3 1\r\ne +0 1_0\r\n", "line 2: edge (0, 10) has node id outside 0..2"),
+    ("graph 3 1\n# c\n\ne 0 1\n", ((0, 1),)),
+    ("graph\t٠3  01\re 0\t+1\n", ((0, 1),)),
+    ("e 0 1\ngraph 3 1\n", "line 1: edge before header"),
+    ("graph 3 1\ngraph 3 1\ne 0 1\n", "line 2: duplicate header"),
+])
+def test_graph_reader_outcome(text, outcome):
+    try:
+        assert load_graph(text).edges == outcome
+    except GraphFormatError as exc:
+        assert str(exc) == outcome
+
+
+@pytest.mark.parametrize("text, outcome", [
+    ("r 0 1\ns 1 0 3 1 degree_rule\n", "line 1: removed edge before any step"),
+    ("s 1 0 3 1 degree_rule\r\n#x\r\nr 0 1\r\nr +0 0_2\r\nr 0 3\r\nr 1 2\r\nr 1 3\r\n"
+     "s 2 2 1 3 degree_rule\r\nr 2 3\r\n", [(0, 1), (2, 3)]),
+    ("s 1 0 3 1 first\n", "line 1: unknown mode 'first'"),
+])
+def test_trace_reader_outcome(text, outcome):
+    try:
+        trace = load_trace(text, K4())
+    except GraphFormatError as exc:
+        assert str(exc) == outcome
+    else:
+        assert sorted(trace.result) == outcome
+        assert trace.replay.died.tolist() == [1, 1, 1, 1, 1, 2]
