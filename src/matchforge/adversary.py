@@ -11,13 +11,13 @@ any degree-pattern algorithm down to one expensive component, and the
 node-count-announcing one that mass-produces such components so the ratio
 approaches the same bound from above.
 
-A round costs what it changes.  The adversary keeps every node's neighbor
-counts as edges, reveals and matches happen, and files each live node in
-one min-heap per unmatched-neighbor count (at most delta heaps), so a
-pattern on that count reads the top of the heaps it admits instead of
-rescanning the nodes, and a reveal re-files nothing.  An encoding builds
-its ranked list once per game, and the transcript's query line is built
-once per distinct list.
+A round costs what it changes.  The adversary keeps each node's count of
+unmatched neighbors as edges and matches happen, and files each live node
+in one min-heap per count (at most delta heaps), so a pattern on that
+count reads the tops of the heaps it admits instead of rescanning nodes.
+A reveal only grows the known set; known neighbors are counted on demand.
+An encoding builds its ranked list once per game, and the transcript's
+query line is built once per distinct list.
 Served nodes, and so transcripts, are the ones a scan of every node in id
 order gives; tests/test_adversary.py keeps that scan as the oracle.
 """
@@ -208,9 +208,9 @@ class _AdversaryBase:
     pattern can be served by a committed live node.  Once sealed and no
     node is live, the game is over.
 
-    Each node's unmatched-neighbor and known-neighbor counts are kept up to
-    date where they change, and every live (unmatched, non-isolated) node
-    sits in the min-heap of node ids for its unmatched count, ``_live[k]``.
+    Each node's unmatched-neighbor count is kept up to date where it
+    changes, and every live (unmatched, non-isolated) node sits in the
+    min-heap of node ids for its unmatched count, ``_live[k]``.
     An entry v in ``_live[k]`` is current when v is unmatched and its
     unmatched count is still k; the test reads only the present state, so a
     count that returns to an earlier value is simply filed again, and a node
@@ -232,7 +232,6 @@ class _AdversaryBase:
         self.n_created = 0
         self._pending = None
         self._n_unmatched: list[int] = []
-        self._n_known: list[int] = []
         self._live: list[list[int]] = [[] for _ in range(delta + 1)]
         self._query: tuple[Pattern, ...] | None = None
         self._query_line = ""
@@ -248,12 +247,10 @@ class _AdversaryBase:
         for v in ids:
             self.adj[v] = set()
         self._n_unmatched += [0] * k
-        self._n_known += [0] * k
         return ids
 
     def _add_edges(self, edges: list[tuple[int, int]]) -> None:
-        adj, matched, known = self.adj, self.matched, self.known
-        n_unmatched, n_known = self._n_unmatched, self._n_known
+        adj, matched, n_unmatched = self.adj, self.matched, self._n_unmatched
         changed = set()
         for u, v in edges:
             if u == v or v in adj[u]:
@@ -268,8 +265,6 @@ class _AdversaryBase:
             if u not in matched:
                 n_unmatched[v] += 1
                 changed.add(v)
-            n_known[u] += v in known
-            n_known[v] += u in known
         self._refile(changed)
         toks = " ".join(f"{min(u, v)}-{max(u, v)}" for u, v in edges)
         self.transcript.append(f"build {toks} {self.delta}")
@@ -278,12 +273,8 @@ class _AdversaryBase:
         if set(neighbors) != self.adj[node]:
             raise GameError(f"served list of node {node} is not its full final list")
         item = DataItem(node, tuple(neighbors))
-        # A reveal moves only known counts, which no heap is keyed by.
-        for x in (node, *neighbors):
-            if x not in self.known:
-                self.known.add(x)
-                for y in self.adj[x]:
-                    self._n_known[y] += 1
+        # A reveal changes no unmatched count, so it re-files nothing.
+        self.known.update((node, *neighbors))
         self.served.append(item)
         self.transcript.append(f"serve {node} {' '.join(map(str, neighbors))}")
         return item
@@ -292,7 +283,8 @@ class _AdversaryBase:
 
     def _count_key(self, v: int) -> tuple[int, int, int]:
         """Node v's (total, unmatched, known) neighbor counts."""
-        return len(self.adj[v]), self._n_unmatched[v], self._n_known[v]
+        nbrs = self.adj[v]
+        return len(nbrs), self._n_unmatched[v], len(self.known & nbrs)
 
     def _refile(self, nodes) -> None:
         """File each live node of nodes under its current unmatched count."""
@@ -325,11 +317,10 @@ class _AdversaryBase:
             return best
         # A pattern that also fixes total or known scans the current nodes of
         # each heap it admits.
-        adj, n_known = self.adj, self._n_known
         for k in range(lo, hi + 1):
             for v in live[k]:
                 if (v not in matched and n_unmatched[v] == k and (best is None or v < best)
-                        and pat.matches(len(adj[v]), k, n_known[v])):
+                        and pat.matches(*self._count_key(v))):
                     best = v
         return best
 
@@ -404,7 +395,6 @@ class TruthfulAdversary(_AdversaryBase):
         self.n_created = g.n
         self.adj = {v: set(g.adjacency[v]) for v in range(g.n)}
         self._n_unmatched = [len(self.adj[v]) for v in range(g.n)]
-        self._n_known = [0] * g.n
         self._refile(range(g.n))
 
     def announced_nodes(self) -> int:
@@ -615,23 +605,17 @@ class AdversaryBPrime(_CenterMixin):
 
 
 def _filler_parts(total: int, delta: int) -> list[int]:
-    """Split total into the fewest component sizes in [4, delta + 2], larger
-    parts first; each size p becomes a complete bipartite graph with p - 2
-    nodes on the left and 2 on the right."""
+    """Split total into the fewest component sizes in [4, delta + 2]: k =
+    ceil(total / (delta + 2)) parts, as many of delta + 2 as fit, at most one
+    in between, then 4s.  Each size p becomes a complete bipartite graph
+    with p - 2 nodes on the left and 2 on the right."""
     lo, hi = 4, delta + 2
-    best: dict[int, list[int]] = {0: []}
-    for v in range(1, total + 1):
-        cand = None
-        for p in range(hi, lo - 1, -1):
-            if v - p in best:
-                trial = best[v - p] + [p]
-                if cand is None or len(trial) < len(cand):
-                    cand = trial
-        if cand is not None:
-            best[v] = cand
-    if total not in best:
+    k = -(-total // hi)
+    if total < lo * k:
         raise GameError(f"cannot split {total} nodes into fillers of size {lo}..{hi}")
-    return sorted(best[total], reverse=True)
+    full, extra = divmod(total - lo * k, hi - lo)
+    middle = [lo + extra] if extra else []
+    return [hi] * full + middle + [lo] * (k - full - len(middle))
 
 
 # ---------------------------------------------------------------------------

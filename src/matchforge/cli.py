@@ -136,7 +136,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_verify(args) -> int:
     g, trace, dec = _decompose_traced(args)
-    delta = args.delta if args.delta else max(3, g.delta)
+    delta = args.delta if args.delta is not None else max(3, g.delta)
     ledger = charging.build_ledger(trace, dec, delta)
     report = charging.verify_all(ledger)
     sys.stdout.write(report.csv() if args.csv else report.text())

@@ -175,8 +175,9 @@ class Matching:
 # Every document (graph, matching, trace, move script) holds one record per
 # line: a tag, then a fixed number of fields (see _fields).  Graph file: a
 # header "graph <n> <m>", then exactly m lines "e <u> <v>" with
-# 0 <= u < v < n.  Matching file: "m <u> <v>" lines.  Each reader reads its
-# document in one pass and raises at the first faulty line, naming it.
+# 0 <= u < v < n.  Matching file: "m <u> <v>" lines.  A line ends at \n,
+# \r\n or \r only (see _lines).  Each reader reads its document in one pass
+# and raises at the first faulty line, naming it.
 # ---------------------------------------------------------------------------
 
 # The largest node count a graph document may announce: ten times the
@@ -185,6 +186,13 @@ class Matching:
 MAX_NODES = 10**6
 
 _GRAPH_FORMS = {"graph": "graph <n> <m>", "e": "e <u> <v>"}
+
+
+def _lines(text: str) -> list[str]:
+    r"""The lines of text, broken at \n, \r\n and \r only.  str.splitlines
+    also breaks at \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029, which
+    str.split takes for whitespace between the fields of one line."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 def _fields(lineno: int, parts: list[str], forms: dict[str, str]) -> list:
@@ -243,7 +251,7 @@ def load_graph(text: str) -> Graph:
     edges: list[Edge] = []
     other: list[int] = []   # the numbers of the lines read that hold no edge
     try:
-        for lineno, parts in enumerate(map(str.split, text.splitlines()), start=1):
+        for lineno, parts in enumerate(map(str.split, _lines(text)), start=1):
             if not parts:
                 other.append(lineno)
                 continue
@@ -300,7 +308,7 @@ def load_matching(text: str, g: Graph | None = None) -> Matching:
     """
     pairs: list[Edge] = []
     covered: set[int] = set()
-    for lineno, parts in enumerate(map(str.split, text.splitlines()), start=1):
+    for lineno, parts in enumerate(map(str.split, _lines(text)), start=1):
         if not parts or parts[0][0] == "#":
             continue
         u, v = _fields(lineno, parts, {"m": "m <u> <v>"})

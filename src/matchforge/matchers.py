@@ -50,6 +50,7 @@ from .graphs import (
     Matching,
     SearchBudgetExceededError,
     _fields,
+    _lines,
     norm_edge,
 )
 
@@ -362,7 +363,7 @@ def load_trace(text: str, g: Graph) -> RunTrace:
     records: list[_Record] = []
     removed: list[Edge] = []   # the removed edges of the last step
     try:
-        for lineno, parts in enumerate(map(str.split, text.splitlines()), start=1):
+        for lineno, parts in enumerate(map(str.split, _lines(text)), start=1):
             if not parts:
                 continue
             tag = parts[0]

@@ -245,6 +245,47 @@ class TestAdversaryBPrime:
                 assert sum(parts) == total
                 assert all(4 <= p <= delta + 2 for p in parts)
 
+    def test_filler_parts_match_the_table(self):
+        # The split is the one a table of fewest-part splits gives, and a
+        # total the table cannot split raises the same error.
+        compared = 0
+        for delta in range(3, 81):
+            lo, hi = 4, delta + 2
+            table = _filler_table(8 * delta, lo, hi)
+            for total in range(8 * delta + 1):
+                if total in table:
+                    assert _filler_parts(total, delta) == table[total], (delta, total)
+                else:
+                    with pytest.raises(GameError) as got:
+                        _filler_parts(total, delta)
+                    assert str(got.value) == (f"cannot split {total} nodes into "
+                                              f"fillers of size {lo}..{hi}")
+                compared += 1
+        assert compared == 25_974
+
+    def test_mingreedy_at_delta_200(self):
+        delta = 200
+        result, _, ratio = game_ratio("mingreedy", AdversaryBPrime(delta, 7))
+        assert result.graph.n == 7 * delta
+        assert result.graph.delta <= delta
+        assert ratio >= Fraction(delta - 1, 2 * delta - 3)
+
+
+def _filler_table(up_to, lo, hi):
+    """The fewest-part split of each total 0..up_to into sizes lo..hi,
+    larger parts first, by total; a total with no split is absent."""
+    best = {0: []}
+    for v in range(1, up_to + 1):
+        cand = None
+        for p in range(hi, lo - 1, -1):
+            if v - p in best:
+                trial = best[v - p] + [p]
+                if cand is None or len(trial) < len(cand):
+                    cand = trial
+        if cand is not None:
+            best[v] = cand
+    return {v: sorted(parts, reverse=True) for v, parts in best.items()}
+
 
 class TestEncodings:
     def test_mingreedy_on_p3(self):
@@ -395,9 +436,9 @@ class TestLiveFiling:
         push = adversary.heappush
         monkeypatch.setattr(adversary, "heappush",
                             lambda heap, v: (pushes.append(v), push(heap, v)))
-        known_before = list(adv._n_known)
+        known_before = set(adv.known)
         adv._serve(1, sorted(adv.adj[1]))
-        assert adv._n_known != known_before
+        assert adv.known > known_before
         assert pushes == []
 
     def test_count_that_returns_is_filed_again(self):

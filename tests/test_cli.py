@@ -56,6 +56,17 @@ def test_verify_rejects_renumbered_steps(tmp_path: Path, capsys):
     assert "trace does not replay: step 6: index is not its position 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("delta", ["0", "2"])
+def test_verify_rejects_a_delta_below_three(tmp_path: Path, capsys, delta):
+    g = tmp_path / "g.graph"
+    t = tmp_path / "t.trace"
+    run_cli("gen", "--n", "8", "--delta", "3", "--p", "0.5", "--seed", "5", "--out", str(g))
+    run_cli("run", "--algo", "mingreedy", "--in", str(g), "--trace", str(t))
+    capsys.readouterr()
+    assert run_cli("verify", "--in", str(g), "--trace", str(t), "--delta", delta) == 2
+    assert "delta must be at least" in capsys.readouterr().err
+
+
 def test_missing_file_is_input_error(tmp_path: Path):
     assert run_cli("opt", "--in", str(tmp_path / "nope.graph")) == 2
 

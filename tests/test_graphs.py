@@ -176,6 +176,11 @@ class TestLoadGraph:
                            match=r"^line 2: matching pair \(1, 3\) is not an edge of the graph$"):
             load_matching("# the diagonals of C4 are not edges\nm 3 1\nm 0 2\n", C4())
 
+    def test_matching_fields_split_on_any_whitespace(self):
+        # \f and \x85 separate fields; only \n, \r\n and \r end a line.
+        text = "m 0\f3\n# c\x85d\r\nm\x852 1\n"
+        assert load_matching(text, K4()).pairs == {(0, 3), (1, 2)}
+
     def test_validate_names_the_smallest_bad_pair(self):
         m = Matching.from_pairs([(6, 7), (0, 2), (4, 5), (1, 3)])
         with pytest.raises(ValueError, match=r"matching pair \(0, 2\) is not an edge"):
@@ -629,6 +634,8 @@ def test_readers_raise_only_format_errors(reader, text):
     ("graph\t٠3  01\re 0\t+1\n", ((0, 1),)),
     ("e 0 1\ngraph 3 1\n", "line 1: edge before header"),
     ("graph 3 1\ngraph 3 1\ne 0 1\n", "line 2: duplicate header"),
+    ("graph 2 1\ne 0\x0b1\n", ((0, 1),)),
+    ("graph 2 1\x1ce 0 1\n", "line 1: record must be 'graph <n> <m>'"),
 ])
 def test_graph_reader_outcome(text, outcome):
     try:
@@ -642,6 +649,8 @@ def test_graph_reader_outcome(text, outcome):
     ("s 1 0 3 1 degree_rule\r\n#x\r\nr 0 1\r\nr +0 0_2\r\nr 0 3\r\nr 1 2\r\nr 1 3\r\n"
      "s 2 2 1 3 degree_rule\r\nr 2 3\r\n", [(0, 1), (2, 3)]),
     ("s 1 0 3 1 first\n", "line 1: unknown mode 'first'"),
+    ("s 1 0\f3 1 degree_rule\nr 0 1\nr 0\x852\nr 0 3\nr 1 2\nr 1 3\n"
+     "s 2\f2 1 3\x85degree_rule\nr 2\f3\n", [(0, 1), (2, 3)]),
 ])
 def test_trace_reader_outcome(text, outcome):
     try:
