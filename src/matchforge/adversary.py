@@ -16,8 +16,11 @@ unmatched neighbors as edges and matches happen, and files each live node
 in one min-heap per count (at most delta heaps), so a pattern on that
 count reads the tops of the heaps it admits instead of rescanning nodes.
 A reveal only grows the known set; known neighbors are counted on demand.
-An encoding builds its ranked list once per game, and the transcript's
-query line is built once per distinct list.
+A rule encoding's degree patterns are a slice of one ladder of shared
+constants, so a run of games builds each pattern and its text once; the
+transcript's query line is joined once per distinct list.  A constructor finds the
+fresh degree a pattern admits from the pattern's fields, not by trying
+every degree.
 Served nodes, and so transcripts, are the ones a scan of every node in id
 order gives; tests/test_adversary.py keeps that scan as the oracle.
 """
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from heapq import heappop, heappush
 
 from .graphs import MAX_NODES, Edge, Graph, Matching, norm_edge, save_graph
@@ -80,6 +84,12 @@ class Pattern:
         return True
 
     def describe(self) -> str:
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
+        # Built on first use and kept with the object, so a shared pattern
+        # is described once however many games log it.
         parts = []
         if self.node is not None:
             parts.append(f"node={self.node}")
@@ -95,6 +105,22 @@ class Pattern:
 
 
 CATCH_ALL = Pattern(unmatched_min=1)
+
+# _DEGREE_LADDER[d - 1] is Pattern(unmatched=d): immutable shared values, as
+# CATCH_ALL is, grown on demand to the longest ranking played so far.  That
+# ranking is at most MAX_NODES - 1 entries (the bound AdversaryBPrime
+# enforces on the announced node count); an entry with its text takes about
+# 270 bytes, 27 MB per 10^5 entries (tracemalloc, Python 3.11).
+_DEGREE_LADDER: tuple[Pattern, ...] = ()
+
+
+def _degree_patterns(k: int) -> tuple[Pattern, ...]:
+    """The patterns deg=1..deg=k, a prefix of the shared ladder."""
+    global _DEGREE_LADDER
+    if k > len(_DEGREE_LADDER):
+        _DEGREE_LADDER += tuple(Pattern(unmatched=d)
+                                for d in range(len(_DEGREE_LADDER) + 1, k + 1))
+    return _DEGREE_LADDER[:k]
 
 
 # ---------------------------------------------------------------------------
@@ -139,13 +165,10 @@ class RuleEncoding(PriorityAlgorithm):
     def start(self, announced_nodes):
         super().start(announced_nodes)
         cap = (announced_nodes - 1) if announced_nodes else 64
-        patterns = []
-        for d in range(1, cap + 1):
-            if self.rule(d) not in (MIN_NODE, MIN_FORCED):
-                break
-            patterns.append(Pattern(unmatched=d))
-        patterns.append(CATCH_ALL)
-        self.patterns = tuple(patterns)
+        k = 0
+        while k < cap and self.rule(k + 1) in (MIN_NODE, MIN_FORCED):
+            k += 1
+        self.patterns = _degree_patterns(k) + (CATCH_ALL,)
 
 
 class ShuffleEncoding(PriorityAlgorithm):
@@ -418,6 +441,19 @@ class _CenterMixin(_AdversaryBase):
         return {"a": a, "b": b, "c": c, "d": d, "e1": e1, "e2": e2,
                 "frontiers": [], "inactive": False}
 
+    def _fresh_degree(self, pat: Pattern) -> int | None:
+        """The least d in 3..delta with pat.matches(d, d, 0), the degree of a
+        fresh all-unknown list pat admits, or None.  Only one d can be the
+        least: the fixed unmatched count, else the fixed total, else the
+        lowest unmatched count the pattern allows."""
+        if pat.unmatched is not None:
+            d = pat.unmatched
+        elif pat.total is not None:
+            d = pat.total
+        else:
+            d = max(3, pat.unmatched_min or 0)
+        return d if 3 <= d <= self.delta and pat.matches(d, d, 0) else None
+
     def _center_degree(self, center: dict) -> int:
         return len(self.adj[center["a"]])
 
@@ -497,6 +533,10 @@ class AdversaryB(_CenterMixin):
     """
 
     def __init__(self, delta: int):
+        # Checked before the base class sizes its per-count heaps by delta.
+        if 4 * delta - 6 > MAX_NODES:
+            raise ValueError(f"4*delta - 6 = {4 * delta - 6} nodes exceed the bound "
+                             f"of {MAX_NODES}")
         super().__init__(delta)
         self.s = delta - 3
         self.center: dict | None = None
@@ -512,9 +552,9 @@ class AdversaryB(_CenterMixin):
         center = self.center
         frontier = self._capacity_frontier(center)
         if len(self.served) < self.s:
-            for d in range(3, self.delta + 1):
-                if pat.matches(d, d, 0):
-                    return self._serve_case1(d)
+            d = self._fresh_degree(pat)
+            if d is not None:
+                return self._serve_case1(d)
             if pat.matches(2, 2, 0):
                 return self._serve_triangle(center, None)
             if frontier is not None and pat.matches(3, 2, 1):
@@ -540,12 +580,13 @@ class AdversaryBPrime(_CenterMixin):
     """
 
     def __init__(self, delta: int, t: int):
-        super().__init__(delta)
-        if t < 7:
-            raise ValueError("t must be >= 7 so construction precedes the endgame")
+        # Checked before the base class sizes its per-count heaps by delta.
         if t * delta > MAX_NODES:
             raise ValueError(f"t*delta = {t * delta} announced nodes exceed the bound "
                              f"of {MAX_NODES}")
+        super().__init__(delta)
+        if t < 7:
+            raise ValueError("t must be >= 7 so construction precedes the endgame")
         self.t = t
         self.budget = t * delta
         self.threshold = t * delta - 6 * delta
@@ -578,11 +619,11 @@ class AdversaryBPrime(_CenterMixin):
             return None
         active = self._active()
         saturated = active is not None and self._center_degree(active) >= self.delta
-        for d in range(3, self.delta + 1):
-            if pat.matches(d, d, 0):
-                if d == self.delta and saturated:
-                    return self._serve_endgame(active, "4a")
-                return self._serve_case1(d)
+        d = self._fresh_degree(pat)
+        if d is not None:
+            if d == self.delta and saturated:
+                return self._serve_endgame(active, "4a")
+            return self._serve_case1(d)
         if pat.matches(2, 2, 0):
             if active is None:
                 center = self._new_center()

@@ -3,7 +3,9 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -29,6 +31,8 @@ from matchforge.adversary import (
 )
 from matchforge.graphs import MAX_NODES, Graph, gen_random_bounded
 from matchforge.matchers import (
+    MIN_FORCED,
+    MIN_NODE,
     RULES,
     FirstPolicy,
     PolicyError,
@@ -86,8 +90,9 @@ class Explorer(RuleEncoding):
 class TestAdversaryB:
     def test_tight_ratio_ladder(self):
         for algo in ("mingreedy", "one_two_mingreedy"):
-            for delta in range(3, 9):
+            for delta in (*range(3, 9), 100, 1000):
                 result, opt, ratio = game_ratio(algo, AdversaryB(delta))
+                assert result.graph.n == 4 * delta - 6, (algo, delta)
                 assert len(result.matching) == delta - 1, (algo, delta)
                 assert opt == 2 * delta - 3, (algo, delta)
                 assert ratio == Fraction(delta - 1, 2 * delta - 3), (algo, delta)
@@ -187,6 +192,52 @@ class TestAdversaryB:
     def test_delta_validation(self):
         with pytest.raises(ValueError):
             AdversaryB(2)
+
+    def test_node_bound(self):
+        # 4 delta - 6 nodes: at the bound nothing is built yet; one past it
+        # is refused outright.
+        delta = (MAX_NODES + 6) // 4
+        adv = AdversaryB(delta)
+        assert adv.n_created == 0 and not adv.adj
+        with pytest.raises(ValueError) as got:
+            AdversaryB(delta + 1)
+        assert str(got.value) == (f"4*delta - 6 = {4 * (delta + 1) - 6} nodes exceed the bound "
+                                  f"of {MAX_NODES}")
+
+
+def _fresh_degree_loop(pat, delta):
+    """The least d in 3..delta with pat.matches(d, d, 0), by trying each d."""
+    for d in range(3, delta + 1):
+        if pat.matches(d, d, 0):
+            return d
+    return None
+
+
+def test_fresh_degree_matches_the_loop():
+    compared = 0
+    for delta in range(3, 9):
+        adv = AdversaryB(delta)
+        values = (None, *range(delta + 3))
+        for fields in product(values, repeat=4):
+            for node in (None, 0):
+                pat = Pattern(*fields, node=node)
+                assert adv._fresh_degree(pat) == _fresh_degree_loop(pat, delta), (delta, pat)
+                compared += 1
+    assert compared == 2 * sum((delta + 4) ** 4 for delta in range(3, 9))
+
+
+def test_node_bounds_are_checked_before_allocating():
+    # A refused degree must not first size the per-count heaps by it.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceed the bound"):
+            AdversaryB(MAX_NODES)
+        with pytest.raises(ValueError, match="exceed the bound"):
+            AdversaryBPrime(MAX_NODES, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 class TestAdversaryBPrime:
@@ -339,6 +390,38 @@ class TestEncodings:
     def test_unknown_encoding(self):
         with pytest.raises(PolicyError):
             encode_priority("nope")
+
+    def test_rule_rankings_match_the_loop(self, monkeypatch):
+        # From an empty ladder, the caps grow it, take a shorter prefix, grow
+        # it again and take the unannounced default of 64.
+        monkeypatch.setattr(adversary, "_DEGREE_LADDER", ())
+        for algo, rule in RULES.items():
+            enc = RuleEncoding(algo)
+            for cap in (50, 200, 10, 1199, None):
+                enc.start(None if cap is None else cap + 1)
+                assert enc.patterns == _ranking_loop(rule, cap or 64), (algo, cap)
+        assert len(adversary._DEGREE_LADDER) == 1199
+
+    def test_encodings_share_their_patterns(self):
+        a, b = RuleEncoding("mingreedy"), RuleEncoding("one_two_mingreedy")
+        a.start(301)
+        b.start(31)
+        assert len(b.patterns) == 3
+        assert all(x is y for x, y in zip(a.patterns, b.patterns[:-1]))
+        assert b.patterns[-1] is CATCH_ALL
+        assert a.patterns[7].describe() is a.patterns[7].describe() == "deg=8"
+
+
+def _ranking_loop(rule, cap):
+    """A rule's ranking built pattern by pattern: deg=d while the rule takes
+    a minimum-degree node at d, for d up to cap, then CATCH_ALL."""
+    patterns = []
+    for d in range(1, cap + 1):
+        if rule(d) not in (MIN_NODE, MIN_FORCED):
+            break
+        patterns.append(Pattern(unmatched=d))
+    patterns.append(CATCH_ALL)
+    return tuple(patterns)
 
 
 def _recount(adv, v):

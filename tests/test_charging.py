@@ -9,14 +9,16 @@ import pytest
 from matchforge.charging import (
     Report,
     TraceMismatchError,
+    Transfer,
     build_ledger,
     target_ratio,
     theta,
     verify_all,
     verify_bounds,
+    verify_lemma_predicates,
 )
 from matchforge.decomposition import canonicalize, decompose
-from matchforge.graphs import Graph, gen_random_bounded
+from matchforge.graphs import Graph, gen_random_bounded, norm_edge
 from matchforge.matchers import (
     FirstPolicy,
     RandomPolicy,
@@ -287,6 +289,35 @@ def test_transfers_recheck_from_trace_alone():
             assert e in rec.removed
             after = led.replay.deg_after(t.step, t.endpoint)
             assert after is not None and after <= 1
+
+
+def _transfer_recheck_verdict(led):
+    (check,) = [c for c in verify_lemma_predicates(led).checks if c.name == "transfer_recheck"]
+    return check.ok
+
+
+def test_transfer_to_an_endpoint_left_at_degree_two_fails_the_recheck():
+    # A corrupted ledger: one transfer more, over an F-edge removed in its
+    # step from a node matched in it, to a path endpoint that still has
+    # degree 2 after the step.  Only the degree bound makes it invalid.
+    corrupted = 0
+    for seed in range(150):
+        led = random_ledger(seed)
+        if led is None:
+            continue
+        for s in range(1, len(led.steps) + 1):
+            rec = led.step_record(s)
+            for source in (rec.selected, rec.partner):
+                for w in led.dec.graph.adjacency[source]:
+                    e = norm_edge(source, w)
+                    if (e in led.dec.f_edges and e in rec.removed and w in led.endpoints
+                            and led.replay.deg_after(s, w) == 2):
+                        assert _transfer_recheck_verdict(led)
+                        led.transfers.append(Transfer(source, w, s, cancelled=False))
+                        assert not _transfer_recheck_verdict(led), (seed, s, source, w)
+                        led.transfers.pop()
+                        corrupted += 1
+    assert corrupted > 0
 
 
 def test_csv_keeps_a_list_side_in_one_field():

@@ -189,6 +189,14 @@ def test_game_bprime_node_bound_is_input_error(capsys):
                                        f"the bound of {MAX_NODES}\n")
 
 
+def test_game_b_node_bound_is_input_error(capsys):
+    delta = (MAX_NODES + 6) // 4 + 1
+    assert run_cli("game", "--algo", "mingreedy", "--adversary", "B",
+                   "--delta", str(delta)) == 2
+    assert capsys.readouterr().err == (f"error: 4*delta - 6 = {4 * delta - 6} nodes exceed "
+                                       f"the bound of {MAX_NODES}\n")
+
+
 def test_sweep_bprime_node_bound_is_input_error(tmp_path: Path, capsys):
     out = tmp_path / "s.csv"
     t = MAX_NODES // 4 + 1

@@ -137,6 +137,14 @@ class TestDecompose:
         dec = decompose(g, m, m_star)
         assert dec.global_ratio == Fraction(len(m), len(m_star))
 
+    def test_global_ratio_of_an_edgeless_graph_is_one(self):
+        g = Graph.from_edges(3, [])
+        m = run_algorithm("mingreedy", g, FirstPolicy()).result
+        dec = decompose(g, m, canonicalize(g, m, maximum_matching(g)))
+        assert not dec.components and len(dec.m_star) == 0
+        ratio = dec.global_ratio
+        assert type(ratio) is Fraction and ratio == 1
+
 
 class TestEndpointDegrees:
     def test_p4_handmade_matching_flagged_low(self):

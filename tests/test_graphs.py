@@ -511,10 +511,16 @@ def _spelled(field: str, rng) -> str:
     return rng.choice(spellings)
 
 
+# Spaces and tabs, and the characters that separate fields for str.split
+# but end a line for str.splitlines.
+FIELD_SEPARATORS = (" ", " ", "\t", "  ", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85")
+
+
 @st.composite
 def documents(draw, valid_texts):
     """A document as a reader may meet it: a valid one or random records,
     with blank lines, comments, other spellings of integers, other spacing
+    (including the whitespace that str.splitlines takes for a line break)
     and mixed line endings, and at times one random record line."""
     rng = draw(st.randoms(use_true_random=False))
     if draw(st.booleans()):
@@ -524,7 +530,7 @@ def documents(draw, valid_texts):
     out = []
     for line in lines:
         parts = [_spelled(p, rng) for p in line.split()]
-        out.append(rng.choice([" ", " ", "\t", "  "]).join(parts))
+        out.append(rng.choice(FIELD_SEPARATORS).join(parts))
         if rng.random() < 0.1:
             out.append(rng.choice(["", "   ", "# note", "#", "#e 0 1"]))
     if draw(st.booleans()) and out:
@@ -553,10 +559,15 @@ def _is_int(field: str) -> bool:
     return True
 
 
+def document_lines(text: str) -> list[str]:
+    r"""The lines of a document: only \n, \r\n and \r end one."""
+    return re.split(r"\r\n|\r|\n", text)
+
+
 def first_bad_line(text: str, tags) -> int | None:
     """The first line a reader of these tags must reject on its own: an
     unknown tag, a wrong field count, a non-integer field or a bad mode."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(document_lines(text), start=1):
         parts = raw.split()
         if not parts or parts[0].startswith("#"):
             continue
@@ -578,7 +589,7 @@ def first_bad_pair(text: str, g: Graph | None) -> int | None:
     pair that is not an edge of g."""
     grammar = first_bad_line(text, ("m",))
     covered: set[int] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(document_lines(text), start=1):
         if lineno == grammar:
             return lineno
         parts = raw.split()
