@@ -206,15 +206,14 @@ class ShuffleEncoding(PriorityAlgorithm):
 ENCODINGS = (*RULES, "shuffle", "vertex_iterative")
 
 
-def encode_priority(algo_id: str, **kwargs) -> PriorityAlgorithm:
-    """The priority encoding of algo_id, a name in ENCODINGS; kwargs
-    (permutation, seed) go to the ShuffleEncoding of "shuffle"."""
+def encode_priority(algo_id: str) -> PriorityAlgorithm:
+    """The priority encoding of algo_id, a name in ENCODINGS."""
     if algo_id in RULES:
-        return RuleEncoding(algo_id, **kwargs)
+        return RuleEncoding(algo_id)
     if algo_id == "shuffle":
-        return ShuffleEncoding(**kwargs)
+        return ShuffleEncoding()
     if algo_id == "vertex_iterative":
-        return ShuffleEncoding(seed=None, **kwargs)
+        return ShuffleEncoding(seed=None)
     raise PolicyError(f"no priority encoding for '{algo_id}'")
 
 

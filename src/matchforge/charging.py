@@ -310,7 +310,8 @@ class ChargingLedger:
     def _endpoint_classes(self, rec: TraceStep) -> EndpointClasses:
         deg1_two_f, deg1_one_f, deg2, edges_to_adjacent = [], [], [], []
         s = rec.index
-        for w in sorted(self.endpoints):
+        # Only an end of one of the step's removed edges can have a link.
+        for w in sorted({w for e in rec.removed for w in e if w in self.endpoints}):
             links = [norm_edge(x, w) for x in (rec.selected, rec.partner)
                      if norm_edge(x, w) in rec.removed]
             if not links or self.replay.deg_before(s, w) < 3:
@@ -418,6 +419,9 @@ def verify_lemma_predicates(ledger: ChargingLedger) -> Report:
     f_edges = dec.f_edges
     edge_cap = 2 * (delta - 2)
 
+    credits_of: dict[int, list[Transfer]] = {}   # endpoint -> its transfers
+    for t in ledger.transfers:
+        credits_of.setdefault(t.endpoint, []).append(t)
     # Endpoints are never matched, keep graph degree >= 2, and obey the
     # credit floor/caps around cancellation.
     for w in sorted(ledger.endpoints):
@@ -430,7 +434,7 @@ def verify_lemma_predicates(ledger: ChargingLedger) -> Report:
         rep.require("endpoint_postcancel_cap", tag, net_credits, "<=", 2)
         if raw_credits == 3:
             rep.require("endpoint_triple_credit_shape", tag,
-                        _triple_credit_shape(ledger, w), "==", True)
+                        _triple_credit_shape(ledger, w, credits_of.get(w, [])), "==", True)
         if raw_credits != net_credits:
             rep.require("cancelled_endpoint_two_credits", tag, net_credits, "==", 2)
 
@@ -456,10 +460,9 @@ def verify_lemma_predicates(ledger: ChargingLedger) -> Report:
     return rep
 
 
-def _triple_credit_shape(ledger: ChargingLedger, w: int) -> bool:
+def _triple_credit_shape(ledger: ChargingLedger, w: int, ts: list[Transfer]) -> bool:
     """Three raw credits arrive only as two F-edges on a 3 -> 1 drop followed
-    by one F-edge on the final 1 -> 0 drop."""
-    ts = [t for t in ledger.transfers if t.endpoint == w]
+    by one F-edge on the final 1 -> 0 drop; ts are w's transfers."""
     if len(ts) != 3:
         return False
     first, second, third = ts
@@ -577,14 +580,15 @@ def _deg2_exception_shape(ledger: ChargingLedger, info: _PathInfo) -> bool:
     # the creation step's only one.
     if ledger.raw_debits[u] != 0 or ledger.raw_debits[v] != 1:
         return False
-    (w,) = [t.endpoint for t in ledger.transfers if t.source == v]
+    (w,) = [end for source, end in ledger._step_transfers(rec) if source == v]
     if replay.deg_after(s, w) != 0 or replay.deg_before(s, w) != 2:
         return False
     if norm_edge(u, w) not in ledger.dec.m_star.pairs:
         return False
     return not any(
-        norm_edge(v, w2) in rec.removed and replay.deg_before(s, w2) < 3
-        for w2 in ledger.endpoints if w2 != w
+        w2 in ledger.endpoints and replay.deg_before(s, w2) < 3
+        for e in rec.removed if v in e
+        for w2 in e if w2 != v and w2 != w
     )
 
 

@@ -11,6 +11,11 @@ game's ranked query.  A new heuristic is one table entry,
 e.g. ``"mingreedy4": lambda mind: ANY_EDGE if mind >= 4 else MIN_NODE``; runs,
 pick scripts, exhaustive search, game encodings and the CLI follow.
 
+A run takes its choices from one ``Policy``: ``choose(step, slot,
+candidates)`` answers a slot and ``finish()`` ends the run.  ``fresh()``, the
+policy a run asks for, is the policy itself, or a new one for the two that
+keep state through a run: ``RandomPolicy`` and ``ScriptedPolicy``.
+
 Every run produces a ``RunTrace``: the full step-by-step record (selected
 node, its degree at selection, partner, removed edges, step mode).  Its
 records are slotted frozen dataclasses that hold no per-instance dict, and
@@ -87,30 +92,24 @@ class PolicyError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-class Chooser:
-    """Per-run consumable view of a policy."""
+class Policy:
+    """Answers the slots of a run (see the module docstring)."""
 
     def choose(self, step: int, slot: str, candidates: Sequence):
         raise NotImplementedError
 
     def finish(self) -> None:
-        """Called at run end; scripted choosers must be exactly exhausted."""
+        """Called at run end; a scripted policy must be exactly exhausted."""
 
-
-class Policy:
-    def fresh(self) -> Chooser:
-        raise NotImplementedError
+    def fresh(self) -> Policy:
+        return self
 
 
 class FirstPolicy(Policy):
     """Deterministic canonical policy: always the first candidate."""
 
-    class _C(Chooser):
-        def choose(self, step, slot, candidates):
-            return candidates[0]
-
-    def fresh(self) -> Chooser:
-        return FirstPolicy._C()
+    def choose(self, step, slot, candidates):
+        return candidates[0]
 
     def __repr__(self) -> str:
         return "FirstPolicy()"
@@ -123,15 +122,13 @@ class RandomPolicy(Policy):
     def __init__(self, seed: int):
         self.seed = seed
 
-    class _C(Chooser):
-        def __init__(self, seed: int):
-            self.rng = random.Random(seed)
+    def fresh(self) -> RandomPolicy:
+        run = RandomPolicy(self.seed)
+        run.rng = random.Random(self.seed)
+        return run
 
-        def choose(self, step, slot, candidates):
-            return candidates[self.rng.randrange(len(candidates))]
-
-    def fresh(self) -> Chooser:
-        return RandomPolicy._C(self.seed)
+    def choose(self, step, slot, candidates):
+        return candidates[self.rng.randrange(len(candidates))]
 
     def __repr__(self) -> str:
         return f"RandomPolicy({self.seed})"
@@ -146,36 +143,32 @@ class ScriptedPolicy(Policy):
 
     def __init__(self, choices: Sequence[int | tuple[int, int]]):
         self.choices = tuple(choices)
+        self.pos = 0
 
-    class _C(Chooser):
-        def __init__(self, choices):
-            self.choices = choices
-            self.pos = 0
+    def fresh(self) -> ScriptedPolicy:
+        return ScriptedPolicy(self.choices)
 
-        def choose(self, step, slot, candidates):
-            if self.pos >= len(self.choices):
-                raise PolicyError(f"script exhausted at step {step} ({slot})")
-            entry = self.choices[self.pos]
-            self.pos += 1
-            if isinstance(entry, tuple):
-                want_step, idx = entry
-                if want_step != step:
-                    raise PolicyError(f"script entry for step {want_step} used at step {step}")
-            else:
-                idx = entry
-            if not 0 <= idx < len(candidates):
-                raise PolicyError(
-                    f"script index {idx} out of range for {len(candidates)} candidates "
-                    f"at step {step} ({slot})"
-                )
-            return candidates[idx]
+    def choose(self, step, slot, candidates):
+        if self.pos >= len(self.choices):
+            raise PolicyError(f"script exhausted at step {step} ({slot})")
+        entry = self.choices[self.pos]
+        self.pos += 1
+        if isinstance(entry, tuple):
+            want_step, idx = entry
+            if want_step != step:
+                raise PolicyError(f"script entry for step {want_step} used at step {step}")
+        else:
+            idx = entry
+        if not 0 <= idx < len(candidates):
+            raise PolicyError(
+                f"script index {idx} out of range for {len(candidates)} candidates "
+                f"at step {step} ({slot})"
+            )
+        return candidates[idx]
 
-        def finish(self):
-            if self.pos != len(self.choices):
-                raise PolicyError(f"{len(self.choices) - self.pos} script entries left unconsumed")
-
-    def fresh(self) -> Chooser:
-        return ScriptedPolicy._C(self.choices)
+    def finish(self):
+        if self.pos != len(self.choices):
+            raise PolicyError(f"{len(self.choices) - self.pos} script entries left unconsumed")
 
     def __repr__(self) -> str:
         return f"ScriptedPolicy({list(self.choices)!r})"
@@ -505,13 +498,13 @@ def _fenwick(flags: Sequence[int]) -> list[int]:
     return tree
 
 
-def _drive(g: Graph, chooser: Chooser, rule: Callable[[int], str]) -> RunTrace:
+def _drive(g: Graph, policy: Policy, rule: Callable[[int], str]) -> RunTrace:
     """Run a rule heuristic on g to the end; every run is made here.
 
     The run keeps three things: the alive edges, each node's alive degree,
     and the nodes of each alive degree (``buckets[d]`` for d in 1..delta;
     ``buckets[0]`` stays empty).  Each step asks the rule for its selection
-    kind at the minimum degree, and the chooser fills the kind's slots from
+    kind at the minimum degree, and the policy fills the kind's slots from
     candidate lists in canonical order.  The step then kills every alive
     edge at u or v.  ``_replay`` checks runs on state of its own.
     """
@@ -535,7 +528,7 @@ def _drive(g: Graph, chooser: Chooser, rule: Callable[[int], str]) -> RunTrace:
             mind += 1
         kind = rule(mind)
         if kind == ANY_EDGE:
-            u, v = chooser.choose(idx, "edge", alive)
+            u, v = policy.choose(idx, "edge", alive)
             # Record the end of smaller current degree as the selected node
             # (ties by id); the charging analysis cases on the selected degree.
             if (deg[v], v) < (deg[u], u):
@@ -546,14 +539,14 @@ def _drive(g: Graph, chooser: Chooser, rule: Callable[[int], str]) -> RunTrace:
                 nodes = [x for x in range(g.n) if deg[x]]
             else:
                 nodes = sorted(buckets[mind])
-            u = chooser.choose(idx, "node", nodes)
+            u = policy.choose(idx, "node", nodes)
             neighbors = [w for w, j in zip(adjacency[u], incident[u]) if flags[j]]
             if kind == MIN_FORCED:
-                # Taken without asking the chooser, so a random policy draws
+                # Taken without asking the policy, so a random policy draws
                 # nothing for it.
                 (v,) = neighbors
             else:
-                v = chooser.choose(idx, "neighbor", neighbors)
+                v = policy.choose(idx, "neighbor", neighbors)
             mode = MODE_DEGREE
         i = g.edge_id.get((u, v) if u < v else (v, u))
         if i is None or not flags[i]:
@@ -579,7 +572,7 @@ def _drive(g: Graph, chooser: Chooser, rule: Callable[[int], str]) -> RunTrace:
         alive.kill(ids)
         steps.append(TraceStep(idx, u, du, v, tuple(map(edges.__getitem__, ids)), mode))
         pairs.append(edges[i])
-    chooser.finish()
+    policy.finish()
     return RunTrace(g, tuple(steps), Matching(frozenset(pairs)))
 
 
@@ -590,7 +583,7 @@ def run_algorithm(algo: str, g: Graph, policy: Policy) -> RunTrace:
     return _drive(g, policy.fresh(), RULES[algo])
 
 
-class _RankChooser(Chooser):
+class _RankPolicy(Policy):
     def __init__(self, rank: dict[int, int]):
         self.rank = rank
 
@@ -604,7 +597,7 @@ def run_shuffle(g: Graph, permutation: Sequence[int]) -> RunTrace:
     perm = list(permutation)
     if sorted(perm) != list(range(g.n)):
         raise PolicyError("permutation must be a permutation of 0..n-1")
-    return _drive(g, _RankChooser({v: i for i, v in enumerate(perm)}), RULES["mrg"])
+    return _drive(g, _RankPolicy({v: i for i, v in enumerate(perm)}), RULES["mrg"])
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +605,7 @@ def run_shuffle(g: Graph, permutation: Sequence[int]) -> RunTrace:
 # ---------------------------------------------------------------------------
 
 
-class _PickChooser(Chooser):
+class _PickPolicy(Policy):
     """Resolves each slot to an explicit pick sequence and records the
     (step, index) script that makes a ScriptedPolicy take the same picks."""
 
@@ -642,16 +635,16 @@ class _PickChooser(Chooser):
         return want
 
 
-def _run_picks(g: Graph, picks: Sequence[tuple[int, int]], algo: str) -> tuple[RunTrace, _PickChooser]:
+def _run_picks(g: Graph, picks: Sequence[tuple[int, int]], algo: str) -> tuple[RunTrace, _PickPolicy]:
     if algo not in RULES:
         raise PolicyError(f"choice enumeration unsupported for '{algo}'")
-    chooser = _PickChooser(picks)
-    trace = _drive(g, chooser, RULES[algo])
+    policy = _PickPolicy(picks)
+    trace = _drive(g, policy, RULES[algo])
     # Catches picks left over at the end, and a forced neighbor that is not
     # the picked partner (the picked edge was not alive).
-    if [st.edge for st in trace.steps] != [norm_edge(a, b) for a, b in chooser.picks]:
+    if [st.edge for st in trace.steps] != [norm_edge(a, b) for a, b in policy.picks]:
         raise PolicyError(f"pick sequence is not a run of '{algo}'")
-    return trace, chooser
+    return trace, policy
 
 
 def script_from_picks(g: Graph, picks: Sequence[tuple[int, int]], algo: str) -> ScriptedPolicy:

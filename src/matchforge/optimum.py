@@ -155,15 +155,18 @@ def has_augmenting_path(g: Graph, m: Matching) -> bool:
     return False
 
 
-def max_matching_bruteforce(g: Graph, max_edges: int = 24) -> int:
+_MAX_BRUTEFORCE_EDGES = 24
+
+
+def max_matching_bruteforce(g: Graph) -> int:
     """Exact maximum matching size by exhaustive branching.
 
     Branches on the lowest-id node that still has an available edge:
     either it stays unmatched or it pairs with one of its available
-    neighbors.  Guarded by an edge-count budget.
+    neighbors.  Refuses a graph of more than ``_MAX_BRUTEFORCE_EDGES`` edges.
     """
-    if g.m > max_edges:
-        raise SearchBudgetExceededError(None, max_edges, "edges")
+    if g.m > _MAX_BRUTEFORCE_EDGES:
+        raise SearchBudgetExceededError(None, _MAX_BRUTEFORCE_EDGES, "edges")
     adj_mask = [0] * g.n
     for u, v in g.edges:
         adj_mask[u] |= 1 << v

@@ -2,8 +2,8 @@
 independent runner oracle.
 
 ``iter_all_pick_sequences`` runs a rule heuristic once per choice path with
-``run_algorithm`` under ``OdometerPolicy``, whose chooser counts over the
-slots of the whole run, last slot fastest.  The goldens, the search
+``run_algorithm`` under ``Odometer``, a policy that counts over the slots
+of the whole run, last slot fastest.  The goldens, the search
 cross-checks and the alive-sequence properties read it.
 
 ``oracle_run`` makes a run its own way: at every step it recomputes the
@@ -25,7 +25,6 @@ from matchforge.matchers import (
     MODE_DEGREE,
     MODE_FREE,
     RULES,
-    Chooser,
     Policy,
     RunTrace,
     TraceStep,
@@ -33,9 +32,11 @@ from matchforge.matchers import (
 )
 
 
-class _Odometer(Chooser):
+class Odometer(Policy):
     """Takes every path of slot choices through a run in turn, one run per
-    path, in canonical order with the last slot of the run varying fastest."""
+    path, in canonical order with the last slot of the run varying fastest.
+    Every run takes the same odometer, so successive runs take successive
+    choice paths."""
 
     def __init__(self):
         self.path: list[int] = []    # candidate index per slot of the run
@@ -59,29 +60,18 @@ class _Odometer(Chooser):
         return bool(path)
 
 
-class OdometerPolicy(Policy):
-    """Hands every run the same odometer, so successive runs take successive
-    choice paths."""
-
-    def __init__(self):
-        self.odometer = _Odometer()
-
-    def fresh(self) -> Chooser:
-        return self.odometer
-
-
 def iter_all_pick_sequences(g: Graph, algo: str, limit: int | None = None) -> Iterator[list[Edge]]:
     """Yield the picked-edge sequence of every complete choice path of algo
     on g, first slot slowest; raise SearchBudgetExceededError once more than
     limit paths would be yielded."""
-    policy = OdometerPolicy()
+    policy = Odometer()
     count = 0
     while True:
         count += 1
         if limit is not None and count > limit:
             raise SearchBudgetExceededError(None, limit, "leaves")
         yield [st.edge for st in run_algorithm(algo, g, policy).steps]
-        if not policy.odometer.advance():
+        if not policy.advance():
             return
 
 
@@ -94,7 +84,7 @@ def degrees(alive, n: int) -> list[int]:
     return deg
 
 
-def oracle_run(g: Graph, chooser: Chooser, rule) -> RunTrace:
+def oracle_run(g: Graph, policy: Policy, rule) -> RunTrace:
     """A run of rule on g that recomputes the degrees and every candidate
     list from a plain set of alive edges at each step."""
     alive = set(g.edges)
@@ -105,63 +95,50 @@ def oracle_run(g: Graph, chooser: Chooser, rule) -> RunTrace:
         mind = min(d for d in deg if d)
         kind = rule(mind)
         if kind == ANY_EDGE:
-            u, v = chooser.choose(idx, "edge", sorted(alive))
+            u, v = policy.choose(idx, "edge", sorted(alive))
             # The end of smaller degree is the selected one, ties by id.
             if deg[v] < deg[u] or (deg[v] == deg[u] and v < u):
                 u, v = v, u
             mode = MODE_FREE
         else:
             nodes = [x for x in range(g.n) if deg[x] and (kind == ANY_NODE or deg[x] == mind)]
-            u = chooser.choose(idx, "node", nodes)
+            u = policy.choose(idx, "node", nodes)
             neighbors = sorted(b if a == u else a for a, b in alive if u in (a, b))
             if kind == MIN_FORCED:
                 (v,) = neighbors
             else:
-                v = chooser.choose(idx, "neighbor", neighbors)
+                v = policy.choose(idx, "neighbor", neighbors)
             mode = MODE_DEGREE
         removed = tuple(sorted(e for e in alive if u in e or v in e))
         steps.append(TraceStep(idx, u, deg[u], v, removed, mode))
         alive -= set(removed)
-    chooser.finish()
+    policy.finish()
     return RunTrace(g, tuple(steps), Matching.from_pairs((st.selected, st.partner) for st in steps))
 
 
-class Recorder(Chooser):
-    """Passes each slot to another chooser and logs the step, the slot, its
-    candidates and the answer."""
+class Recorder(Policy):
+    """Passes each slot to the policy of one run and logs the step, the
+    slot, its candidates and the answer."""
 
-    def __init__(self, chooser: Chooser):
-        self.chooser = chooser
+    def __init__(self, policy: Policy):
+        self.policy = policy.fresh()
         self.log: list[tuple] = []
 
     def choose(self, step, slot, candidates):
-        pick = self.chooser.choose(step, slot, candidates)
+        pick = self.policy.choose(step, slot, candidates)
         self.log.append((step, slot, list(candidates), pick))
         return pick
 
     def finish(self):
-        self.chooser.finish()
-
-
-class Recorded(Policy):
-    """A policy whose runs log their slots through a Recorder."""
-
-    def __init__(self, policy: Policy):
-        self.policy = policy
-        self.recorders: list[Recorder] = []
-
-    def fresh(self) -> Chooser:
-        self.recorders.append(Recorder(self.policy.fresh()))
-        return self.recorders[-1]
+        self.policy.finish()
 
 
 def check_against_oracle(g: Graph, algo: str, policy: Policy) -> None:
     """Run policy on g through run_algorithm and through the oracle; require
     the same slots, candidate lists and answers, and equal traces."""
-    recorded = Recorded(policy)
-    trace = run_algorithm(algo, g, recorded)
-    oracle = Recorder(policy.fresh())
+    runner = Recorder(policy)
+    trace = run_algorithm(algo, g, runner)
+    oracle = Recorder(policy)
     expect = oracle_run(g, oracle, RULES[algo])
-    (runner,) = recorded.recorders
     assert runner.log == oracle.log
     assert trace == expect

@@ -20,6 +20,7 @@ from matchforge.adversary import (
     GameError,
     Pattern,
     RuleEncoding,
+    ShuffleEncoding,
     TruthfulAdversary,
     encode_priority,
     game_files,
@@ -364,18 +365,17 @@ class TestEncodings:
             g = gen_random_bounded(rng.randint(2, 10), 4, 0.6, seed)
             perm = list(range(g.n))
             rng.shuffle(perm)
-            res = play_game(encode_priority("shuffle", permutation=perm),
-                            TruthfulAdversary(g))
+            res = play_game(ShuffleEncoding(perm), TruthfulAdversary(g))
             assert res.matching.pairs == run_shuffle(g, perm).result.pairs
 
     def test_shuffle_encoding_replays_across_sizes(self):
         # One seeded encoding draws a fresh order for each game, so a second
         # game on a larger graph plays exactly as a fresh encoding would.
         p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        enc = encode_priority("shuffle", seed=3)
+        enc = ShuffleEncoding(seed=3)
         play_game(enc, TruthfulAdversary(P3()))
         again = play_game(enc, TruthfulAdversary(p4))
-        fresh = play_game(encode_priority("shuffle", seed=3), TruthfulAdversary(p4))
+        fresh = play_game(ShuffleEncoding(seed=3), TruthfulAdversary(p4))
         assert again.transcript == fresh.transcript
         assert again.matching.pairs == fresh.matching.pairs
 
@@ -385,7 +385,7 @@ class TestEncodings:
 
     def test_shuffle_needs_node_count(self):
         with pytest.raises(PolicyError):
-            play_game(encode_priority("shuffle", seed=1), AdversaryB(3))
+            play_game(ShuffleEncoding(seed=1), AdversaryB(3))
 
     def test_unknown_encoding(self):
         with pytest.raises(PolicyError):

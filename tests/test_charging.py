@@ -17,7 +17,8 @@ from matchforge.charging import (
     verify_bounds,
     verify_lemma_predicates,
 )
-from matchforge.decomposition import canonicalize, decompose
+from matchforge.adversary import AdversaryBPrime, play_game
+from matchforge.decomposition import Decomposition, canonicalize, decompose
 from matchforge.graphs import Graph, gen_random_bounded, norm_edge
 from matchforge.matchers import (
     FirstPolicy,
@@ -27,6 +28,7 @@ from matchforge.matchers import (
     run_algorithm,
     save_trace,
     script_from_picks,
+    trace_from_picks,
 )
 from matchforge.optimum import maximum_matching
 
@@ -35,6 +37,38 @@ def ledger_for(g, trace, delta=None):
     m_star = canonicalize(g, trace.result, maximum_matching(g))
     dec = decompose(g, trace.result, m_star)
     return build_ledger(trace, dec, delta or max(3, g.delta))
+
+
+def game_ledger(delta, t):
+    """The ledger of mingreedy's game against AdversaryBPrime(delta, t)."""
+    result = play_game("mingreedy", AdversaryBPrime(delta, t))
+    return ledger_for(result.graph, trace_from_picks(result.graph, result.picks, "mingreedy"))
+
+
+class Counted:
+    """Counts the walks over the collection it is mixed into."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+class CountedSet(Counted, frozenset):
+    pass
+
+
+class CountedList(Counted, list):
+    pass
+
+
+@pytest.fixture
+def counted_endpoints(monkeypatch):
+    """Decompositions hand out their endpoints as a CountedSet."""
+    endpoints = Decomposition.endpoints.fget
+    monkeypatch.setattr(Decomposition, "endpoints",
+                        property(lambda dec: CountedSet(endpoints(dec))))
 
 
 def random_ledger(seed, deltas=(3, 4, 5)):
@@ -124,6 +158,10 @@ class TestDynamicDonation:
         assert cls.deg1_one_f == (4, 5)
         assert cls.deg1_two_f == () and cls.deg2 == ()
         assert len(cls.edges_to_adjacent) == 4
+
+    def test_endpoint_classes_read_only_the_creation_step(self, counted_endpoints):
+        _, _, led = self.build()
+        assert led.endpoints.walks == 0
 
     def test_tight_singleton_balance(self):
         _, _, led = self.build()
@@ -330,3 +368,21 @@ def test_csv_keeps_a_list_side_in_one_field():
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[1] == ["donation_steps_disjoint", "global", "[3, 5]", "==", "[]", "FAIL"]
     assert text.splitlines()[2] == "one_donation_per_step,global,2,==,2,PASS"
+
+
+def test_checks_walk_the_endpoints_and_transfers_a_fixed_number_of_times(counted_endpoints):
+    # Each path's checks read only its own creation step, so building and
+    # verifying a game's ledger walks every endpoint and every transfer as
+    # often at t = 80 as at t = 40, though there are more than twice as
+    # many paths.
+    walks = []
+    paths = []
+    for t in (40, 80):
+        ledger = game_ledger(4, t)
+        built = ledger.endpoints.walks
+        ledger.transfers = CountedList(ledger.transfers)
+        assert verify_all(ledger).all_pass
+        walks.append((built, ledger.endpoints.walks, ledger.transfers.walks))
+        paths.append(len(ledger.paths))
+    assert paths[1] > 2 * paths[0]
+    assert walks[0] == walks[1], walks

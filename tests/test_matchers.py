@@ -164,6 +164,23 @@ class TestPolicies:
         b = run_algorithm("mingreedy", g, RandomPolicy(5))
         assert a == b
 
+    def test_each_run_of_a_policy_starts_anew(self, monkeypatch):
+        # One generator per run, seeded once; a policy object may be reused.
+        seeds = []
+
+        class Seeded(random.Random):
+            def __init__(self, seed):
+                seeds.append(seed)
+                super().__init__(seed)
+
+        g = random_graph(11)
+        # Each mrg step asks for a node and a neighbor.
+        steps = len(run_algorithm("mrg", g, FirstPolicy()).steps)
+        monkeypatch.setattr(matchers.random, "Random", Seeded)
+        for policy in (RandomPolicy(5), ScriptedPolicy([0] * 2 * steps)):
+            assert run_algorithm("mrg", g, policy) == run_algorithm("mrg", g, policy)
+        assert seeds == [5, 5]
+
     def test_scripted_step_tagging(self):
         t = run_algorithm("mingreedy", P3(), ScriptedPolicy([(1, 0), (1, 0)]))
         assert t.result.pairs == {(0, 1)}
@@ -187,14 +204,8 @@ class TestPolicies:
             def __init__(self, pair):
                 self.pair = pair
 
-            def fresh(self):
-                pair = self.pair
-
-                class C(matchers.Chooser):
-                    def choose(self, step, slot, candidates):
-                        return pair
-
-                return C()
+            def choose(self, step, slot, candidates):
+                return self.pair
 
         # Step 1 kills (0, 1), so step 2's answer is a dead edge.
         with pytest.raises(ValueError, match=r"^edge \(0, 1\) is not alive$"):
@@ -227,7 +238,7 @@ def drawn_script(g, algo, seed) -> ScriptedPolicy:
     rng = random.Random(seed)
     script = []
 
-    class Draw(matchers.Chooser):
+    class Draw(matchers.Policy):
         def choose(self, step, slot, candidates):
             k = rng.choice((0, len(candidates) - 1, rng.randrange(len(candidates))))
             script.append((step, k))
@@ -245,7 +256,7 @@ def test_runner_offers_what_an_independent_oracle_offers(algo):
             check_against_oracle(g, algo, policy)
 
 
-class PermutationFirst(matchers.Chooser):
+class PermutationFirst(matchers.Policy):
     """Takes the candidate that comes first in a node permutation."""
 
     def __init__(self, perm):
