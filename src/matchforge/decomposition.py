@@ -3,7 +3,9 @@
 Given a heuristic matching M and a maximum matching, canonicalize the
 optimum so that every component of (V, M union M*) is either a singleton
 (one shared edge) or an alternating path that starts and ends with an
-M*-edge, then classify the components.
+M*-edge, then classify the components.  Only the symmetric difference of
+the two matchings is walked; the shared edges are the singletons, taken by
+set intersection.
 """
 
 from __future__ import annotations
@@ -78,35 +80,31 @@ class Decomposition:
 
 
 def _union_components(m: Matching, m2: Matching):
-    """List each component of (V, m union m2) once, in least-node order, as
-    (shape, nodes, labels, edges).
+    """List each component of (V, m symmetric-difference m2) once, in
+    least-node order, as (shape, nodes, labels, edges).
 
+    These are the components of (V, m union m2) other than its shared edges,
+    which are singletons that a caller takes from ``m.pairs & m2.pairs``.
     Every node touches at most one edge of each matching, so a component is
-    a shared edge (shape "both"), a cycle ("cycle") or a path, whose shape
-    names its two end labels, e.g. "opt-opt".  labels[i] ("m" or "opt")
-    belongs to edges[i]; both follow the walk.  A path is walked from its
-    smaller-id end; a cycle from its least node, m-edge first, closing edge
-    included.
+    a cycle ("cycle") or a path, whose shape names its two end labels, e.g.
+    "opt-opt".  labels[i] ("m" or "opt") belongs to edges[i]; both follow
+    the walk.  A path is walked from its smaller-id end; a cycle from its
+    least node, m-edge first, closing edge included.
     """
     mate1: dict[int, int] = {}
     mate2: dict[int, int] = {}
-    for mate, pairs in ((mate1, m), (mate2, m2)):
+    for mate, pairs in ((mate1, m.pairs - m2.pairs), (mate2, m2.pairs - m.pairs)):
         for u, v in pairs:
             mate[u] = v
             mate[v] = u
-    covered = sorted(set(mate1) | set(mate2))
+    covered = sorted(mate1.keys() | mate2.keys())
     ends = [v for v in covered if (v in mate1) != (v in mate2)]
     seen: set[int] = set()
     comps = []
     # Path ends first, so every path is entered at its smaller end; nodes
-    # left over after that lie on shared edges or cycles.
+    # left over after that lie on cycles.
     for start in ends + covered:
         if start in seen:
-            continue
-        if mate1.get(start) == mate2.get(start):
-            other = mate1[start]
-            seen.update((start, other))
-            comps.append(("both", [start, other], ["both"], [norm_edge(start, other)]))
             continue
         nodes, labels, edges = [start], [], []
         cur, via = start, None
@@ -172,22 +170,20 @@ def decompose(g: Graph, m: Matching, m_star: Matching) -> Decomposition:
     """
     m.validate(g)
     m_star.validate(g)
-    components: list[Component] = []
+    # Each shared edge is a singleton; the walk lists the other components.
+    components = [Component(SINGLETON, e, (e,), (e,), ()) for e in m.pairs & m_star.pairs]
     for shape, nodes, labels, edges in _union_components(m, m_star):
-        if shape == "both":
-            components.append(Component(SINGLETON, tuple(nodes), tuple(edges), tuple(edges), ()))
-        elif shape == "cycle":
+        if shape == "cycle":
             raise NonCanonicalError(f"cycle through node {min(nodes)} in the matching graph")
-        elif shape != "opt-opt":
+        if shape != "opt-opt":
             raise NonCanonicalError(
                 f"mixed alternating path through node {min(nodes)}; canonicalize first"
             )
-        else:
-            m_edges = tuple(e for e, lab in zip(edges, labels) if lab == "m")
-            opt_edges = tuple(e for e, lab in zip(edges, labels) if lab == "opt")
-            components.append(
-                Component(PATH, tuple(nodes), m_edges, opt_edges, (nodes[0], nodes[-1]))
-            )
+        m_edges = tuple(e for e, lab in zip(edges, labels) if lab == "m")
+        opt_edges = tuple(e for e, lab in zip(edges, labels) if lab == "opt")
+        components.append(Component(PATH, tuple(nodes), m_edges, opt_edges, (nodes[0], nodes[-1])))
+    # Components are node-disjoint, so their least nodes order them fully.
+    components.sort(key=lambda c: min(c.nodes))
 
     if sum(c.m_count for c in components) != len(m):
         raise NonCanonicalError("components do not partition the heuristic matching")

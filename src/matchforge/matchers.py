@@ -4,7 +4,8 @@ Each rule heuristic is one entry of ``RULES``, which maps the current minimum
 nonzero degree to the selection kind the policy resolves at that step.  Three
 pieces of code interpret the kinds: ``_drive``, the one loop that makes every
 run (the runners and the pick scripts), which keeps the run's alive edges,
-degrees and degree buckets in its own locals; the bitmask search of
+degrees, a node count per degree and the sorted candidate lists its rule
+ranks in its own locals; the bitmask search of
 ``worst_case_size``, which reads each state's moves from a move table built
 once per graph; and ``adversary.RuleEncoding``, which turns a rule into a
 game's ranked query.  A new heuristic is one table entry,
@@ -43,6 +44,7 @@ from __future__ import annotations
 import operator
 import random
 from array import array
+from bisect import bisect_left, insort
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -93,7 +95,13 @@ class PolicyError(ValueError):
 
 
 class Policy:
-    """Answers the slots of a run (see the module docstring)."""
+    """Answers the slots of a run (see the module docstring).
+
+    An edge slot's candidates are the run's live, read-only ``AliveEdges``,
+    and a node slot's a live, read-only ``SortedView`` of a list the run
+    keeps sorted: both change as the run kills edges, and neither can be
+    reordered.  A neighbor slot's candidates are a fresh list.
+    """
 
     def choose(self, step: int, slot: str, candidates: Sequence):
         raise NotImplementedError
@@ -498,15 +506,57 @@ def _fenwick(flags: Sequence[int]) -> list[int]:
     return tree
 
 
+class SortedView(Sequence):
+    """A live, read-only view of a sorted list of node ids that a run keeps.
+
+    The run's updates show in it at once; a policy can read it but not
+    reorder it.  ``len`` and ``[k]`` are O(1), ``in`` and ``index`` are
+    O(log n) by bisection, and iteration walks the ids in order.
+    """
+
+    __slots__ = ("_ids",)
+
+    def __init__(self, ids: list[int]):
+        self._ids = ids
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __getitem__(self, k):
+        return self._ids[k]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._ids)
+
+    def __contains__(self, x: object) -> bool:
+        ids = self._ids
+        k = bisect_left(ids, x)
+        return k < len(ids) and ids[k] == x
+
+    def index(self, x: int) -> int:
+        """Position of x in the sequence."""
+        ids = self._ids
+        k = bisect_left(ids, x)
+        if k == len(ids) or ids[k] != x:
+            raise ValueError(f"{x} is not in the sequence")
+        return k
+
+
 def _drive(g: Graph, policy: Policy, rule: Callable[[int], str]) -> RunTrace:
     """Run a rule heuristic on g to the end; every run is made here.
 
-    The run keeps three things: the alive edges, each node's alive degree,
-    and the nodes of each alive degree (``buckets[d]`` for d in 1..delta;
-    ``buckets[0]`` stays empty).  Each step asks the rule for its selection
-    kind at the minimum degree, and the policy fills the kind's slots from
-    candidate lists in canonical order.  The step then kills every alive
-    edge at u or v.  ``_replay`` checks runs on state of its own.
+    The run keeps the alive edges, each node's alive degree and ``count[d]``,
+    the number of nodes of alive degree d, from which each step finds the
+    minimum degree.  Each degree's selection kind is read from the rule once.
+    Only a degree whose kind ranks nodes (``MIN_NODE`` or ``MIN_FORCED``)
+    keeps the sorted ids of its nodes, updated by bisection as degrees drop;
+    a rule with an ``ANY_NODE`` degree keeps the sorted non-isolated nodes,
+    which only ever leave it.  A degree no rule ranks costs one count.  The
+    policy fills each step's slots from candidate sequences in canonical
+    order: an edge slot reads the live ``AliveEdges``, a node slot a live
+    ``SortedView`` of one of those lists, and a neighbor slot a fresh list.
+    The step then kills every alive edge at u or v.  ``_replay`` checks runs
+    on state of its own.
     """
     edges = g.edges
     adjacency = g.adjacency
@@ -514,19 +564,30 @@ def _drive(g: Graph, policy: Policy, rule: Callable[[int], str]) -> RunTrace:
     alive = AliveEdges(g)
     flags = alive.flags
     deg = list(map(len, adjacency))
-    buckets: list[set[int]] = [set() for _ in range(g.delta + 1)]
+    count = [0] * (g.delta + 1)
+    for d in deg:
+        count[d] += 1
+    kinds = [None, *map(rule, range(1, g.delta + 1))]
+    # ranked[d]: the sorted nodes of degree d, for a degree whose kind ranks
+    # nodes; None elsewhere, degree 0 included.
+    ranked: list[list[int] | None] = [
+        [] if kind in (MIN_NODE, MIN_FORCED) else None for kind in kinds]
     for x, d in enumerate(deg):
-        if d:
-            buckets[d].add(x)
+        if ranked[d] is not None:
+            ranked[d].append(x)
+    views = [None if ids is None else SortedView(ids) for ids in ranked]
+    # The sorted non-isolated nodes, kept only when a degree's kind is ANY_NODE.
+    live = [x for x, d in enumerate(deg) if d] if ANY_NODE in kinds else None
+    live_view = None if live is None else SortedView(live)
     steps: list[TraceStep] = []
     pairs: list[Edge] = []
     idx = 0
     while alive:
         idx += 1
         mind = 1
-        while not buckets[mind]:
+        while not count[mind]:
             mind += 1
-        kind = rule(mind)
+        kind = kinds[mind]
         if kind == ANY_EDGE:
             u, v = policy.choose(idx, "edge", alive)
             # Record the end of smaller current degree as the selected node
@@ -535,11 +596,7 @@ def _drive(g: Graph, policy: Policy, rule: Callable[[int], str]) -> RunTrace:
                 u, v = v, u
             mode = MODE_FREE
         else:
-            if kind == ANY_NODE:
-                nodes = [x for x in range(g.n) if deg[x]]
-            else:
-                nodes = sorted(buckets[mind])
-            u = policy.choose(idx, "node", nodes)
+            u = policy.choose(idx, "node", live_view if kind == ANY_NODE else views[mind])
             neighbors = [w for w, j in zip(adjacency[u], incident[u]) if flags[j]]
             if kind == MIN_FORCED:
                 # Taken without asking the policy, so a random policy draws
@@ -554,20 +611,33 @@ def _drive(g: Graph, policy: Policy, rule: Callable[[int], str]) -> RunTrace:
         du = deg[u]
         # {u, v} is counted first and skipped below, so neither end meets the
         # other: u and v drop to degree 0, and every other end of a killed
-        # edge drops by one per edge, moving one bucket down each time.
+        # edge drops by one per edge.  Every node of a ranked degree is in
+        # its list, so each bisection finds the node it looks for.
         ids = [i]
         for x in (u, v):
-            buckets[deg[x]].discard(x)
+            d = deg[x]
             deg[x] = 0
+            count[d] -= 1
+            at = ranked[d]
+            if at is not None:
+                del at[bisect_left(at, x)]
+            if live is not None:
+                del live[bisect_left(live, x)]
             for w, j in zip(adjacency[x], incident[x]):
                 if flags[j] and j != i:
                     ids.append(j)
                     d = deg[w]
-                    buckets[d].discard(w)
-                    d -= 1
-                    deg[w] = d
-                    if d:
-                        buckets[d].add(w)
+                    deg[w] = d - 1
+                    count[d] -= 1
+                    count[d - 1] += 1
+                    at = ranked[d]
+                    if at is not None:
+                        del at[bisect_left(at, w)]
+                    at = ranked[d - 1]
+                    if at is not None:
+                        insort(at, w)
+                    elif d == 1 and live is not None:
+                        del live[bisect_left(live, w)]
         ids.sort()
         alive.kill(ids)
         steps.append(TraceStep(idx, u, du, v, tuple(map(edges.__getitem__, ids)), mode))
@@ -584,10 +654,24 @@ def run_algorithm(algo: str, g: Graph, policy: Policy) -> RunTrace:
 
 
 class _RankPolicy(Policy):
-    def __init__(self, rank: dict[int, int]):
-        self.rank = rank
+    """mrg's choices for one run under a node permutation: the candidate
+    that comes first in it.  A node that leaves the non-isolated nodes never
+    rejoins them, so the node slot walks a cursor forward through the
+    permutation, past nodes no longer offered: O(n log n) over the run."""
+
+    def __init__(self, perm: list[int]):
+        self.perm = perm
+        self.rank = {v: i for i, v in enumerate(perm)}
+        self.pos = 0   # no node before perm[pos] is offered again
 
     def choose(self, step, slot, candidates):
+        if slot == "node":
+            perm = self.perm
+            pos = self.pos
+            while perm[pos] not in candidates:
+                pos += 1
+            self.pos = pos
+            return perm[pos]
         return min(candidates, key=self.rank.__getitem__)
 
 
@@ -597,7 +681,7 @@ def run_shuffle(g: Graph, permutation: Sequence[int]) -> RunTrace:
     perm = list(permutation)
     if sorted(perm) != list(range(g.n)):
         raise PolicyError("permutation must be a permutation of 0..n-1")
-    return _drive(g, _RankPolicy({v: i for i, v in enumerate(perm)}), RULES["mrg"])
+    return _drive(g, _RankPolicy(perm), RULES["mrg"])
 
 
 # ---------------------------------------------------------------------------

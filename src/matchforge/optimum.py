@@ -146,7 +146,7 @@ def has_augmenting_path(g: Graph, m: Matching) -> bool:
     the check, so every search runs on the matching m itself.
     """
     match = [-1] * g.n
-    for u, v in m:
+    for u, v in m.pairs:
         match[u] = v
         match[v] = u
     for v in range(g.n):

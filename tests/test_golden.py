@@ -329,6 +329,44 @@ def test_section_digest(name):
     assert _digest(SECTIONS[name]()) == GOLDEN[name]
 
 
+# The save_trace sha256 of each rule under FirstPolicy() and RandomPolicy(1),
+# and of run_shuffle under the identity and a random.Random(1) shuffle, on
+# gen_regular(10**4, 3, 1): sizes where a runner that rebuilt a candidate
+# list at every step would show.
+TEN_THOUSAND = {
+    "mingreedy": ("81987e1264f80883a15c124ec364362d925f6f13049eb00e056ab78b5cae30bd",
+                  "47e7fa1290702974adac804aad8a6ab40b732395115e4278973f98111d7b26a0"),
+    "one_two_mingreedy": ("981ebc83f301f53ae09fedaf955876514a76d3f3ddbb5fb98016254eb0239002",
+                          "5ce099dc5e985193a5ca05a1a73d21c093713a83f089d866a1a70e6d9d1b12c7"),
+    "karpsipser": ("6ae64d824c3eb1b9baad82a8e20a581afa40b700f2d168c1638a3464e8170a39",
+                   "d5075fc81d8809cad96474041042a6a1038a52f9be9599c86ec9918b87ea8156"),
+    "greedy": ("da087f48f6a499e44eea6424734738260e9a6fcad06199d5447a7924dfe88572",
+               "6591198b88e409d1ee741d797419cacd3c328111f8c757cfcd9ca14988dfbe55"),
+    "mrg": ("4d08755f70196e18e3fc1a42453aaf92259a9325b536cd78ce511058a315d985",
+            "2c7d6fbddb86b583bc9dba7967e134530223db0b66fdf727ef8a24fcf1d1c5b4"),
+    "shuffle": ("4d08755f70196e18e3fc1a42453aaf92259a9325b536cd78ce511058a315d985",
+                "60199e70e2f8c7a9125f49a1f0a22a3c41b13781da43ed4913bddec9a4da34f8"),
+}
+
+
+@lru_cache(maxsize=1)
+def _ten_thousand() -> Graph:
+    return gen_regular(10**4, 3, 1)
+
+
+@pytest.mark.parametrize("algo", sorted(TEN_THOUSAND))
+def test_runs_at_ten_thousand_nodes(algo):
+    g = _ten_thousand()
+    if algo == "shuffle":
+        perm = list(range(g.n))
+        shuffled = perm[:]
+        random.Random(1).shuffle(shuffled)
+        traces = (run_shuffle(g, perm), run_shuffle(g, shuffled))
+    else:
+        traces = (run_algorithm(algo, g, FirstPolicy()), run_algorithm(algo, g, RandomPolicy(1)))
+    assert tuple(_digest(save_trace(t)) for t in traces) == TEN_THOUSAND[algo]
+
+
 @pytest.mark.parametrize("mode", ["run", "worst"])
 def test_sweep_csv_digest(mode, tmp_path):
     assert _digest(_sweep(mode, tmp_path)) == GOLDEN[f"sweep:{mode}"]

@@ -197,6 +197,26 @@ class TestPolicies:
         with pytest.raises(PolicyError, match="exhausted"):
             run_algorithm("mingreedy", C4(), ScriptedPolicy([0, 0]))
 
+    @pytest.mark.parametrize("algo", ["mingreedy", "karpsipser", "mrg"])
+    def test_a_node_slot_cannot_reorder_the_runs_candidates(self, algo):
+        # A node slot reads the run's own sorted list through a view.
+        tried = []
+
+        class Meddler(matchers.Policy):
+            def choose(self, step, slot, candidates):
+                if slot == "node":
+                    for meddle in (lambda c: c.__setitem__(0, c[-1]),
+                                   lambda c: c.sort(reverse=True),
+                                   lambda c: c.__delitem__(0)):
+                        with pytest.raises((TypeError, AttributeError)):
+                            meddle(candidates)
+                        tried.append(slot)
+                return candidates[0]
+
+        g = random_graph(11)
+        assert run_algorithm(algo, g, Meddler()) == run_algorithm(algo, g, FirstPolicy())
+        assert tried
+
     def test_a_free_pick_that_is_not_alive_is_rejected(self):
         class Fixed(matchers.Policy):
             """Answers every free step with the same pair."""
