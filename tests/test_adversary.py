@@ -1,3 +1,4 @@
+import copy
 import os
 import random
 import subprocess
@@ -44,6 +45,8 @@ from matchforge.matchers import (
 )
 from matchforge.optimum import maximum_matching
 
+from probe_encodings import PROBE_ENCODINGS, Explorer
+
 
 def check_type_invariant(adv: AdversaryB) -> None:
     """During construction every non-isolated node's list is one of:
@@ -74,18 +77,6 @@ def game_ratio(algo, adversary):
 
 def P3():
     return Graph.from_edges(3, [(0, 1), (1, 2)])
-
-
-class Explorer(RuleEncoding):
-    """Prefers lists with one known neighbor, which makes a constructor
-    extend a frontier."""
-
-    def query(self):
-        return [
-            Pattern(total=3, unmatched=2, known=1),
-            Pattern(unmatched=2),
-            Pattern(unmatched_min=1),
-        ]
 
 
 class TestAdversaryB:
@@ -315,6 +306,13 @@ class TestAdversaryBPrime:
                 compared += 1
         assert compared == 25_974
 
+    @pytest.mark.parametrize("name", ["explorer", "deg2first"])
+    def test_probe_encodings_stay_within_3_over_t_of_the_bound(self, name):
+        for delta in (4, 5, 6):
+            for t in (7, 20, 50):
+                _, _, ratio = game_ratio(PROBE_ENCODINGS[name](delta), AdversaryBPrime(delta, t))
+                assert (ratio - Fraction(delta - 1, 2 * delta - 3)) * t <= 3, (delta, t)
+
     def test_mingreedy_at_delta_200(self):
         delta = 200
         result, _, ratio = game_ratio("mingreedy", AdversaryBPrime(delta, 7))
@@ -509,6 +507,60 @@ class TestLiveIndex:
         adv = _checked(AdversaryB)(5)
         result = play_game(Explorer("mingreedy"), adv)
         assert adv.rounds_checked == len(result.picks)
+
+    @pytest.mark.parametrize("name", sorted(PROBE_ENCODINGS))
+    def test_probe_encodings_against_bprime(self, name):
+        for delta in (4, 5, 6):
+            for t in (7, 20, 50):
+                adv = _checked(AdversaryBPrime)(delta, t)
+                result = play_game(PROBE_ENCODINGS[name](delta), adv)
+                assert adv.rounds_checked == len(result.picks), (delta, t)
+
+
+def _round(algo, adv):
+    """One query and serve of a game in progress; None once it is over."""
+    if adv.finished():
+        return None
+    patterns = algo.query()
+    adv.log_query(patterns)
+    return adv.respond(patterns)
+
+
+def _play_out(algo, adv, item):
+    """Match the served item and play the game to its end; the transcript."""
+    while item is not None:
+        adv.observe_match(item.node, algo.receive(item))
+        item = _round(algo, adv)
+    return tuple(adv.transcript)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (Explorer("mingreedy"), AdversaryB(5)),
+    lambda: (RuleEncoding("mingreedy"), AdversaryBPrime(3, 20)),
+    *[lambda name=name: (PROBE_ENCODINGS[name](5), AdversaryBPrime(5, 20))
+      for name in sorted(PROBE_ENCODINGS)],
+], ids=["explorer-B", "mingreedy-Bprime", *sorted(PROBE_ENCODINGS)])
+def test_a_copy_taken_while_a_check_is_pending_plays_the_same_game(make):
+    # A constructed serve leaves a check that the next match runs.  A deep
+    # copy of the constructor and its encoding, taken between that serve and
+    # the match, must run the check on its own state: the copy, played out
+    # first, and then the original, each give the whole game's transcript.
+    whole = play_game(*make())
+    copied = 0
+    for k in range(len(whole.picks)):
+        algo, adv = make()
+        algo.start(adv.announced_nodes())
+        item = _round(algo, adv)
+        for _ in range(k):
+            adv.observe_match(item.node, algo.receive(item))
+            item = _round(algo, adv)
+        if adv._pending is None:
+            continue
+        twin = copy.deepcopy((algo, adv, item))
+        assert _play_out(*twin) == whole.transcript, k
+        assert _play_out(algo, adv, item) == whole.transcript, k
+        copied += 1
+    assert copied > 0
 
 
 class TestLiveFiling:

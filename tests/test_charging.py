@@ -386,3 +386,146 @@ def test_checks_walk_the_endpoints_and_transfers_a_fixed_number_of_times(counted
         paths.append(len(ledger.paths))
     assert paths[1] > 2 * paths[0]
     assert walks[0] == walks[1], walks
+
+
+def _verdict(led, name, subject):
+    """The verdict of the lemma check name on subject; None when it is not
+    made."""
+    return {c.subject: c.ok for c in verify_lemma_predicates(led).checks
+            if c.name == name}.get(subject)
+
+
+def _witness_ledger(i):
+    """The ledger of one_two_mingreedy's worst-case run on a seeded graph of
+    max degree 3..5."""
+    from matchforge.matchers import worst_case_size
+
+    rng = random.Random(1000 + i)
+    g = gen_random_bounded(rng.randint(6, 12), rng.randint(3, 5), rng.uniform(0.4, 0.9), 1000 + i)
+    return ledger_for(g, worst_case_size(g, "one_two_mingreedy")[1])
+
+
+def test_triple_credits_on_other_steps_fail_the_shape_check():
+    # A valid triple credit is two transfers on a 3 -> 1 drop and one on the
+    # final 1 -> 0 drop.  The same endpoint with a transfer missing, or with
+    # its second transfer booked on another step, must fail the shape check.
+    corrupted = 0
+    for i in range(230, 250):
+        led = _witness_ledger(i)
+        for w in sorted(led.endpoints):
+            if led.raw_credits[w] != 3:
+                continue
+            tag = f"w{w}"
+            assert _verdict(led, "endpoint_triple_credit_shape", tag) is True
+            at = [k for k, t in enumerate(led.transfers) if t.endpoint == w]
+            first, second, third = (led.transfers[k] for k in at)
+            led.transfers = [t for k, t in enumerate(led.transfers) if k != at[2]]
+            assert _verdict(led, "endpoint_triple_credit_shape", tag) is False, (i, w)
+            led.transfers.insert(at[2], third)
+            for step in range(1, len(led.steps) + 1):
+                if step not in (first.step, third.step):
+                    led.transfers[at[1]] = replace(second, step=step)
+                    assert _verdict(led, "endpoint_triple_credit_shape", tag) is False, (i, w)
+                    corrupted += 1
+            led.transfers[at[1]] = second
+    assert corrupted > 0
+
+
+def test_extra_credit_check_follows_a_debit_count_of_2m_minus_1():
+    # At delta = 3 a path that pays 2m - 1 debits over its m matched edges
+    # needs three credits; one that pays 2m - 2 is not asked.  Paths with two
+    # credits in mingreedy's game at delta = 3, their debit count set to each
+    # value in turn.
+    led = game_ledger(3, 20)
+    corrupted = 0
+    for ci, comp in enumerate(led.dec.components):
+        if ci not in led.paths or sum(led.credits[w] for w in comp.endpoints) != 2:
+            continue
+        tag = f"comp{ci}"
+        paid = led.debits_out[ci]
+        led.debits_out[ci] = 2 * comp.m_count - 1
+        assert _verdict(led, "extra_credit_path", tag) is False, ci
+        led.debits_out[ci] = 2 * comp.m_count - 2
+        assert _verdict(led, "extra_credit_path", tag) is None, ci
+        led.debits_out[ci] = paid
+        corrupted += 1
+    assert corrupted > 0
+
+
+class _Redegreed:
+    """A replay whose degree of node w after step s reads as deg."""
+
+    def __init__(self, replay, s, w, deg):
+        self.replay, self.key, self.deg = replay, (s, w), deg
+
+    def deg_after(self, s, w):
+        return self.deg if (s, w) == self.key else self.replay.deg_after(s, w)
+
+    def deg_before(self, s, w):
+        return self.replay.deg_before(s, w)
+
+
+def test_each_broken_part_of_the_degree_2_exception_fails_its_shape():
+    # A degree-2 creation step that pays a debit and leaves no degree-1
+    # endpoint has one shape.  Break one part at a time: a debit on the
+    # selected node, a second debit on the partner, a recipient left with an
+    # edge, or a recipient not joined to the selected node in M*.
+    from matchforge.graphs import Matching
+
+    corrupted = 0
+    for seed in range(300):
+        led = random_ledger(seed)
+        if led is None:
+            continue
+        for ci, info in sorted(led.paths.items()):
+            tag = f"comp{ci}"
+            if not _verdict(led, "deg2_exception_shape", tag):
+                continue
+            u, v, s = info.selected, info.partner, info.creation_step
+            for node in (u, v):
+                led.raw_debits[node] += 1
+                assert _verdict(led, "deg2_exception_shape", tag) is False, (seed, ci, node)
+                led.raw_debits[node] -= 1
+            (w,) = [end for source, end in led._step_transfers(led.step_record(s))
+                    if source == v]
+            replay = led.replay
+            led.replay = _Redegreed(replay, s, w, 1)
+            assert _verdict(led, "deg2_exception_shape", tag) is False, (seed, ci)
+            led.replay = replay
+            dec = led.dec
+            led.dec = replace(dec, m_star=Matching.from_pairs(dec.m_star.pairs - {norm_edge(u, w)}))
+            assert _verdict(led, "deg2_exception_shape", tag) is False, (seed, ci)
+            led.dec = dec
+            corrupted += 1
+    assert corrupted > 0
+
+
+def test_fallback_needs_a_non_creation_edge_under_the_cap():
+    # A path left without a degree-1 endpoint and with fewer than three
+    # credits passes only if a matched edge other than its creation edge
+    # pays at most 2 (delta - 2) - 1 coins: one at exactly that passes, and
+    # none under the cap fails.
+    corrupted = 0
+    for seed in range(300):
+        led = random_ledger(seed)
+        if led is None:
+            continue
+        cap = 2 * (led.delta - 2)
+        for ci, info in sorted(led.paths.items()):
+            tag = f"comp{ci}"
+            comp = led.dec.components[ci]
+            creation = norm_edge(info.selected, info.partner)
+            others = [e for e in comp.m_edges if e != creation]
+            if (_verdict(led, "no_deg1_path_fallback", tag) is None or not others
+                    or sum(led.credits[w] for w in comp.endpoints) >= 3):
+                continue
+            paid = {x: led.paid[x] for e in others for x in e}
+            for a, b in others:
+                led.paid[a], led.paid[b] = cap, 0
+            assert _verdict(led, "no_deg1_path_fallback", tag) is False, (seed, ci)
+            a, b = others[-1]
+            led.paid[a] = cap - 1
+            assert _verdict(led, "no_deg1_path_fallback", tag) is True, (seed, ci)
+            led.paid.update(paid)
+            corrupted += 1
+    assert corrupted > 0

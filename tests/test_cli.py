@@ -7,7 +7,14 @@ import pytest
 
 from matchforge import cli, optimum
 from matchforge.cli import main
-from matchforge.graphs import MAX_NODES, MAX_RANDOM_NODES, Graph, load_graph, save_graph
+from matchforge.graphs import (
+    MAX_NODES,
+    MAX_RANDOM_NODES,
+    Graph,
+    load_graph,
+    load_matching,
+    save_graph,
+)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -326,6 +333,55 @@ def test_run_shuffle(tmp_path: Path, capsys):
     assert run_cli("run", "--algo", "shuffle", "--perm", "1,0,2,3",
                    "--in", str(g)) == 0
     assert "|M|=2" in capsys.readouterr().out
+
+
+def test_run_scripted_policy_and_a_bad_spec(tmp_path: Path, capsys):
+    # On P4, mingreedy's first node slot picks node 3 of {0, 3}; the other
+    # slots take their first candidate.
+    g = tmp_path / "p4.graph"
+    t = tmp_path / "s.trace"
+    g.write_text("graph 4 3\ne 0 1\ne 1 2\ne 2 3\n")
+    assert run_cli("run", "--algo", "mingreedy", "--policy", "scripted:1,0,0,0",
+                   "--in", str(g), "--trace", str(t)) == 0
+    assert capsys.readouterr().out == "run mingreedy: |M|=2 steps=2\n"
+    assert t.read_text().splitlines()[0] == "s 1 3 1 2 degree_rule"
+    assert run_cli("run", "--algo", "mingreedy", "--policy", "bogus", "--in", str(g)) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: bad policy spec 'bogus'\n")
+
+
+def test_run_shuffle_without_perm_is_input_error(tmp_path: Path, capsys):
+    g = tmp_path / "p4.graph"
+    g.write_text("graph 4 3\ne 0 1\ne 1 2\ne 2 3\n")
+    assert run_cli("run", "--algo", "shuffle", "--in", str(g)) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: shuffle needs --perm\n")
+
+
+def test_opt_out_reads_back(tmp_path: Path, capsys):
+    g = tmp_path / "p4.graph"
+    out = tmp_path / "m.txt"
+    g.write_text("graph 4 3\ne 0 1\ne 1 2\ne 2 3\n")
+    assert run_cli("opt", "--in", str(g), "--out", str(out)) == 0
+    assert capsys.readouterr().out == "opt: |M*|=2\n"
+    m = load_matching(out.read_text(), load_graph(g.read_text()))
+    assert m.pairs == {(0, 1), (2, 3)}
+
+
+def test_sweep_to_stdout_is_the_csv(tmp_path: Path, capsys):
+    argv = ("sweep", "--deltas", "3", "--n", "6", "--count", "2", "--seed", "1")
+    assert run_cli(*argv) == 0
+    text = capsys.readouterr().out
+    out = tmp_path / "s.csv"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    assert capsys.readouterr().out == ""
+    assert text == out.read_text()
+    assert text.splitlines() == [
+        "delta,source,seed,algo,m_size,opt_size,ratio,ratio_frac",
+        "3,random,1000003,mingreedy,3,3,1.000000,1/1",
+        "3,random,1000004,mingreedy,3,3,1.000000,1/1",
+        "3,random,min,mingreedy,,,1.000000,1/1",
+    ]
 
 
 def test_gen_delta_is_the_degree_of_a_regular_graph(tmp_path: Path, capsys):

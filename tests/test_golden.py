@@ -3,8 +3,8 @@
 Each section renders one family of outputs (traces, choice enumerations
 sorted and in the order they are yielded, worst-case witnesses, sweep
 CSVs, game transcripts, optima, every rule's runs and free-step runs on
-benchmark-size graphs, and the constructor games) for
-fixed seeds and compares the
+benchmark-size graphs, and the constructor games, the probe encodings of
+tests/probe_encodings.py among them) for fixed seeds and compares the
 sha256 of the rendering with a pinned digest.  The ledger
 sections render the decomposition, the verification report and every
 transfer, donation, tally and path record of the coin ledger.  A refactor
@@ -50,6 +50,7 @@ from matchforge.matchers import (
 )
 from matchforge.optimum import maximum_matching
 
+from probe_encodings import PROBE_ENCODINGS, Explorer
 from reference_runs import iter_all_pick_sequences
 
 RULE_ALGOS = ("mingreedy", "one_two_mingreedy", "karpsipser", "greedy", "mrg")
@@ -169,14 +170,17 @@ def _games_bprime() -> str:
 
 def _games_explorer() -> str:
     """A mingreedy encoding that ranks lists with one known neighbor first,
-    so AdversaryB(5) extends a frontier (as in tests/test_adversary.py)."""
-
-    class Explorer(adversary.RuleEncoding):
-        def query(self):
-            return [Pattern(total=3, unmatched=2, known=1), Pattern(unmatched=2),
-                    Pattern(unmatched_min=1)]
-
+    so AdversaryB(5) extends a frontier."""
     return _constructor_game(Explorer("mingreedy"), lambda: AdversaryB(5))
+
+
+def _games_probes() -> str:
+    """The probe encodings against AdversaryBPrime: the frontier triangle and
+    the 4a and 4c endgames, which no encoding of games:Bprime reaches."""
+    return "".join(f"# Bprime({delta}, {t}) {name}\n"
+                   + _constructor_game(make(delta), lambda: AdversaryBPrime(delta, t))
+                   for delta in (4, 5, 6) for t in (7, 20, 50)
+                   for name, make in PROBE_ENCODINGS.items())
 
 
 def _ledger_text(g: Graph, trace) -> str:
@@ -272,6 +276,7 @@ SECTIONS = {
     "games:B": _games_b,
     "games:Bprime": _games_bprime,
     "games:explorer": _games_explorer,
+    "games:probes": _games_probes,
     "optimum:bench": _bench_optima,
     "trace:bench": _bench_traces,
     "trace:bench_free": _bench_free_traces,
@@ -292,6 +297,7 @@ GOLDEN = {
     "games:B": "a89b60134da792a58df475e84081d17ad726498cfd35b8c65ed1096e98fcd2c4",
     "games:Bprime": "f5770493ea24641c895b187f0df400a19a2e9e878b1cc78e9993e882c0b5c00c",
     "games:explorer": "32883c084fb7978d1ed2f7d3414af8674c2fcfd9b97833618e1a3dfec57dbe17",
+    "games:probes": "5d2974ea434b225dae8cf969e95b7299256cc54d67f8dbdfc712df29c6a5bb3b",
     "inputs": "05e4880299b6fd5569e9c5c85538d3a3b4b9ac495ddd4d080cfa371b8976292f",
     "ledger:mingreedy": "83d447a96b65fe9cd5f2f3a854966815050dfb81aee95347f3db6651c7ce7235",
     "ledger:one_two_mingreedy": "8e96aaad8885139ab1ba199da6039b3be44d923042bb68ee666d6eb2886cd209",

@@ -153,6 +153,11 @@ def test_bruteforce_budget():
     with pytest.raises(SearchBudgetExceededError, match="budget of 24 edges") as exc:
         max_matching_bruteforce(g)
     assert exc.value.bound is None
+    # The bound itself: 24 edges are answered, 25 refused.
+    at_bound = Graph.from_edges(g.n, g.edges[:24])
+    assert max_matching_bruteforce(at_bound) == len(maximum_matching(at_bound))
+    with pytest.raises(SearchBudgetExceededError, match="budget of 24 edges"):
+        max_matching_bruteforce(Graph.from_edges(g.n, g.edges[:25]))
 
 
 def _nx_size(nx, g: Graph) -> int:
