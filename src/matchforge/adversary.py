@@ -9,7 +9,9 @@ and every list shown must be consistent with the graph the game ends with.
 Two on-the-fly constructors are provided: the budgetless one that forces
 any degree-pattern algorithm down to one expensive component, and the
 node-count-announcing one that mass-produces such components so the ratio
-approaches the same bound from above.
+approaches the same bound from above.  Each keeps one current center, and
+each constructed serve leaves the check its match must pass as a bound
+method, which a deep copy of the adversary rebinds to the copy.
 
 A round costs what it changes.  The adversary keeps each node's count of
 unmatched neighbors as edges and matches happen, and files each live node
@@ -28,7 +30,7 @@ order gives; tests/test_adversary.py keeps that scan as the oracle.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
 
@@ -172,12 +174,10 @@ class RuleEncoding(PriorityAlgorithm):
 
 
 class ShuffleEncoding(PriorityAlgorithm):
-    """A fixed node permutation ranks both the served node and the partner.
-    Without one, seed draws it; seed None keeps the identity order
-    (vertex-iterative)."""
+    """A node order ranks both the served node and the partner: the order
+    seed draws, or the identity order when seed is None (vertex-iterative)."""
 
-    def __init__(self, permutation=None, seed: int | None = 0):
-        self.permutation = list(permutation) if permutation is not None else None
+    def __init__(self, seed: int | None = 0):
         self.seed = seed
 
     def start(self, announced_nodes):
@@ -186,13 +186,9 @@ class ShuffleEncoding(PriorityAlgorithm):
             raise PolicyError("a node-order encoding needs the announced node count")
         # Each game draws its own order, so one encoding can play games of
         # different sizes.
-        order = self.permutation
-        if order is None:
-            order = list(range(announced_nodes))
-            if self.seed is not None:
-                random.Random(self.seed).shuffle(order)
-        if sorted(order) != list(range(announced_nodes)):
-            raise PolicyError("permutation must cover 0..n-1")
+        order = list(range(announced_nodes))
+        if self.seed is not None:
+            random.Random(self.seed).shuffle(order)
         self.rank = {v: i for i, v in enumerate(order)}
         self.patterns = tuple(Pattern(node=v) for v in order)
 
@@ -263,7 +259,7 @@ class _AdversaryBase:
 
     # -- construction helpers -------------------------------------------------
 
-    def _alloc(self, k: int = 1) -> list[int]:
+    def _alloc(self, k: int) -> list[int]:
         ids = list(range(self.n_created, self.n_created + k))
         self.n_created += k
         for v in ids:
@@ -351,11 +347,10 @@ class _AdversaryBase:
     def log_query(self, patterns) -> None:
         # tuple() returns a tuple argument itself, and a tuple cannot change,
         # so a query handed out again is recognised by identity; the line is
-        # built once per distinct list and shared by the rounds that repeat it.
+        # built once per tuple and shared by the rounds that repeat it.
         query = tuple(patterns)
         if query is not self._query:
-            if query != self._query:
-                self._query_line = "q " + " | ".join(p.describe() for p in query)
+            self._query_line = "q " + " | ".join(p.describe() for p in query)
             self._query = query
         self.transcript.append(self._query_line)
 
@@ -373,10 +368,10 @@ class _AdversaryBase:
                 changed.add(w)
         self._refile(changed)
         self.transcript.append(f"match {u} {v}")
-        self._after_match(u, v)
-
-    def _after_match(self, u: int, v: int) -> None:
-        pass
+        if self._pending is not None:
+            check, *args = self._pending
+            self._pending = None
+            check(u, v, *args)
 
     def _construct(self, pat: Pattern) -> DataItem | None:
         """Build and serve a fresh list for pat, or None to leave pat to the
@@ -431,14 +426,17 @@ class _CenterMixin(_AdversaryBase):
 
     A center is six nodes a, b, c, d, e1, e2 wired so that matching a-b and
     then one more edge at c scores 2 while 3 is optimal.  Triangles hang off
-    the center through one fresh connector adjacent to both a and c.
+    the center through one fresh connector adjacent to both a and c.  A
+    constructor keeps one current center; the endgame's match check closes
+    it.
     """
 
-    def _new_center(self) -> dict:
+    center: dict | None = None
+
+    def _new_center(self) -> None:
         a, b, c, d, e1, e2 = self._alloc(6)
         self._add_edges([(a, b), (a, e1), (a, e2), (c, e1), (c, e2), (c, d), (b, d)])
-        return {"a": a, "b": b, "c": c, "d": d, "e1": e1, "e2": e2,
-                "frontiers": [], "inactive": False}
+        self.center = {"a": a, "b": b, "c": c, "d": d, "frontiers": []}
 
     def _fresh_degree(self, pat: Pattern) -> int | None:
         """The least d in 3..delta with pat.matches(d, d, 0), the degree of a
@@ -453,16 +451,16 @@ class _CenterMixin(_AdversaryBase):
             d = max(3, pat.unmatched_min or 0)
         return d if 3 <= d <= self.delta and pat.matches(d, d, 0) else None
 
-    def _center_degree(self, center: dict) -> int:
-        return len(self.adj[center["a"]])
+    def _center_degree(self) -> int:
+        return len(self.adj[self.center["a"]])
 
-    def _capacity_frontier(self, center: dict) -> int | None:
-        for r in center["frontiers"]:
+    def _capacity_frontier(self) -> int | None:
+        for r in self.center["frontiers"]:
             if len(self.adj[r]) < self.delta:
                 return r
         return None
 
-    def _serve_triangle(self, center: dict, frontier_edge_to: int | None) -> DataItem:
+    def _serve_triangle(self, frontier_edge_to: int | None) -> DataItem:
         m, r, l = self._alloc(3)
         edges = [(m, r), (m, l), (r, l)]
         neighbors = [r, l]
@@ -470,57 +468,52 @@ class _CenterMixin(_AdversaryBase):
             edges.append((m, frontier_edge_to))
             neighbors.append(frontier_edge_to)
         self._add_edges(edges)
-        self._pending = ("triangle", center, m, r, l)
+        self._pending = (self._matched_triangle, m, r, l)
         return self._serve(m, neighbors)
+
+    def _matched_triangle(self, u: int, v: int, m: int, r: int, l: int) -> None:
+        if u != m or v not in (r, l):
+            raise GameError(f"match {u}-{v} is not a triangle edge of node {m}")
+        # The matched corner becomes the frontier; the connector joins it to
+        # the still unknown center.
+        (conn,) = self._alloc(1)
+        center = self.center
+        self._add_edges([(v, conn), (conn, center["a"]), (conn, center["c"])])
+        center["frontiers"].append(v)
 
     def _serve_case1(self, d: int) -> DataItem:
         ids = self._alloc(d + 1)
         v, others = ids[0], ids[1:]
         self._add_edges([(v, o) for o in others])
-        self._pending = ("case1", v, others)
+        self._pending = (self._matched_case1, v, others)
         return self._serve(v, others)
 
-    def _serve_endgame(self, center: dict, kind: str, frontier: int | None = None) -> DataItem:
-        a, b, d = center["a"], center["b"], center["d"]
-        self._pending = ("inactivate", center, kind)
+    def _matched_case1(self, u: int, v: int, served: int, others: list[int]) -> None:
+        if u != served or v not in others:
+            raise GameError(f"match {u}-{v} is not a fan-out edge of node {served}")
+        # The partner takes the second high-degree role.
+        self._add_edges([(v, o) for o in others if o != v])
+
+    def _serve_endgame(self, kind: str, frontier: int | None = None) -> DataItem:
+        """Force the a-b match: serve a in full (4a), b as is (4b), or b
+        with one more edge to a capacity frontier (4c)."""
+        a, b, d = self.center["a"], self.center["b"], self.center["d"]
+        self._pending = (self._matched_endgame,)
         if kind == "4a":
             rest = sorted(self.adj[a] - {b})
             return self._serve(a, [b] + rest)
         if kind == "4b":
             return self._serve(b, [a, d])
-        if kind != "4c" or frontier is None:
-            raise GameError(f"endgame move {kind!r} needs a capacity frontier")
         self._add_edges([(b, frontier)])
         return self._serve(b, [a, d, frontier])
 
-    def _after_match(self, u: int, v: int) -> None:
-        pending, self._pending = self._pending, None
-        if pending is None:
-            return
-        if pending[0] == "case1":
-            _, served, others = pending
-            if u != served or v not in others:
-                raise GameError(f"match {u}-{v} is not a fan-out edge of node {served}")
-            # The partner takes the second high-degree role.
-            self._add_edges([(v, o) for o in others if o != v])
-        elif pending[0] == "triangle":
-            _, center, m, r, l = pending
-            if u != m or v not in (r, l):
-                raise GameError(f"match {u}-{v} is not a triangle edge of node {m}")
-            # The matched corner becomes the frontier; the connector joins it
-            # to the still unknown center.
-            (conn,) = self._alloc(1)
-            self._add_edges([(v, conn), (conn, center["a"]), (conn, center["c"])])
-            center["frontiers"].append(v)
-        elif pending[0] == "inactivate":
-            _, center, kind = pending
-            expect = (center["a"], center["b"])
-            if {u, v} != set(expect):
-                raise GameError(
-                    "endgame move matched an unexpected pair; only first-unmatched "
-                    "partner rules are supported"
-                )
-            center["inactive"] = True
+    def _matched_endgame(self, u: int, v: int) -> None:
+        if {u, v} != {self.center["a"], self.center["b"]}:
+            raise GameError(
+                "endgame move matched an unexpected pair; only first-unmatched "
+                "partner rules are supported"
+            )
+        self.center = None
 
 
 class AdversaryB(_CenterMixin):
@@ -538,7 +531,6 @@ class AdversaryB(_CenterMixin):
                              f"of {MAX_NODES}")
         super().__init__(delta)
         self.s = delta - 3
-        self.center: dict | None = None
 
     @property
     def sealed(self) -> bool:
@@ -546,36 +538,37 @@ class AdversaryB(_CenterMixin):
         return len(self.served) > self.s
 
     def _construct(self, pat):
+        # Built at the first construction round, not in __init__, so that its
+        # build line follows the first query line in the transcript.
         if self.center is None:
-            self.center = self._new_center()
-        center = self.center
-        frontier = self._capacity_frontier(center)
+            self._new_center()
+        frontier = self._capacity_frontier()
         if len(self.served) < self.s:
             d = self._fresh_degree(pat)
             if d is not None:
                 return self._serve_case1(d)
             if pat.matches(2, 2, 0):
-                return self._serve_triangle(center, None)
+                return self._serve_triangle(None)
             if frontier is not None and pat.matches(3, 2, 1):
-                return self._serve_triangle(center, frontier)
+                return self._serve_triangle(frontier)
             return None
-        da = self._center_degree(center)
+        da = self._center_degree()
         if pat.matches(da, da, 0):
-            return self._serve_endgame(center, "4a")
+            return self._serve_endgame("4a")
         if pat.matches(2, 2, 0):
-            return self._serve_endgame(center, "4b")
+            return self._serve_endgame("4b")
         if frontier is not None and pat.matches(3, 2, 1):
-            return self._serve_endgame(center, "4c", frontier)
+            return self._serve_endgame("4c", frontier)
         return None
 
 
 class AdversaryBPrime(_CenterMixin):
     """Node-count-announcing constructor: many expensive components.
 
-    Announces t*delta nodes, keeps at most one active center, attaches
-    triangles until the center saturates, inactivates it, and spends the
-    last few nodes on complete-bipartite fillers so the budget closes
-    exactly.
+    Announces t*delta nodes, keeps at most one current center, attaches
+    triangles until the center saturates, closes it with an endgame move,
+    and spends the last few nodes on complete-bipartite fillers so the
+    budget closes exactly.
     """
 
     def __init__(self, delta: int, t: int):
@@ -586,18 +579,11 @@ class AdversaryBPrime(_CenterMixin):
         super().__init__(delta)
         if t < 7:
             raise ValueError("t must be >= 7 so construction precedes the endgame")
-        self.t = t
         self.budget = t * delta
         self.threshold = t * delta - 6 * delta
-        self.centers: list[dict] = []
 
     def announced_nodes(self) -> int:
         return self.budget
-
-    def _active(self) -> dict | None:
-        if self.centers and not self.centers[-1]["inactive"]:
-            return self.centers[-1]
-        return None
 
     def _seal(self) -> None:
         remaining = self.budget - self.n_created
@@ -616,31 +602,27 @@ class AdversaryBPrime(_CenterMixin):
         if self.n_created >= self.threshold:
             self._seal()
             return None
-        active = self._active()
-        saturated = active is not None and self._center_degree(active) >= self.delta
+        saturated = self.center is not None and self._center_degree() >= self.delta
         d = self._fresh_degree(pat)
         if d is not None:
             if d == self.delta and saturated:
-                return self._serve_endgame(active, "4a")
+                return self._serve_endgame("4a")
             return self._serve_case1(d)
         if pat.matches(2, 2, 0):
-            if active is None:
-                center = self._new_center()
-                self.centers.append(center)
-                if self.delta == 3:
-                    # No triangle fits on a degree-3 center; force the a-b
-                    # match right away.
-                    return self._serve_endgame(center, "4b")
-                return self._serve_triangle(center, None)
+            if self.center is None:
+                self._new_center()
+                # A fresh center is saturated only at delta = 3, where no
+                # triangle fits; the a-b match is forced right away.
+                saturated = self._center_degree() >= self.delta
             if saturated:
-                return self._serve_endgame(active, "4b")
-            return self._serve_triangle(active, None)
-        if active is not None and pat.matches(3, 2, 1):
-            frontier = self._capacity_frontier(active)
+                return self._serve_endgame("4b")
+            return self._serve_triangle(None)
+        if self.center is not None and pat.matches(3, 2, 1):
+            frontier = self._capacity_frontier()
             if frontier is not None:
                 if saturated:
-                    return self._serve_endgame(active, "4c", frontier)
-                return self._serve_triangle(active, frontier)
+                    return self._serve_endgame("4c", frontier)
+                return self._serve_triangle(frontier)
         return None
 
 
@@ -668,8 +650,8 @@ class GameResult:
     graph: Graph
     matching: Matching
     transcript: tuple[str, ...]
-    picks: tuple[Edge, ...] = field(default=())
-    served: tuple[DataItem, ...] = field(default=())
+    picks: tuple[Edge, ...]
+    served: tuple[DataItem, ...]
 
 
 # Rounds after which play_game gives up on a game that does not terminate.

@@ -416,7 +416,6 @@ def verify_lemma_predicates(ledger: ChargingLedger) -> Report:
     delta = ledger.delta
     dec = ledger.dec
     g = dec.graph
-    f_edges = dec.f_edges
     edge_cap = 2 * (delta - 2)
 
     credits_of: dict[int, list[Transfer]] = {}   # endpoint -> its transfers

@@ -39,10 +39,8 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_INPUT):
-        super().__init__(message)
-        self.code = code
+class CliError(ValueError):
+    """An input error of the command line; main maps it to exit 2."""
 
 
 def _write(path: str, text: str) -> None:
@@ -316,8 +314,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        error, code = exc, exc.code
     except SearchBudgetExceededError as exc:
         error, code = exc, EXIT_BUDGET
     except optimum.CertificateError as exc:

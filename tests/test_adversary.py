@@ -362,8 +362,8 @@ class TestEncodings:
             rng = random.Random(seed)
             g = gen_random_bounded(rng.randint(2, 10), 4, 0.6, seed)
             perm = list(range(g.n))
-            rng.shuffle(perm)
-            res = play_game(ShuffleEncoding(perm), TruthfulAdversary(g))
+            random.Random(seed).shuffle(perm)
+            res = play_game(ShuffleEncoding(seed), TruthfulAdversary(g))
             assert res.matching.pairs == run_shuffle(g, perm).result.pairs
 
     def test_shuffle_encoding_replays_across_sizes(self):
